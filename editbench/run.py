@@ -170,7 +170,9 @@ def repeat(workload: Any, seconds: float, body: Callable[[int], None],
 
 def end_to_end_metrics(workload: Any, rec: Any, scale: float) -> Dict[str, float]:
     """The end-to-end metrics, every time multiplied by ``scale`` (and the
-    rate divided by it): 1.0 gives wall clock as measured."""
+    rate divided by it): 1.0 gives wall clock as measured.  A workload
+    without warm opens reports its cold opens under both open metrics."""
+    warm = rec.opens["warm" if workload.warm_opens else "cold"]
     return {
         "setup_s": statistics.median(rec.setups) * scale,
         "step_p50_ms": nearest_rank(rec.steps, 50) * 1e3 * scale,
@@ -178,7 +180,7 @@ def end_to_end_metrics(workload: Any, rec: Any, scale: float) -> Dict[str, float
                          * 1e3 * scale),
         "steps_per_s": statistics.median(rec.session_rates) / scale,
         "open_cold_p50_ms": nearest_rank(rec.opens["cold"], 50) * 1e3 * scale,
-        "open_warm_p50_ms": nearest_rank(rec.opens["warm"], 50) * 1e3 * scale,
+        "open_warm_p50_ms": nearest_rank(warm, 50) * 1e3 * scale,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 
@@ -291,13 +293,15 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
     }
     with open(os.path.join(OUT_DIR, "%s-seed%d-trace%d.json"
                            % (name, seed, int(trace))), "w") as handle:
-        last = recorders[-1]
-        json.dump(dict(record, regions=last.regions, samples={
-            "setup_s": last.setups, "step_s": last.steps,
-            "open_cold_s": last.opens["cold"], "open_warm_s": last.opens["warm"],
-            "session_steps_per_s": last.session_rates,
-            "calibration_s": calibrations}), handle, sort_keys=True)
+        json.dump(dict(printed(record), wall_clock=wall_clock), handle,
+                  sort_keys=True)
     return record
+
+
+def printed(record: Dict[str, Any]) -> Dict[str, Any]:
+    """The four keys of the result line."""
+    return {key: record[key]
+            for key in ("correct", "attempted", "failed", "metrics")}
 
 
 def report(record: Dict[str, Any]) -> None:
@@ -310,9 +314,11 @@ def report(record: Dict[str, Any]) -> None:
               details["pool_workers"]))
     print("why: %s" % details["why"])
     print("step_tail_ms is the nearest-rank p%g of %d step samples; "
-          "open medians over %d opens each"
+          "open medians over %d opens each%s"
           % (details["step_tail_percentile"], details["step_samples"],
-             details["open_samples"]))
+             details["open_samples"], "" if details["warm_opens"] else
+             " (no store, so no warm start: open_warm_p50_ms repeats the "
+             "cold opens' median; opens are untraced and uncounted)"))
     counts = details["counts"]
     wall_clock = details["wall_clock"]
     if wall_clock:
@@ -357,8 +363,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     record = run_workload(args.workload, args.seed, args.seconds,
                           bool(args.trace))
     report(record)
-    print(json.dumps({key: record[key]
-                      for key in ("correct", "attempted", "failed", "metrics")}))
+    print(json.dumps(printed(record)))
     return 0 if record["correct"] else 1
 
 

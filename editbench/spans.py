@@ -14,9 +14,7 @@ callee query again inside its caller).
 Spans only record while :attr:`Tracer.active` is set, which the runner
 does for timed regions alone, so oracle checks, set-up and forked pool
 workers never contribute.  Self time is aggregated per span name in
-memory; the runner also keeps one record per timed region (its wall time
-and the per-name self time inside it) and writes them out when the run
-ends.
+memory.
 """
 
 from __future__ import annotations

@@ -37,8 +37,7 @@ def test_benchmark_json_matches_the_runner():
     assert sorted(w["name"] for w in spec["workloads"]) == WORKLOADS
     assert [(m["name"], m["unit"]) for m in spec["end_to_end"]] == list(run.END_TO_END)
     assert [(m["name"], m["unit"]) for m in spec["per_layer"]] == list(run.PER_LAYER)
-    setup = next(m for m in spec["end_to_end"] if m["name"] == "setup_s")
-    assert setup["bound"] == max(m["bound"] for m in spec["end_to_end"])
+    assert all(0 < m["bound"] <= 0.25 for m in spec["end_to_end"])
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
@@ -49,6 +48,10 @@ def test_quick_untraced_run(name):
     metrics = record["metrics"]
     assert list(metrics) == [metric for metric, _unit in run.END_TO_END]
     assert all(metric["value"] > 0 for metric in metrics.values()), metrics
+    cold, warm = (metrics[key]["value"]
+                  for key in ("open_cold_p50_ms", "open_warm_p50_ms"))
+    if not record["details"]["warm_opens"]:
+        assert warm == cold
 
 
 @pytest.mark.parametrize("name", WORKLOADS)

@@ -60,19 +60,16 @@ class Recorder:
         self.failures: List[str] = []
         self.oracle_fallbacks = 0
         self.timed_seconds = 0.0
-        #: One record per timed region of a traced run: its kind, wall
-        #: time and the self time of every span name inside it.
-        self.regions: List[Dict[str, Any]] = []
         self._session_steps = 0
         self._session_seconds = 0.0
 
     # -- timed regions -----------------------------------------------------------
 
-    def _timed(self, kind: str, fn: Callable[..., Any], args: Sequence[Any]) -> Any:
+    def _timed(self, fn: Callable[..., Any], args: Sequence[Any],
+               traced: bool = True) -> Any:
         self.attempted += 1
-        tracer = self.tracer
+        tracer = self.tracer if traced else None
         if tracer is not None:
-            spans_before = dict(tracer.self_seconds)
             intern_before = intern_totals()
             tracer.active = True
         started = time.perf_counter()
@@ -80,31 +77,31 @@ class Recorder:
             result = fn(*args)
         finally:
             elapsed = time.perf_counter() - started
-            self.timed_seconds += elapsed
             if tracer is not None:
                 tracer.active = False
                 hits, lookups = intern_totals()
                 self.add({"domains.intern_hits": hits - intern_before[0],
                           "domains.intern_lookups": lookups - intern_before[1]})
-                self.regions.append({
-                    "kind": kind, "wall_s": elapsed,
-                    "self_s": {name: seconds - spans_before.get(name, 0.0)
-                               for name, seconds in tracer.self_seconds.items()
-                               if seconds != spans_before.get(name, 0.0)}})
+        if traced:
+            self.timed_seconds += elapsed
         self.last_seconds = elapsed
         return result
 
     def step(self, fn: Callable[..., Any], *args: Any) -> Any:
         """One closed-loop step: an edit plus its answered queries."""
-        result = self._timed("step", fn, args)
+        result = self._timed(fn, args)
         self.steps.append(self.last_seconds)
         self._session_steps += 1
         self._session_seconds += self.last_seconds
         return result
 
-    def open(self, kind: str, fn: Callable[..., Any], *args: Any) -> Any:
-        """Opening an engine and answering its first query."""
-        result = self._timed("open_" + kind, fn, args)
+    def open(self, kind: str, fn: Callable[..., Any], *args: Any,
+             traced: bool = True) -> Any:
+        """Opening an engine and answering its first query.  An open with
+        ``traced`` unset stays out of the layer spans (and its caller keeps
+        its counts out of :attr:`counts`), so the per-layer figures of a
+        workload describe its steps alone."""
+        result = self._timed(fn, args, traced)
         self.opens[kind].append(self.last_seconds)
         return result
 
@@ -223,6 +220,12 @@ class Workload:
     #: Whether end-to-end times are scaled to the nominal CPU speed by the
     #: runner's reference loop (see ``run.NOMINAL_CALIBRATION_MS``).
     scaled = True
+    #: Whether the workload reopens on a populated store.  A workload
+    #: without a store has no warm start: it times one cold open per
+    #: checkpoint (its oracle input) and reports that median under
+    #: ``open_warm_p50_ms`` too, since every end-to-end metric is printed
+    #: for every workload.
+    warm_opens = False
 
     def session(self, seed: int, rec: Recorder) -> None:
         raise NotImplementedError
@@ -232,6 +235,7 @@ class Workload:
                 "pool_workers": self.pool,
                 "step_tail_percentile": self.tail_percentile,
                 "min_sessions": self.min_sessions, "scaled": self.scaled,
+                "warm_opens": self.warm_opens,
                 "predicted_zero": list(self.zero_prefixes)
                 + ["daig.parallel_batches"]}
 
@@ -277,7 +281,7 @@ class Fig10Interval(Workload):
                     rec: Recorder) -> None:
         """Theorem 6.1 as a check: every demanded answer of the step equals
         the batch interpreter's invariant on the same program; then a cold
-        and a warm open on that program, whose exit answers must match."""
+        open of that program, whose exit answer must match too."""
         program = cfg.copy()
         reference = analyze_cfg(program, domain)
         bottom = domain.bottom()
@@ -285,13 +289,10 @@ class Fig10Interval(Workload):
                        if not domain.equal(value, reference.get(loc, bottom)))
         rec.check(not wrong, "fig10: answers at locations %s differ from "
                   "analyze_cfg" % wrong)
-        expected = reference.get(program.exit, bottom)
-        for kind in ("cold", "warm"):
-            engine, answer = rec.open(kind, _open_daig, cfg.copy(), domain)
-            rec.add(daig_counts(engine))
-            rec.check(domain.equal(answer, expected),
-                      "fig10: %s-open exit answer differs from analyze_cfg"
-                      % kind)
+        _engine, answer = rec.open("cold", _open_daig, cfg.copy(), domain,
+                                   traced=False)
+        rec.check(domain.equal(answer, reference.get(program.exit, bottom)),
+                  "fig10: cold-open exit answer differs from analyze_cfg")
 
 
 def _open_daig(cfg: Cfg, domain: IntervalDomain) -> Tuple[DaigEngine, Any]:
@@ -318,16 +319,14 @@ class InterprocStream(Workload):
     zero_prefixes = ("store.", "parallel.")
     policy_name = "1-call-site"
 
-    def __init__(self, steps: int = 40, checkpoint: int = 10,
-                 procedures: int = 5) -> None:
+    def __init__(self, steps: int = 40, checkpoint: int = 10) -> None:
         self.steps = steps
         self.checkpoint = checkpoint
-        self.procedures = procedures
 
     def session(self, seed: int, rec: Recorder) -> None:
         started = time.perf_counter()
         workload = WorkloadGenerator(seed=seed).generate_multiprocedure(
-            self.steps, procedures=self.procedures)
+            self.steps)
         policy = policy_by_name(self.policy_name)
         configuration = InterprocIncrementalDemandConfiguration(
             workload.fresh_cfgs(), IntervalDomain(), policy)
@@ -338,7 +337,10 @@ class InterprocStream(Workload):
             for step in workload.steps[start:start + self.checkpoint]:
                 rec.step(configuration.step, step)
             rec.add(interproc_counts(session), before)
-            oracle = self._open_twice(session.cfgs, policy, rec)
+            # A cold open of the current program: a fresh storeless engine.
+            oracle, _answer = rec.open("cold", _open_interproc,
+                                       copies(session.cfgs), policy,
+                                       traced=False)
         rec.end_session()
 
         # The last cold open (on the final program) is the oracle.
@@ -362,22 +364,6 @@ class InterprocStream(Workload):
                   "interproc: summary digest differs from a fresh engine "
                   "and from a cutoff-disabled twin (seed %d)" % seed)
         rec.oracle_fallbacks += 1
-
-    @staticmethod
-    def _open_twice(cfgs: Dict[str, Cfg], policy: Any,
-                    rec: Recorder) -> InterproceduralEngine:
-        """A cold and a warm open of the current program (storeless, so
-        nothing carries over: the warm open is predicted equal to the cold
-        one); their answers must agree.  Returns the cold engine."""
-        opened = []
-        for kind in ("cold", "warm"):
-            engine, answer = rec.open(kind, _open_interproc, copies(cfgs), policy)
-            rec.add(interproc_counts(engine))
-            opened.append((engine, answer))
-        (cold, answer), (warm, warm_answer) = opened
-        rec.check(cold.domain.equal(answer, warm_answer),
-                  "interproc: cold and warm opens answer differently")
-        return cold
 
 
 def _open_interproc(cfgs: Dict[str, Cfg], policy: Any,
@@ -403,10 +389,10 @@ class SessionRestart(Workload):
     #: seeds scaling widened its spreads (0.13-0.28 against 0.05-0.16 as
     #: measured), so its times are reported as measured.
     scaled = False
+    warm_opens = True
 
     def __init__(self, width: int = 8, loops: int = 3, edits: int = 8,
-                 replay: int = 4, cycles: int = 6, pool: int = 2,
-                 workdir: str = ".") -> None:
+                 replay: int = 4, cycles: int = 6, workdir: str = ".") -> None:
         self.width = width
         self.loops = loops
         self.edits = edits
@@ -416,7 +402,8 @@ class SessionRestart(Workload):
         #: latency mode instead of between the two modes.
         self.replay = replay
         self.cycles = cycles
-        self.pool = pool
+        #: At most two pool workers, and no more than the host has cores.
+        self.pool = min(2, os.cpu_count() or 1)
         self.workdir = workdir
         self._oracle_cache: Dict[str, Tuple[Any, str]] = {}
 
@@ -562,14 +549,13 @@ def _set_noise(daig: DaigEngine, value: int) -> None:
 
 def make_workloads(workdir: str, quick: bool = False) -> Dict[str, Workload]:
     """The three workloads, at full size or (``quick``) at a tiny one."""
-    pool = min(2, os.cpu_count() or 1)
     if quick:
         workloads: List[Workload] = [
             Fig10Interval(steps=12, checkpoint=6),
             InterprocStream(steps=8, checkpoint=4),
             SessionRestart(width=2, loops=1, edits=2, replay=1, cycles=1,
-                           pool=pool, workdir=workdir)]
+                           workdir=workdir)]
     else:
         workloads = [Fig10Interval(), InterprocStream(),
-                     SessionRestart(pool=pool, workdir=workdir)]
+                     SessionRestart(workdir=workdir)]
     return {workload.name: workload for workload in workloads}
