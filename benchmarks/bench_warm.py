@@ -3,7 +3,7 @@
 The workload is :func:`repro.lang.programs.wide_call_graph_source` again —
 ``main`` calling ``width`` independent nested-loop workers, so virtually
 all analysis work is the workers' loop fixpoints.  For each persistent
-backend (sqlite, blob) and each context policy, the benchmark runs:
+backend (sqlite) and each context policy, the benchmark runs:
 
 * ``cold``   — a fresh engine over a fresh, *empty* store: every worker
   summary is computed by demanded evaluation and written through;
@@ -28,7 +28,7 @@ same edit.
 
 Everything lands in ``BENCH_warm.json`` (override with
 ``REPRO_BENCH_WARM_JSON``); CI uploads it and asserts the warm-run
-counters and digest equality on it for both backends.
+counters and digest equality on it.
 """
 
 from __future__ import annotations
@@ -70,11 +70,9 @@ def _backends(tmp_root):
     def fresh(kind):
         counters["n"] += 1
         base = os.path.join(tmp_root, "%s-%d" % (kind, counters["n"]))
-        if kind == "sqlite":
-            return "sqlite:%s.db" % base
-        return "blob:%s" % base
+        return "%s:%s.db" % (kind, base)
 
-    names = os.environ.get("REPRO_BENCH_WARM_BACKENDS", "sqlite,blob")
+    names = os.environ.get("REPRO_BENCH_WARM_BACKENDS", "sqlite")
     return [(name.strip(), fresh) for name in names.split(",") if name.strip()]
 
 

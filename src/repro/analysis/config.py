@@ -279,8 +279,8 @@ class InterproceduralConfiguration(ABC):
         self.policy = policy
         self.entry = entry
         #: Optional persistent summary store (a SummaryStore or a
-        #: ``"sqlite:..."``/``"blob:..."``/``"memory"`` spec string), shared
-        #: by every engine this configuration builds — this is what lets the
+        #: ``"sqlite:..."``/``"memory"`` spec string), shared by every
+        #: engine this configuration builds — this is what lets the
         #: from-scratch configurations warm-start across rebuilds.
         self.store = store
         self._retired_work: Dict[str, int] = {}

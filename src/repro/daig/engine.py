@@ -41,8 +41,7 @@ from .build import DaigBuilder
 from .edit import write_cell
 from .memo import MemoTable
 from .names import Name, stmt_name
-from .query import (ParallelQueryEvaluator, QueryEvaluator, QueryStats,
-                    StaleDemandError)
+from .query import QueryEvaluator, QueryStats, StaleDemandError
 from .splice import (SpliceReport, StructureSnapshot, _check_encodable,
                      splice, splice_delta)
 
@@ -113,7 +112,6 @@ class DaigEngine:
         memo: Optional[MemoTable] = None,
         entry_state: Optional[Any] = None,
         call_transfer: Optional[Callable[[A.CallStmt, Any], Any]] = None,
-        parallel_cells: Optional[int] = None,
         cutoff: bool = True,
     ) -> None:
         self.cfg = cfg
@@ -124,16 +122,9 @@ class DaigEngine:
         self.cutoff = cutoff
         self.builder = DaigBuilder(cfg, domain, entry_state)
         self.daig = self.builder.build()
-        if parallel_cells is not None and parallel_cells < 1:
-            raise ValueError("parallel_cells must be positive")
-        if parallel_cells is not None and parallel_cells > 1:
-            self.evaluator: QueryEvaluator = ParallelQueryEvaluator(
-                self.daig, self.memo, domain, self.builder, call_transfer,
-                workers=parallel_cells, cutoff=cutoff)
-        else:
-            self.evaluator = QueryEvaluator(
-                self.daig, self.memo, domain, self.builder, call_transfer,
-                cutoff=cutoff)
+        self.evaluator = QueryEvaluator(
+            self.daig, self.memo, domain, self.builder, call_transfer,
+            cutoff=cutoff)
         self.edit_stats = EditStats(cfg)
         # The live structure snapshot: captured from scratch exactly once,
         # then updated in place over each edit's affected region.
@@ -142,8 +133,7 @@ class DaigEngine:
         cfg.add_structure_listener(self._listener)
         self._batch_depth = 0
         self._cfg_dirty = False
-        self._phase = {"snapshot": 0.0, "splice": 0.0, "query": 0.0,
-                       "dispatch": 0.0, "certify": 0.0}
+        self._phase = {"snapshot": 0.0, "splice": 0.0, "query": 0.0}
         #: Optional consumer of statement-cell deltas: called with
         #: ``(removed_keys, present_key_to_stmt)`` after every splice and
         #: direct statement write, so clients indexing statements (the
@@ -184,17 +174,13 @@ class DaigEngine:
 
         ``structure`` — the CFG's incremental dominator/loop maintenance;
         ``snapshot`` — encoding-signature maintenance; ``splice`` — DAIG
-        cell surgery and dirtying; ``query`` — demanded evaluation;
-        ``dispatch`` / ``certify`` — the parallel evaluator's batch
-        dispatch time and the coordinator's certification time (both zero
-        in sequential mode).
+        cell surgery and dirtying; ``query`` — demanded evaluation.
 
         ``include_structure=False`` omits the CFG's structure phase for
         callers that share one CFG among several engines and account for its
         time once per procedure.
         """
         out = dict(self._phase)
-        out["dispatch"] += getattr(self.evaluator, "dispatch_seconds", 0.0)
         if include_structure:
             out["structure"] = self.cfg.structure_seconds()
         return out

@@ -30,12 +30,12 @@ class MemoTable:
     Lookups refresh an entry's recency; stores beyond the capacity evict the
     least recently used entry and count it in ``evictions``.
 
-    ``thread_safe=True`` guards every operation with a reentrant lock so the
-    parallel evaluator's worker threads can read while the coordinator
-    writes (with a capacity set, even a lookup mutates recency order, so
-    readers must take the lock too).  In the default sequential mode the
-    table instead *asserts* single-writer ownership: stores must come from
-    the thread that created the table, while lookups stay assertion-free.
+    ``thread_safe=True`` guards every operation with a reentrant lock so
+    several threads can share the table (with a capacity set, even a lookup
+    mutates recency order, so readers must take the lock too).  In the
+    default sequential mode the table instead *asserts* single-writer
+    ownership: stores must come from the thread that created the table,
+    while lookups stay assertion-free.
     """
 
     def __init__(self, enabled: bool = True,

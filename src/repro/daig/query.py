@@ -71,11 +71,6 @@ class QueryStats:
         #: restored from their shadows instead of recomputed.
         self.cells_cutoff = 0
         self.cells_restored = 0
-        #: Parallel-worklist counters (0 under the sequential evaluator):
-        #: batches of independent ready cells dispatched concurrently, and
-        #: the total cells evaluated through those batches.
-        self.parallel_batches = 0
-        self.parallel_batch_cells = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -87,8 +82,8 @@ class QueryStats:
             "cells_reused": self.cells_reused,
             "cells_cutoff": self.cells_cutoff,
             "cells_restored": self.cells_restored,
-            "parallel_batches": self.parallel_batches,
-            "parallel_batch_cells": self.parallel_batch_cells,
+            # Always 0; kept because the edit-latency benchmark reads it.
+            "parallel_batches": 0,
         }
 
 
@@ -164,8 +159,6 @@ class QueryEvaluator:
                 if pending in on_path:
                     raise IllFormedDaigError(
                         "dependency cycle through %s" % (pending,))
-                if self._evaluate_ready_frontier(current):
-                    continue  # some dependencies were filled; re-examine
                 stack.append(pending)
                 on_path.add(pending)
                 pushed_by[pending] = current
@@ -264,12 +257,6 @@ class QueryEvaluator:
                 self.stats.cells_restored += 1
                 frontier.append(dep)
 
-    def _evaluate_ready_frontier(self, current: Name) -> bool:
-        """Hook for the parallel evaluator: evaluate ready cells below
-        ``current`` concurrently, returning whether any progress was made.
-        The sequential evaluator never batches."""
-        return False
-
     def _count_input_reuse(self, current: Name, comp: Computation,
                            pushed_by: Dict[Name, Name]) -> None:
         """Count Q-Reuse for ``current``'s input reads.
@@ -351,160 +338,3 @@ class QueryEvaluator:
             self.stats.widens += 1
             return self.domain.widen(args[0], args[1])
         raise IllFormedDaigError("cannot apply function %r" % (func,))
-
-
-class ParallelQueryEvaluator(QueryEvaluator):
-    """A query evaluator that computes independent ready cells concurrently.
-
-    The explicit-stack walk of :class:`QueryEvaluator` demands one pending
-    input at a time; here, whenever the walk is about to descend, the whole
-    *ready frontier* below the demanded cell — every unvalued cell whose
-    inputs all hold values, excluding ``fix`` cells and call transfers — is
-    evaluated as one batch on a bounded thread pool.  Determinism is
-    preserved by construction:
-
-    * each batched cell is a pure function of already-fixed input values,
-      so its result is independent of scheduling;
-    * join operand order is the computation's ``srcs`` order, untouched;
-    * results are committed (cell writes, memo stores, statistics) on the
-      demanding thread, in sorted cell-name order;
-    * ``fix`` steps, call transfers, and all memo traffic stay on the
-      demanding thread, so reentrant interprocedural updates and demanded
-      unrolling behave exactly as in the sequential evaluator.
-    """
-
-    def __init__(
-        self,
-        daig: Daig,
-        memo: MemoTable,
-        domain: AbstractDomain,
-        builder: DaigBuilder,
-        call_transfer: Optional[Callable[[A.CallStmt, Any], Any]] = None,
-        workers: int = 2,
-        cutoff: bool = True,
-    ) -> None:
-        if workers < 1:
-            raise ValueError("parallel evaluation needs at least one worker")
-        super().__init__(daig, memo, domain, builder, call_transfer,
-                         cutoff=cutoff)
-        self.workers = workers
-        self._executor: Optional[Any] = None
-        #: Wall-clock seconds spent dispatching and gathering batches,
-        #: reported by the engine as the ``dispatch`` phase.
-        self.dispatch_seconds = 0.0
-
-    def _ensure_executor(self) -> Any:
-        if self._executor is None:
-            from concurrent.futures import ThreadPoolExecutor
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="daig-cell")
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the worker threads (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def _batchable(self, comp: Computation) -> bool:
-        if comp.func == FIX:
-            return False
-        if comp.func == TRANSFER:
-            stmt_src = comp.srcs[0]
-            if (self.daig.has_value(stmt_src)
-                    and isinstance(self.daig.value(stmt_src), A.CallStmt)):
-                return False  # call transfers stay on the demanding thread
-        return True
-
-    def _ready_frontier(self, current: Name) -> List[Tuple[Name, Computation]]:
-        """Unvalued cells in ``current``'s dependency closure whose inputs
-        are all valued (``current`` itself excluded)."""
-        daig = self.daig
-        ready: List[Tuple[Name, Computation]] = []
-        seen: Set[Name] = {current}
-        frontier: List[Name] = [current]
-        while frontier:
-            cell = frontier.pop()
-            comp = daig.defining(cell)
-            if comp is None:
-                continue  # the sequential path reports undefined cells
-            pending = [src for src in comp.srcs if not daig.has_value(src)]
-            if not pending:
-                if cell is not current and self._batchable(comp):
-                    ready.append((cell, comp))
-                continue
-            for src in pending:
-                if src not in seen:
-                    seen.add(src)
-                    frontier.append(src)
-        ready.sort(key=lambda pair: repr(pair[0]))
-        return ready
-
-    def _evaluate_ready_frontier(self, current: Name) -> bool:
-        import time
-
-        daig = self.daig
-        ready = self._ready_frontier(current)
-        if not ready:
-            return False
-        progressed = False
-        misses: List[Tuple[Name, Computation, Tuple[Any, ...]]] = []
-        for cell, comp in ready:
-            if daig.has_value(cell):
-                progressed = True  # restored by an earlier commit's cutoff
-                continue
-            args = tuple(daig.value(src) for src in comp.srcs)
-            found, cached = self.memo.lookup(comp.func, args)
-            if found:
-                self._commit_cell(cell, cached)
-                self.stats.cells_reused += len(comp.srcs)
-                progressed = True
-            else:
-                misses.append((cell, comp, args))
-        if len(misses) > 1:
-            started = time.perf_counter()
-            executor = self._ensure_executor()
-            futures = [executor.submit(self._apply_pure, comp.func, args)
-                       for (_cell, comp, args) in misses]
-            values = [future.result() for future in futures]
-            self.dispatch_seconds += time.perf_counter() - started
-            self.stats.parallel_batches += 1
-            self.stats.parallel_batch_cells += len(misses)
-        else:
-            values = [self._apply_pure(comp.func, args)
-                      for (_cell, comp, args) in misses]
-        # Commit on the demanding thread, in the sorted order of ``misses``.
-        for (cell, comp, args), value in zip(misses, values):
-            self.memo.store(comp.func, args, value)
-            if not daig.has_value(cell):  # an earlier cutoff may restore it
-                self._commit_cell(cell, value)
-                self._count_batch_stats(comp, args)
-            progressed = True
-        return progressed
-
-    def _apply_pure(self, func: str, args: Tuple[Any, ...]) -> Any:
-        """Statistics-free :meth:`_apply` for worker threads: domain
-        operations only — no shared-counter writes, no memo traffic."""
-        if func == TRANSFER:
-            stmt, state = args
-            return self.domain.transfer(stmt, state)
-        if func == JOIN:
-            result = args[0]
-            for value in args[1:]:
-                result = self.domain.join(result, value)
-            return result
-        if func == WIDEN:
-            return self.domain.widen(args[0], args[1])
-        raise IllFormedDaigError("cannot apply function %r" % (func,))
-
-    def _count_batch_stats(self, comp: Computation, args: Tuple[Any, ...]) -> None:
-        if comp.func == TRANSFER:
-            self.stats.transfers += 1
-        elif comp.func == JOIN:
-            self.stats.joins += 1
-        elif comp.func == WIDEN:
-            self.stats.widens += 1
-        # ``cells_computed`` is counted by ``_commit_cell``.
-        # Every input of a ready cell held its value before this demand
-        # reached it, so each read counts as Q-Reuse.
-        self.stats.cells_reused += len(args)

@@ -97,7 +97,6 @@ class InterproceduralEngine:
         domain: AbstractDomain,
         policy: Optional[ContextPolicy] = None,
         entry: str = "main",
-        share_memo: bool = True,
         require_nonrecursive: bool = False,
         store: Optional[Union[SummaryStore, str]] = None,
         memo_capacity: Optional[int] = None,
@@ -122,12 +121,9 @@ class InterproceduralEngine:
         #: string is parsed as a ``"sqlite:<path>"``-style spec.
         self.store: Optional[SummaryStore] = (
             open_store(store) if isinstance(store, str) else store)
-        self.memo: Optional[MemoTable] = (
-            MemoTable(capacity=memo_capacity) if share_memo else None)
-        #: Summary memoization always exists, even without a shared memo.
-        self._summary_memo: MemoTable = (
-            self.memo if self.memo is not None
-            else MemoTable(capacity=memo_capacity))
+        #: One memo table shared by every engine: transfer results and exit
+        #: summaries alike.
+        self.memo = MemoTable(capacity=memo_capacity)
         self.engines: Dict[ProcedureKey, DaigEngine] = {}
         #: The entry state each engine's DAIG currently holds.
         self.entry_states: Dict[ProcedureKey, Any] = {}
@@ -233,7 +229,7 @@ class InterproceduralEngine:
         engine = DaigEngine(
             cfg,
             self.domain,
-            memo=self.memo if self.memo is not None else MemoTable(),
+            memo=self.memo,
             entry_state=entry_state,
             call_transfer=self._make_call_transfer(key),
             cutoff=self.cutoff,
@@ -502,23 +498,10 @@ class InterproceduralEngine:
         callee_cfg = self.cfgs[callee]
         entry_state = self.domain.call_entry(state, callee_cfg.params, stmt.args)
         callee_key = (callee, context)
-        self._engine_for(callee, context, entry_state)
         skey: SiteKey = ((site.loc, site.aux, site.index)
                          if site is not None else (-1, -1, -1))
-        site_id: SiteId = (caller_key, skey)
-        contribs = self._contribs.setdefault(callee_key, {})
-        previous = contribs.get(site_id)
-        # A site's contribution grows monotonically *within* a program
-        # version (caller loop iterates re-evaluate the same site with
-        # growing states; replacing rather than joining would make entry
-        # targets oscillate and defeat loop convergence).  Retraction —
-        # which is what restores precision — happens only on edits.
-        updated = (entry_state if previous is None
-                   else self.domain.join(previous, entry_state))
-        if previous is None or (previous is not updated
-                                and not self.domain.equal(previous, updated)):
-            contribs[site_id] = updated
-            self._refresh_entry_target(callee_key, cause=site_id)
+        self.record_call_contribution(caller_key, skey, callee, context,
+                                      entry_state)
         if callee_key in self._active:
             # A recursive call while the callee's own summary is being
             # computed: consume the current assumption (⊥ on the first
@@ -544,7 +527,7 @@ class InterproceduralEngine:
         target = self._entry_target[key]
         digest = self.deep_digest(name)
         memo_args = (name, context, digest, target)
-        found, cached = self._summary_memo.lookup("summary", memo_args)
+        found, cached = self.memo.lookup("summary", memo_args)
         if found:
             self.counters["interproc_summary_hits"] += 1
             self._note_exit(key, cached)
@@ -591,7 +574,7 @@ class InterproceduralEngine:
         and (write-through) the persistent store.  Every install — normal
         memoization, a coordinator seed, a store hit — goes through here,
         so the tiers can never disagree about what a key means."""
-        self._summary_memo.store("summary", memo_args, exit_state)
+        self.memo.store("summary", memo_args, exit_state)
         self._summary_keys.setdefault(key[0], set()).add(memo_args)
         if self.store is None:
             return
@@ -721,18 +704,23 @@ class InterproceduralEngine:
                                  entry_state: Any) -> None:
         """Record one call site's entry-state contribution to a callee.
 
-        Mirrors exactly what evaluating the call cell would record
-        (:meth:`_analyze_call` without the exit demand): the parallel
-        coordinator replays certified workers' derived contributions through
-        this, so callee entry targets include the contributions of
-        procedures whose exits were served from seeded summaries and were
-        therefore never evaluated in-process.
+        Evaluating a call cell records through here before demanding the
+        callee's exit (:meth:`_analyze_call`); the parallel coordinator
+        replays certified workers' derived contributions through it too, so
+        callee entry targets include the contributions of procedures whose
+        exits were served from seeded summaries and were therefore never
+        evaluated in-process.
         """
         callee_key = (callee, context)
         self._engine_for(callee, context, entry_state)
         site_id: SiteId = (caller_key, skey)
         contribs = self._contribs.setdefault(callee_key, {})
         previous = contribs.get(site_id)
+        # A site's contribution grows monotonically *within* a program
+        # version (caller loop iterates re-evaluate the same site with
+        # growing states; replacing rather than joining would make entry
+        # targets oscillate and defeat loop convergence).  Retraction —
+        # which is what restores precision — happens only on edits.
         updated = (entry_state if previous is None
                    else self.domain.join(previous, entry_state))
         if previous is None or (previous is not updated
@@ -1038,7 +1026,7 @@ class InterproceduralEngine:
         stale = {procedure} | self.callgraph.transitive_callers(procedure)
         for name in stale:
             for memo_args in self._summary_keys.get(name, ()):
-                found, cached = self._summary_memo.peek("summary", memo_args)
+                found, cached = self.memo.peek("summary", memo_args)
                 if found:
                     nm, context, _digest, entry_state = memo_args
                     captured[(nm, context, entry_state)] = cached
@@ -1133,7 +1121,7 @@ class InterproceduralEngine:
         for name in stale:
             self._deep_digest.pop(name, None)
             for memo_args in self._summary_keys.pop(name, ()):
-                self._summary_memo.discard("summary", memo_args)
+                self.memo.discard("summary", memo_args)
 
     def _dirty_callers_of(self, procedure: str) -> Set[ProcedureKey]:
         """Dirty the call cells dependent on ``procedure``, transitively.

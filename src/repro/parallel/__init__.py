@@ -6,9 +6,9 @@ computations — procedures in the same condensation antichain share no
 call path, so their exit summaries can be computed concurrently without
 any coordination.  This package exploits that:
 
-* :mod:`repro.parallel.pool` — a persistent worker pool (process-, thread-,
-  or subinterpreter-backed) whose startup cost is paid once and amortized
-  across analysis sessions;
+* :mod:`repro.parallel.pool` — a persistent worker pool (process-backed,
+  or serial inline) whose startup cost is paid once and amortized across
+  analysis sessions;
 * :mod:`repro.parallel.worker` — the self-contained summary job a worker
   runs: one (procedure, context, entry state) DAIG evaluation against
   shipped callee summaries;

@@ -67,11 +67,9 @@ class ParallelCoordinator:
         self,
         engine: InterproceduralEngine,
         pool: PersistentWorkerPool,
-        parallel_cells: Optional[int] = None,
     ) -> None:
         self.engine = engine
         self.pool = pool
-        self.parallel_cells = parallel_cells
         self.report: Dict[str, Any] = {}
 
     # -- phase 1: speculation ----------------------------------------------------
@@ -197,8 +195,7 @@ class ParallelCoordinator:
                 # the job is avoided outright, before even the store probe.
                 memo_args = (key[0], key[1], engine.deep_digest(key[0]),
                              spec_entries[key])
-                found, cached = engine._summary_memo.peek(
-                    "summary", memo_args)
+                found, cached = engine.memo.peek("summary", memo_args)
                 if found:
                     results[key] = JobResult(key=key, exit_state=cached,
                                              from_memo=True)
@@ -247,7 +244,6 @@ class ParallelCoordinator:
                     domain_spec=engine.domain.name,
                     callee_params=callee_params,
                     summaries=summaries,
-                    parallel_cells=self.parallel_cells,
                     store_spec=store_spec,
                     deep_digests=deep_digests,
                 )

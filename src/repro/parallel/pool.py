@@ -13,15 +13,8 @@ Backends (``kind``):
 
 * ``"process"`` — :class:`~concurrent.futures.ProcessPoolExecutor`; true
   parallelism, requires picklable jobs.  The default.
-* ``"thread"`` — :class:`~concurrent.futures.ThreadPoolExecutor`; cheap
-  and deterministic to start, shares the interpreter (GIL-bound), used by
-  the tests and wherever job payloads are not worth pickling.
 * ``"serial"`` — runs jobs inline on submit; the degenerate pool used to
   isolate coordinator logic from scheduling.
-* ``"interpreter"`` — :class:`~concurrent.futures.InterpreterPoolExecutor`
-  (Python 3.13+, per-interpreter GIL).  Gated behind the
-  ``REPRO_PARALLEL_EXECUTOR=interpreter`` environment flag because the
-  backend is young; selecting it on an older interpreter raises.
 """
 
 from __future__ import annotations
@@ -29,10 +22,7 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, List, Optional
 
-#: Environment flag that unlocks (and selects) the subinterpreter backend.
-EXECUTOR_ENV = "REPRO_PARALLEL_EXECUTOR"
-
-_KINDS = ("process", "thread", "serial", "interpreter")
+_KINDS = ("process", "serial")
 
 
 class _ImmediateFuture:
@@ -63,12 +53,6 @@ def _warmup_task(_index: int) -> int:
     return os.getpid()
 
 
-def default_kind() -> str:
-    """The pool kind selected by the environment (``process`` by default)."""
-    kind = os.environ.get(EXECUTOR_ENV, "").strip().lower()
-    return kind if kind in _KINDS else "process"
-
-
 class PersistentWorkerPool:
     """A reusable executor with explicit warmup.
 
@@ -77,24 +61,12 @@ class PersistentWorkerPool:
     can be used as a context manager.
     """
 
-    def __init__(self, workers: int = 2, kind: Optional[str] = None) -> None:
+    def __init__(self, workers: int = 2, kind: str = "process") -> None:
         if workers < 1:
             raise ValueError("worker pool needs at least one worker")
-        if kind is None:
-            kind = default_kind()
         if kind not in _KINDS:
             raise ValueError("unknown pool kind %r (expected one of %s)"
                              % (kind, ", ".join(_KINDS)))
-        if kind == "interpreter":
-            if os.environ.get(EXECUTOR_ENV, "").strip().lower() != "interpreter":
-                raise ValueError(
-                    "the subinterpreter backend is experimental; set %s="
-                    "interpreter to enable it" % (EXECUTOR_ENV,))
-            import concurrent.futures
-            if not hasattr(concurrent.futures, "InterpreterPoolExecutor"):
-                raise ValueError(
-                    "InterpreterPoolExecutor needs Python 3.13+ "
-                    "(running %d.%d)" % __import__("sys").version_info[:2])
         self.workers = workers
         self.kind = kind
         self._executor: Optional[Any] = None
@@ -106,18 +78,8 @@ class PersistentWorkerPool:
         if self.kind == "serial":
             return None
         if self._executor is None:
-            if self.kind == "process":
-                from concurrent.futures import ProcessPoolExecutor
-                self._executor = ProcessPoolExecutor(max_workers=self.workers)
-            elif self.kind == "thread":
-                from concurrent.futures import ThreadPoolExecutor
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="summary-job")
-            else:  # interpreter (validated in __init__)
-                from concurrent.futures import InterpreterPoolExecutor
-                self._executor = InterpreterPoolExecutor(
-                    max_workers=self.workers)
+            from concurrent.futures import ProcessPoolExecutor
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
         return self._executor
 
     def warmup(self) -> List[int]:

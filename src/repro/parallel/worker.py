@@ -44,7 +44,7 @@ _MEMO_CAPACITY = 1 << 16
 
 #: Per-process persistent-store handles, keyed by (kind, location) spec:
 #: a worker reopens the coordinator's store once and keeps the connection
-#: across jobs (sqlite/blob backends are multi-process safe).
+#: across jobs (sqlite is multi-process safe).
 _STORES: Dict[Tuple[str, str], Any] = {}
 
 
@@ -60,8 +60,8 @@ def _memo(spec: str) -> Any:
     memo = _MEMOS.get(spec)
     if memo is None:
         from ..daig.memo import MemoTable
-        # thread_safe: under a thread-kind pool, consecutive jobs run on
-        # different executor threads of one process but share this table.
+        # thread_safe: the table is process-global, and a serial pool runs
+        # jobs on whichever thread submits them.
         memo = _MEMOS[spec] = MemoTable(capacity=_MEMO_CAPACITY,
                                         thread_safe=True)
     return memo
@@ -95,8 +95,6 @@ class JobPayload:
     callee_params: Dict[str, Tuple[str, ...]]
     #: Exit summaries from earlier waves: (callee, context) -> (entry, exit).
     summaries: Dict[SummaryKey, Tuple[Any, Any]]
-    #: Intra-DAIG worker threads (None/<=1 keeps the evaluator sequential).
-    parallel_cells: Optional[int] = None
     #: The coordinator's persistent summary store, as a reopenable
     #: ``(kind, location)`` spec (None when no store is attached or the
     #: store has no cross-process identity).
@@ -146,8 +144,7 @@ class JobResult:
     #: CPU seconds of the job, immune to worker-process time-slicing: on a
     #: host with fewer cores than workers, wall ``duration`` includes time
     #: the worker spent descheduled while its siblings ran, so schedule
-    #: models pack ``cpu_seconds`` instead.  (Meaningful for process and
-    #: serial pools; thread pools share one process clock.)
+    #: models pack ``cpu_seconds`` instead.
     cpu_seconds: float = 0.0
     stats: Dict[str, int] = field(default_factory=dict)
     error: Optional[str] = None
@@ -249,14 +246,8 @@ def run_summary_job(payload: JobPayload) -> JobResult:
             memo=_memo(payload.domain_spec),
             entry_state=payload.entry,
             call_transfer=call_transfer,
-            parallel_cells=payload.parallel_cells,
         )
-        try:
-            result.exit_state = engine.query_exit()
-        finally:
-            close = getattr(engine.evaluator, "close", None)
-            if close is not None:
-                close()
+        result.exit_state = engine.query_exit()
         result.contribs = contribs
         result.regrew = frozenset(regrew)
         result.used = frozenset(used)

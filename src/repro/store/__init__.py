@@ -2,9 +2,9 @@
 
 Exit summaries are keyed by ``(procedure, context, deep code digest,
 entry state)`` — every component content-addressed and process-independent
-— and persisted through a pluggable :class:`SummaryStore` (in-memory /
-sqlite / directory-of-blobs), so a restarted engine, a second engine on
-the same code, or a pool worker starts from hits instead of recomputing.
+— and persisted through a pluggable :class:`SummaryStore` (in-memory or
+sqlite), so a restarted engine, a second engine on the same code, or a
+pool worker starts from hits instead of recomputing.
 """
 
 from .base import (
@@ -16,12 +16,9 @@ from .base import (
     encode_summary,
 )
 from .backends import (
-    STORE_ENV_VAR,
-    BlobSummaryStore,
     InMemorySummaryStore,
     SqliteSummaryStore,
     open_store,
-    store_from_env,
     store_from_spec,
 )
 from .canonical import (
@@ -33,10 +30,8 @@ from .canonical import (
 )
 
 __all__ = [
-    "STORE_ENV_VAR",
     "STORE_FORMAT_VERSION",
     "STORE_MAGIC",
-    "BlobSummaryStore",
     "InMemorySummaryStore",
     "SqliteSummaryStore",
     "StoreDecodeError",
@@ -48,7 +43,6 @@ __all__ = [
     "decode_summary",
     "encode_summary",
     "open_store",
-    "store_from_env",
     "store_from_spec",
     "summary_store_key",
 ]

@@ -1,32 +1,23 @@
-"""The three :class:`~repro.store.base.SummaryStore` backends.
+"""The two :class:`~repro.store.base.SummaryStore` backends.
 
 * :class:`InMemorySummaryStore` — a dict; per-process, mostly for tests
   and for bounding the memo table (evicted entries stay recoverable).
-* :class:`SqliteSummaryStore` — one stdlib ``sqlite3`` table; the default
+* :class:`SqliteSummaryStore` — one stdlib ``sqlite3`` table; the
   persistent backend (single file, transactional, safe under concurrent
   readers).
-* :class:`BlobSummaryStore` — a sharded directory of blob files with
-  atomic tmp-then-rename writes; trivially rsync/NFS-shareable, the
-  fleet-cache shape (cf. content-addressed build caches).
 
-Selection helpers parse ``"memory"`` / ``"sqlite:<path>"`` /
-``"blob:<dir>"`` specs, including from the ``REPRO_SUMMARY_STORE``
-environment variable, and reopen a store from the picklable
-``(kind, location)`` pair workers receive.
+Selection helpers parse ``"memory"`` / ``"sqlite:<path>"`` specs and
+reopen a store from the picklable ``(kind, location)`` pair workers
+receive.
 """
 
 from __future__ import annotations
 
 import os
 import sqlite3
-import tempfile
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .base import SummaryStore
-
-#: Environment variable naming the store every engine should open when the
-#: caller passes ``store="env"`` (benchmarks, CI, ad-hoc warm starts).
-STORE_ENV_VAR = "REPRO_SUMMARY_STORE"
 
 
 class InMemorySummaryStore(SummaryStore):
@@ -63,8 +54,8 @@ class SqliteSummaryStore(SummaryStore):
     Autocommit mode (``isolation_level=None``) so every put is immediately
     visible to other connections — a restarted engine or a pool worker
     opens its own connection on the same path.  ``check_same_thread=False``
-    because the parallel evaluator's threads may probe while the demanding
-    thread writes (the base class serializes access under one lock).
+    lets a handle opened on one thread serve another (the base class
+    serializes access under one lock).
     """
 
     kind = "sqlite"
@@ -126,116 +117,24 @@ class SqliteSummaryStore(SummaryStore):
         return ("sqlite", self.path)
 
 
-class BlobSummaryStore(SummaryStore):
-    """A directory of blob files, sharded by the key's first two hex chars.
-
-    Writes go through a temporary file in the same directory followed by
-    ``os.replace``, so concurrent readers (other engines, pool workers)
-    never observe a torn blob — at worst a stale or missing one, which is
-    a miss.
-    """
-
-    kind = "blob"
-    _SUFFIX = ".blob"
-
-    def __init__(self, root: str) -> None:
-        super().__init__()
-        self.root = os.fspath(root)
-        os.makedirs(self.root, exist_ok=True)
-
-    def _path(self, key: str) -> str:
-        # Keys are hex digests; refuse anything that could escape the root.
-        if not key or not all(ch.isalnum() or ch in "-_" for ch in key):
-            raise ValueError("malformed store key %r" % (key,))
-        shard = key[:2] if len(key) > 2 else "00"
-        return os.path.join(self.root, shard, key + self._SUFFIX)
-
-    def _get(self, key: str) -> Optional[bytes]:
-        try:
-            with open(self._path(key), "rb") as handle:
-                return handle.read()
-        except (OSError, ValueError):
-            return None
-
-    def _put(self, key: str, blob: bytes) -> None:
-        path = self._path(key)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(bytes(blob))
-            os.replace(tmp_path, path)
-        except OSError:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-
-    def _delete(self, key: str) -> bool:
-        try:
-            os.unlink(self._path(key))
-            return True
-        except (OSError, ValueError):
-            return False
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def keys(self) -> List[str]:
-        found: List[str] = []
-        try:
-            shards = sorted(os.listdir(self.root))
-        except OSError:
-            return found
-        for shard in shards:
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            try:
-                names = sorted(os.listdir(shard_dir))
-            except OSError:
-                continue
-            found.extend(name[:-len(self._SUFFIX)] for name in names
-                         if name.endswith(self._SUFFIX))
-        return found
-
-    def clear(self) -> None:
-        for key in self.keys():
-            self._delete(key)
-
-    def spec(self) -> Tuple[str, str]:
-        return ("blob", self.root)
-
-
 def store_from_spec(kind: str, location: str = "") -> SummaryStore:
     """Open a store from the picklable ``(kind, location)`` pair."""
     if kind == "memory":
         return InMemorySummaryStore()
     if kind == "sqlite":
         return SqliteSummaryStore(location)
-    if kind == "blob":
-        return BlobSummaryStore(location)
     raise ValueError("unknown summary-store kind %r" % (kind,))
 
 
 def open_store(spec: str) -> SummaryStore:
-    """Parse a ``"memory"`` / ``"sqlite:<path>"`` / ``"blob:<dir>"`` spec."""
+    """Parse a ``"memory"`` / ``"sqlite:<path>"`` spec."""
     kind, _sep, location = spec.partition(":")
     kind = kind.strip()
     if kind == "memory":
         return InMemorySummaryStore()
-    if kind in ("sqlite", "blob"):
+    if kind == "sqlite":
         if not location:
             raise ValueError("store spec %r needs a location" % (spec,))
         return store_from_spec(kind, location)
     raise ValueError("unknown summary-store spec %r" % (spec,))
 
-
-def store_from_env(default: Optional[str] = None) -> Optional[SummaryStore]:
-    """Open the store named by ``REPRO_SUMMARY_STORE``, if any."""
-    spec = os.environ.get(STORE_ENV_VAR, default)
-    if not spec:
-        return None
-    return open_store(spec)

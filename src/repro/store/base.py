@@ -68,8 +68,7 @@ class SummaryStore(ABC):
     the base class wraps them with shared hit/put/delete counters and the
     swallow-errors contract (backend exceptions count as misses / dropped
     writes, never propagate).  All operations are guarded by one reentrant
-    lock: the parallel evaluator's threads may probe the store while the
-    coordinator writes.
+    lock, so one handle may be shared between threads.
     """
 
     kind: str = "abstract"

@@ -98,11 +98,8 @@ def _fold_memo_stats(configuration: Any, result: WorkloadResult) -> None:
     other work counter."""
     engine = getattr(configuration, "engine", None)
     memo = getattr(engine, "memo", None)
-    if memo is None:  # interproc engines without a shared memo still
-        memo = getattr(engine, "_summary_memo", None)  # memoize summaries
-    stats = memo.stats() if memo is not None else None
-    if stats is not None:
-        for stat, value in stats.items():
+    if memo is not None:
+        for stat, value in memo.stats().items():
             if isinstance(value, int):
                 result.work["memo_" + stat] = value
 

@@ -247,3 +247,26 @@ class TestFromScratchConsistency:
         first_loc = cfg.successors(cfg.entry)[0]
         engine.query_location(first_loc)
         assert engine.stats.transfers < batch.transfer_count
+
+
+class TestStatsSurface:
+    """Demand is one sequential walk; its counters and phase timers, which
+    other layers and the edit-latency benchmark read, say so."""
+
+    def test_query_stats_report_no_parallel_batches(self, nested_cfg,
+                                                    interval_domain):
+        engine = DaigEngine(nested_cfg, interval_domain)
+        engine.query_exit()
+        stats = engine.stats.as_dict()
+        assert stats["cells_computed"] > 0 and stats["transfers"] > 0
+        assert stats["parallel_batches"] == 0
+
+    def test_phase_seconds_name_the_sequential_phases(self, nested_cfg,
+                                                      interval_domain):
+        engine = DaigEngine(nested_cfg, interval_domain)
+        engine.query_exit()
+        phases = engine.phase_seconds()
+        assert set(phases) == {"structure", "snapshot", "splice", "query"}
+        assert phases["query"] > 0.0
+        assert set(engine.phase_seconds(include_structure=False)) == {
+            "snapshot", "splice", "query"}

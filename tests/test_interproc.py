@@ -226,6 +226,46 @@ class TestInterproceduralAnalysis:
         exit_state = engine.query_entry_exit()
         assert exit_state.variable_bounds("c") == (26, 26)
 
+    def test_site_contribution_grows_by_join_not_replacement(self):
+        domain = IntervalDomain()
+        engine = InterproceduralEngine(cfgs_of(CALL_PROGRAM), domain,
+                                       ContextInsensitive())
+        exit_state = engine.query_entry_exit()
+        (context,) = engine.contexts_of("double")
+        contribs = engine._contribs[("double", context)]
+        (first_site, first), (_second_site, second) = sorted(contribs.items())
+        assert not domain.leq(second, first)
+        caller_key, skey = first_site
+        engine.record_call_contribution(caller_key, skey, "double", context,
+                                        second)
+        grown = contribs[first_site]
+        assert domain.equal(grown, domain.join(first, second))
+        # Within one program version a site never shrinks back.
+        engine.record_call_contribution(caller_key, skey, "double", context,
+                                        first)
+        assert contribs[first_site] is grown
+        # The shared entry already covered both sites: no answer moves.
+        assert domain.equal(engine.query_entry_exit(), exit_state)
+
+    def test_replaying_derived_contributions_moves_no_entry(self):
+        """Call cells and the parallel coordinator's replay record through
+        one method, so replaying what sequential demand derived is a
+        no-op."""
+        domain = IntervalDomain()
+        engine = InterproceduralEngine(cfgs_of(CHAIN_PROGRAM), domain,
+                                       CallStringSensitive(1))
+        exit_state = engine.query_entry_exit()
+        derived = [(callee_key, site_id, state)
+                   for callee_key, contribs in engine._contribs.items()
+                   for site_id, state in contribs.items()]
+        assert len(derived) == 4  # middle: 2 sites; leaf: 1 site x 2 contexts
+        updates = engine.counters["interproc_entry_updates"]
+        for (callee, context), (caller_key, skey), state in derived:
+            engine.record_call_contribution(caller_key, skey, callee, context,
+                                            state)
+        assert engine.counters["interproc_entry_updates"] == updates
+        assert domain.equal(engine.query_entry_exit(), exit_state)
+
 
 class TestInterproceduralEdits:
     def test_editing_a_callee_dirties_callers(self):
@@ -270,7 +310,7 @@ class TestInterproceduralEdits:
         assert engine.counters["interproc_callsite_scans"] == 0
         assert engine.counters["interproc_callsite_dirties"] <= 8
 
-    def test_repeated_entry_states_hit_the_summary_memo(self):
+    def test_repeated_entry_states_hit_memoized_summaries(self):
         domain = IntervalDomain()
         engine = InterproceduralEngine(cfgs_of(CHAIN_PROGRAM), domain,
                                        CallStringSensitive(2))

@@ -1,6 +1,6 @@
 """Tests for the parallel demanded evaluator: the persistent worker pool,
-the summary-job worker, the speculate/dispatch/certify coordinator, the
-intra-DAIG parallel worklist, and memo-table thread discipline.
+the summary-job worker, the speculate/dispatch/certify coordinator, and
+memo-table thread discipline.
 
 The correctness bar everywhere is *sequential equality*: a
 coordinator-warmed engine must answer every query, and digest to, exactly
@@ -10,15 +10,14 @@ is thrown away, never trusted.
 
 from __future__ import annotations
 
+import os
 import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.daig import DaigEngine
 from repro.daig.memo import MemoTable
-from repro.daig.query import ParallelQueryEvaluator
 from repro.domains import ConstantDomain, IntervalDomain
 from repro.interproc import InterproceduralEngine, policy_by_name
 from repro.lang import build_program_cfgs, parse_program
@@ -69,27 +68,6 @@ function fact(n) {
 function main() { var z = fact(5); return z; }
 """
 
-#: Two independent diamond branches: multiple transfer cells become ready
-#: at once, so the intra-DAIG evaluator actually batches.
-DIAMOND_PROGRAM = """
-function main(flag) {
-  var a = 1;
-  var b = 2;
-  var c = 3;
-  var d = 4;
-  if (flag > 0) {
-    a = a + b;
-    c = c + d;
-  } else {
-    b = b + 1;
-    d = d + 1;
-  }
-  var e = a + c;
-  var f = b + d;
-  return e + f;
-}
-"""
-
 
 def cfgs_of(source):
     return build_program_cfgs(parse_program(source))
@@ -99,15 +77,14 @@ def _fresh_copy(cfgs):
     return {name: cfg.copy() for name, cfg in cfgs.items()}
 
 
-def _warmed_pair(source, domain, policy_name, pool, parallel_cells=None):
+def _warmed_pair(source, domain, policy_name, pool):
     """(sequential engine, coordinator-warmed engine, report) on copies."""
     cfgs = cfgs_of(source)
     sequential = InterproceduralEngine(
         _fresh_copy(cfgs), domain, policy_by_name(policy_name))
     parallel = InterproceduralEngine(
         _fresh_copy(cfgs), domain, policy_by_name(policy_name))
-    report = ParallelCoordinator(
-        parallel, pool, parallel_cells=parallel_cells).run()
+    report = ParallelCoordinator(parallel, pool).run()
     return sequential, parallel, report
 
 
@@ -128,22 +105,31 @@ class TestWorkerPool:
     def test_rejects_zero_workers_and_unknown_kinds(self):
         with pytest.raises(ValueError):
             PersistentWorkerPool(workers=0)
-        with pytest.raises(ValueError):
-            PersistentWorkerPool(workers=2, kind="fork-bomb")
+        for kind in ("fork-bomb", "thread", "interpreter"):
+            with pytest.raises(ValueError):
+                PersistentWorkerPool(workers=2, kind=kind)
 
-    def test_interpreter_kind_is_gated_behind_env_flag(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_EXECUTOR", raising=False)
-        with pytest.raises(ValueError, match="experimental"):
-            PersistentWorkerPool(workers=1, kind="interpreter")
+    def test_pool_defaults_to_process_and_starts_lazily(self):
+        pool = PersistentWorkerPool()
+        assert (pool.kind, pool.workers) == ("process", 2)
+        # Construction is free: no executor until the first warmup/submit.
+        assert pool._executor is None and not pool.warmed
+        pool.close()  # closing a never-started pool is a no-op
+        assert pool._executor is None
 
-    def test_default_kind_reads_environment(self, monkeypatch):
-        from repro.parallel.pool import default_kind
-        monkeypatch.delenv("REPRO_PARALLEL_EXECUTOR", raising=False)
-        assert default_kind() == "process"
-        monkeypatch.setenv("REPRO_PARALLEL_EXECUTOR", "thread")
-        assert default_kind() == "thread"
-        monkeypatch.setenv("REPRO_PARALLEL_EXECUTOR", "nonsense")
-        assert default_kind() == "process"
+    def test_serial_pool_warms_and_survives_reuse(self):
+        pool = PersistentWorkerPool(workers=2, kind="serial")
+        try:
+            # Jobs run inline, so the only "worker" is this process.
+            assert pool.warmup() == [os.getpid()] and pool.warmed
+            results = [pool.submit(lambda i=i: i * i).result()
+                       for i in range(8)]
+            assert results == [i * i for i in range(8)]
+        finally:
+            pool.close()
+        assert not pool.warmed
+        assert pool.submit(pow, 2, 10).result() == 1024  # usable after close
+        pool.close()  # idempotent
 
     def test_serial_pool_runs_inline_and_propagates_errors(self):
         with PersistentWorkerPool(workers=1, kind="serial") as pool:
@@ -152,17 +138,6 @@ class TestWorkerPool:
             failing = pool.submit(lambda: 1 // 0)
             with pytest.raises(ZeroDivisionError):
                 failing.result()
-
-    def test_thread_pool_warms_and_survives_reuse(self):
-        pool = PersistentWorkerPool(workers=2, kind="thread")
-        try:
-            assert len(pool.warmup()) == 2
-            results = [pool.submit(lambda i=i: i * i).result()
-                       for i in range(8)]
-            assert results == [i * i for i in range(8)]
-        finally:
-            pool.close()
-        pool.close()  # idempotent
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +208,7 @@ class TestCoordinator:
     @pytest.mark.parametrize("policy_name", POLICIES)
     def test_warmed_engine_digests_equal_sequential(self, policy_name):
         domain = IntervalDomain()
-        with PersistentWorkerPool(workers=2, kind="thread") as pool:
+        with PersistentWorkerPool(workers=2, kind="serial") as pool:
             sequential, parallel, report = _warmed_pair(
                 wide_call_graph_source(4, inner_loops=1), domain,
                 policy_name, pool)
@@ -260,6 +235,20 @@ class TestCoordinator:
         fresh.query_entry_exit()
         assert fresh.counters["interproc_parallel_jobs"] == 0
         assert fresh.counters["interproc_parallel_waves"] == 0
+
+    def test_total_phase_seconds_carry_the_coordinator_phases(self):
+        domain = IntervalDomain()
+        with PersistentWorkerPool(workers=2, kind="serial") as pool:
+            _sequential, parallel, report = _warmed_pair(
+                CHAIN_PROGRAM, domain, "insensitive", pool)
+        parallel.query_entry_exit()
+        phases = parallel.total_phase_seconds()
+        assert set(phases) == {"structure", "snapshot", "splice", "query",
+                               "speculate", "dispatch", "certify"}
+        # The coordinator's phases are its own; no DAIG adds to them.
+        for key, seconds in report["phase_seconds"].items():
+            assert phases[key] == seconds
+        assert report["jobs"] > 0 and phases["dispatch"] > 0.0
 
     def test_recursive_procedures_are_excluded_but_results_still_agree(self):
         domain = IntervalDomain()
@@ -309,6 +298,7 @@ class TestCoordinator:
             assert parallel.summary_digest() == sequential.summary_digest()
         finally:
             pool.close()
+        pool.close()  # idempotent
 
 
 # ---------------------------------------------------------------------------
@@ -399,55 +389,6 @@ class TestCoordinatorStore:
         assert not report["errors"]
         warm.query_entry_exit()
         assert warm.summary_digest() == cold_digest
-
-
-# ---------------------------------------------------------------------------
-# Intra-DAIG parallel worklist
-# ---------------------------------------------------------------------------
-
-
-class TestParallelQueryEvaluator:
-    def test_rejects_nonpositive_worker_count(self):
-        cfg = cfgs_of(DIAMOND_PROGRAM)["main"]
-        with pytest.raises(ValueError):
-            DaigEngine(cfg, IntervalDomain(), parallel_cells=0)
-
-    def test_batches_independent_cells_and_matches_sequential(self):
-        domain = IntervalDomain()
-        cfgs = cfgs_of(DIAMOND_PROGRAM)
-        sequential = DaigEngine(cfgs["main"].copy(), domain)
-        parallel = DaigEngine(cfgs["main"].copy(), domain, parallel_cells=2)
-        assert isinstance(parallel.evaluator, ParallelQueryEvaluator)
-        try:
-            exit_seq = sequential.query_exit()
-            exit_par = parallel.query_exit()
-            assert domain.equal(exit_seq, exit_par)
-            seq_stats = sequential.stats.as_dict()
-            par_stats = parallel.stats.as_dict()
-            # Same semantic work, independently of scheduling.
-            for counter in ("transfers", "joins", "widens"):
-                assert par_stats[counter] == seq_stats[counter], counter
-            assert par_stats["parallel_batches"] > 0
-            assert par_stats["parallel_batch_cells"] >= (
-                2 * par_stats["parallel_batches"])
-            assert parallel.phase_seconds()["dispatch"] >= 0.0
-        finally:
-            parallel.evaluator.close()
-
-    @settings(**COMMON_SETTINGS)
-    @given(seed=st.integers(min_value=0, max_value=2_000))
-    def test_random_programs_agree_with_sequential(self, seed):
-        domain = IntervalDomain()
-        generator = WorkloadGenerator(seed=seed, call_probability=0.0)
-        generator.generate(10)  # mutates generator.cfg in place
-        cfg = generator.cfg
-        sequential = DaigEngine(cfg.copy(), domain)
-        parallel = DaigEngine(cfg.copy(), domain, parallel_cells=3)
-        try:
-            assert domain.equal(sequential.query_exit(),
-                                parallel.query_exit())
-        finally:
-            parallel.evaluator.close()
 
 
 # ---------------------------------------------------------------------------

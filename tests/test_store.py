@@ -16,6 +16,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,7 +30,6 @@ from repro.lang import build_program_cfgs, parse_program
 from repro.store import (
     STORE_FORMAT_VERSION,
     STORE_MAGIC,
-    BlobSummaryStore,
     InMemorySummaryStore,
     SqliteSummaryStore,
     StoreDecodeError,
@@ -38,7 +38,6 @@ from repro.store import (
     decode_summary,
     encode_summary,
     open_store,
-    store_from_env,
     store_from_spec,
     summary_store_key,
 )
@@ -98,9 +97,7 @@ def _noise(pe):
 def _make_store(kind, tmp_path, tag=""):
     if kind == "memory":
         return InMemorySummaryStore()
-    if kind == "sqlite":
-        return SqliteSummaryStore(str(tmp_path / ("s%s.db" % tag)))
-    return BlobSummaryStore(str(tmp_path / ("blobs%s" % tag)))
+    return SqliteSummaryStore(str(tmp_path / ("s%s.db" % tag)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +105,7 @@ def _make_store(kind, tmp_path, tag=""):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["memory", "sqlite", "blob"])
+@pytest.mark.parametrize("kind", ["memory", "sqlite"])
 class TestBackends:
     def test_round_trip_and_delete(self, kind, tmp_path):
         store = _make_store(kind, tmp_path)
@@ -141,6 +138,34 @@ class TestBackends:
         reopened = store_from_spec(*spec)
         assert reopened.get("key") == b"payload"
 
+    def test_one_handle_shared_between_threads(self, kind, tmp_path):
+        """One lock in the base class (and, for sqlite, a connection opened
+        with ``check_same_thread=False``) lets threads share a handle."""
+        store = _make_store(kind, tmp_path)
+        errors = []
+
+        def worker(tid):
+            try:
+                for i in range(25):
+                    key = "t%d-%d" % (tid, i)
+                    store.put(key, key.encode())
+                    assert store.get(key) == key.encode()
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(tid,))
+                   for tid in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert len(store) == 100
+        stats = store.stats()
+        assert stats["errors"] == 0
+        assert stats["puts"] == stats["gets"] == stats["hits"] == 100
+        store.close()
+
 
 # ---------------------------------------------------------------------------
 # Wire format
@@ -171,16 +196,16 @@ class TestWireFormat:
     def test_open_store_specs(self, tmp_path):
         assert open_store("memory").kind == "memory"
         assert open_store("sqlite:%s" % (tmp_path / "a.db")).kind == "sqlite"
-        assert open_store("blob:%s" % (tmp_path / "b")).kind == "blob"
-        with pytest.raises(ValueError):
-            open_store("carrier-pigeon:nowhere")
+        for spec in ("carrier-pigeon:nowhere", "blob:%s" % (tmp_path / "b")):
+            with pytest.raises(ValueError):
+                open_store(spec)
 
-    def test_store_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_SUMMARY_STORE", raising=False)
-        assert store_from_env() is None
-        monkeypatch.setenv("REPRO_SUMMARY_STORE",
-                           "sqlite:%s" % (tmp_path / "env.db"))
-        assert store_from_env().kind == "sqlite"
+    def test_engine_rejects_unknown_store_specs(self, tmp_path):
+        # A store is always named explicitly; "env" is not a spec.
+        for spec in ("env", "blob:%s" % (tmp_path / "b")):
+            with pytest.raises(ValueError):
+                InterproceduralEngine(cfgs_of(CHAIN_PROGRAM),
+                                      IntervalDomain(), store=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +467,13 @@ class TestMemoStoreInterplay:
         engine.query_entry_exit()
         misses_after_cold = engine.counters["interproc_summary_misses"]
         assert misses_after_cold > 0
-        assert engine._summary_memo.stats()["evictions"] > 0
+        assert engine.memo.stats()["evictions"] > 0
 
         # Churn the shared table far past its capacity so every summary
         # entry is certainly evicted before the re-demand below.
         for i in range(32):
-            engine._summary_memo.store("churn", (i,), i)
-        assert len(engine._summary_memo) <= 4
+            engine.memo.store("churn", (i,), i)
+        assert len(engine.memo) <= 4
 
         # Edit main: every call cell re-evaluates, the callees' digests are
         # unchanged, and their (long evicted) summaries must come back from
