@@ -52,8 +52,9 @@ class EditStats:
     Besides the DAIG-side splice counters, :meth:`as_dict` folds in the
     CFG's structure-phase counters (full rebuilds vs. incremental refreshes
     vs. statement-only patches, and locations re-analyzed) and the
-    snapshot-phase counters (full captures vs. entries re-signed), so the
-    benchmark layer can verify that no phase does O(program) work per edit.
+    snapshot-phase counters (whole-program splices vs. entries re-signed),
+    so the benchmark layer can verify that no phase does O(program) work
+    per edit.
     """
 
     def __init__(self, cfg: Cfg) -> None:
@@ -111,7 +112,7 @@ class DaigEngine:
         domain: AbstractDomain,
         memo: Optional[MemoTable] = None,
         entry_state: Optional[Any] = None,
-        call_transfer: Optional[Callable[[A.CallStmt, Any], Any]] = None,
+        call_transfer: Optional[Callable[[A.CallStmt, Any, Name], Any]] = None,
         cutoff: bool = True,
     ) -> None:
         self.cfg = cfg
@@ -420,7 +421,6 @@ class DaigEngine:
         full, sig_suspects, head_suspects = self._listener.drain()
         if full:
             report = splice(self.daig, self.builder, self._snapshot)
-            self._snapshot = report.snapshot
         else:
             report = splice_delta(self.daig, self.builder, self._snapshot,
                                   sig_suspects, head_suspects)

@@ -96,7 +96,7 @@ class QueryEvaluator:
         memo: MemoTable,
         domain: AbstractDomain,
         builder: DaigBuilder,
-        call_transfer: Optional[Callable[[A.CallStmt, Any], Any]] = None,
+        call_transfer: Optional[Callable[[A.CallStmt, Any, Name], Any]] = None,
         cutoff: bool = True,
     ) -> None:
         self.daig = daig
@@ -318,15 +318,12 @@ class QueryEvaluator:
                site: Optional[Name] = None) -> Any:
         if func == TRANSFER:
             stmt, state = args
-            if isinstance(stmt, A.CallStmt) and self.call_transfer is not None:
-                self.stats.transfers += 1
-                if getattr(self.call_transfer, "accepts_site", False):
-                    # Site-aware hook: also receives the statement *cell*
-                    # naming the call site, so the interprocedural engine can
-                    # index entry-state contributions per call site.
-                    return self.call_transfer(stmt, state, site)
-                return self.call_transfer(stmt, state)
             self.stats.transfers += 1
+            if isinstance(stmt, A.CallStmt) and self.call_transfer is not None:
+                # The hook also receives the statement *cell* naming the call
+                # site, so the interprocedural engine can index entry-state
+                # contributions per call site.
+                return self.call_transfer(stmt, state, site)
             return self.domain.transfer(stmt, state)
         if func == JOIN:
             self.stats.joins += 1

@@ -3,27 +3,23 @@
 A structural CFG edit (insert / delete / re-label edges) invalidates only
 the DAIG sub-regions whose *encoding* changed — everything else keeps both
 its structure and its previously computed values (rules E-Commit /
-E-Propagate / E-Loop applied at the granularity of whole regions).  This
-module turns that observation into an algorithm with two entry points:
+E-Propagate / E-Loop applied at the granularity of whole regions).
 
-1. **Full diff** (:func:`splice`) — diff a pre-edit
-   :class:`StructureSnapshot` against a freshly captured one over *every*
-   location, then splice.  This is the fallback when the CFG's incremental
-   structure cache reports that locality was defeated (a wholesale edge
-   replacement, an irreducible graph, or a region covering most of the
-   program).
-2. **Region diff** (:func:`splice_delta`) — the common case.  The engine
-   owns a single *live* snapshot, captured once at construction; the CFG's
-   incremental structure layer (:mod:`repro.lang.structure`) reports, per
-   refresh, the set of locations and loop heads whose encoding signature
-   may have changed, and only those entries are re-signed, diffed, and
-   updated in place.  A statement-only edit re-signs exactly one location;
-   a structural edit re-signs its affected neighbourhood.  No O(program)
-   snapshot walk happens after engine construction.
+The engine owns a single *live* :class:`StructureSnapshot`, captured once
+at construction.  The CFG's incremental structure layer
+(:mod:`repro.lang.structure`) reports, per refresh, the set of locations
+and loop heads whose encoding signature may have changed, and
+:func:`splice_delta` re-signs, diffs and updates only those entries in
+place.  A statement-only edit re-signs exactly one location; a structural
+edit re-signs its affected neighbourhood.  When the structure layer reports
+that locality was defeated (a wholesale edge replacement, an irreducible
+graph, or a region covering most of the program), :func:`splice` runs the
+same algorithm with every old and new location as a suspect; that fallback
+is the only whole-program snapshot walk after engine construction.
 
-Both paths share the same splice actions: remove exactly the stale cell
-regions (via the :class:`~repro.daig.graph.Daig` region indices), re-encode
-the dirty locations and affected loops with the ordinary
+The splice actions remove exactly the stale cell regions (via the
+:class:`~repro.daig.graph.Daig` region indices), re-encode the dirty
+locations and affected loops with the ordinary
 :class:`~repro.daig.build.DaigBuilder` encoding rules, then dirty the cells
 downstream of every seed through the reverse-dependency index
 (:func:`repro.daig.edit.dirty_forward`).  The result is bit-identical to
@@ -107,9 +103,9 @@ def _stmt_cells_at(cfg: Cfg, loc: int) -> Dict[StmtKey, Any]:
 class StructureSnapshot:
     """The structural encoding of a CFG.
 
-    Captured from scratch once (engine construction, or on a locality
-    fallback) and thereafter updated *in place* over the affected region of
-    each edit by :func:`splice_delta`.
+    Captured from scratch once, at engine construction, and thereafter
+    updated *in place* over the affected region of each edit by
+    :func:`splice_delta`.
     """
 
     reachable: Set[int]
@@ -161,8 +157,8 @@ class SpliceReport:
     #: shadow (dirtied cells, re-encoded cells, relabelled statements).
     cells_shadowed: int = 0
     seeds: List[N.Name] = field(default_factory=list)
-    #: Snapshot entries re-signed by this splice (the whole reachable set
-    #: for a full capture, the suspect region for a delta splice).
+    #: Snapshot entries re-signed by this splice (the suspect region; every
+    #: old and new location for a whole-program splice).
     locs_resigned: int = 0
     #: Statement cells deleted by this splice, and the statement cells in the
     #: re-signed region that now exist (new, relabelled, or re-anchored),
@@ -171,14 +167,11 @@ class SpliceReport:
     #: these deltas instead of rescanning the DAIG's ref set.
     stmt_removed: Set[StmtKey] = field(default_factory=set)
     stmt_present: Dict[StmtKey, Any] = field(default_factory=dict)
-    #: True when this splice re-captured the snapshot from scratch.
+    #: True when this splice re-signed the whole program (:func:`splice`).
     full_capture: bool = False
     #: Wall-clock split: signature/snapshot maintenance vs. DAIG surgery.
     snapshot_seconds: float = 0.0
     splice_seconds: float = 0.0
-    #: The post-edit structure snapshot (the live snapshot for delta
-    #: splices; a fresh capture for full splices).
-    snapshot: Optional[StructureSnapshot] = None
 
 
 def _check_encodable(builder: DaigBuilder) -> None:
@@ -192,60 +185,21 @@ def _check_encodable(builder: DaigBuilder) -> None:
 
 
 def splice(daig: Daig, builder: DaigBuilder,
-           old: StructureSnapshot) -> SpliceReport:
-    """Splice ``daig`` in place to match ``builder.cfg`` after an edit.
+           snapshot: StructureSnapshot) -> SpliceReport:
+    """Splice ``daig`` after an edit that defeated the structure layer's
+    locality (a wholesale edge replacement, an irreducible graph, or a
+    region covering most of the program).
 
-    ``old`` must describe the same CFG object *before* the structural
-    edit(s) were applied.  On return the DAIG is well-formed for the new
-    CFG, every cell whose encoding survived keeps its value, and everything
-    downstream of the edit is dirtied for lazy recomputation.  This is the
-    full-capture fallback; the common path is :func:`splice_delta`.
+    The whole-program case of :func:`splice_delta`: every location and loop
+    head of the old or the new CFG is a suspect, so ``snapshot`` is re-signed
+    everywhere and updated in place.
     """
     cfg = builder.cfg
-    _check_encodable(builder)
-    started = time.perf_counter()
-    new = StructureSnapshot.capture(cfg)
-    report = SpliceReport(snapshot=new, full_capture=True,
-                          locs_resigned=len(new.reachable))
-
-    # -- delta ---------------------------------------------------------------
-    removed_locs = old.reachable - new.reachable
-    added_locs = new.reachable - old.reachable
-    changed_locs = {
-        loc for loc in old.reachable & new.reachable
-        if old.loc_sigs[loc] != new.loc_sigs[loc]
-    }
-    dirty_locs = added_locs | changed_locs
-
-    removed_heads = set(old.loop_sigs) - set(new.loop_sigs)
-    affected_heads: Set[int] = set()
-    for head, sig in new.loop_sigs.items():
-        if old.loop_sigs.get(head) != sig:
-            affected_heads.add(head)
-        elif new.natural_loops[head] & dirty_locs:
-            affected_heads.add(head)
-        elif old.natural_loops.get(head, frozenset()) & removed_locs:
-            affected_heads.add(head)
-
-    stale_stmts = set(old.stmt_cells) - set(new.stmt_cells)
-    relabelled_stmts = [
-        key for key, stmt in new.stmt_cells.items()
-        if key in old.stmt_cells and old.stmt_cells[key] != stmt
-    ]
-    report.stmt_removed = set(stale_stmts)
-    report.stmt_present = dict(new.stmt_cells)
-    report.snapshot_seconds = time.perf_counter() - started
-    return _apply_splice(
-        daig, builder, report,
-        removed_locs=removed_locs,
-        changed_locs=changed_locs,
-        dirty_locs=dirty_locs,
-        removed_heads=removed_heads,
-        affected_heads=affected_heads,
-        stale_stmts=stale_stmts,
-        relabelled_stmts=relabelled_stmts,
-        stmt_values=new.stmt_cells,
-    )
+    report = splice_delta(daig, builder, snapshot,
+                          snapshot.reachable | cfg.reachable_locations(),
+                          set(snapshot.loop_sigs) | set(cfg.loop_heads()))
+    report.full_capture = True
+    return report
 
 
 def splice_delta(daig: Daig, builder: DaigBuilder, snapshot: StructureSnapshot,
@@ -265,7 +219,7 @@ def splice_delta(daig: Daig, builder: DaigBuilder, snapshot: StructureSnapshot,
     head_suspects = set(head_suspects)
     suspects = set(sig_suspects) | head_suspects
     reachable = cfg.reachable_locations()
-    report = SpliceReport(snapshot=snapshot, locs_resigned=len(suspects))
+    report = SpliceReport(locs_resigned=len(suspects))
 
     removed_locs: Set[int] = set()
     added_locs: Set[int] = set()
@@ -358,7 +312,7 @@ def _apply_splice(
     relabelled_stmts: List[StmtKey],
     stmt_values: Dict[StmtKey, Any],
 ) -> SpliceReport:
-    """The shared splice actions (identical for the full and delta paths)."""
+    """The splice actions: remove stale regions, re-encode, dirty."""
     cfg = builder.cfg
     started = time.perf_counter()
     if not (dirty_locs or removed_locs or affected_heads or removed_heads

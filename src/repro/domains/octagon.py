@@ -46,7 +46,9 @@ class OctagonState:
     closed — but widening results deliberately are not (re-closing a widened
     DBM can defeat convergence, the standard octagon caveat), so operations
     take fast paths only when their inputs are known-closed and fall back to
-    the full cubic closure otherwise.
+    the full cubic closure otherwise.  The flag is only ever set on a
+    fixpoint of :func:`_close`: a wrong flag would make results depend on
+    how a state was built rather than on what it means.
     """
 
     __slots__ = ("variables", "matrix", "is_bottom", "closed", "_hash",
@@ -147,28 +149,13 @@ class OctagonState:
         return (lo, hi)
 
 
-def _strengthen_and_check(m: np.ndarray) -> Optional[np.ndarray]:
-    """Octagonal strengthening + feasibility check of a closed DBM.
+def _close(matrix: np.ndarray) -> Optional[np.ndarray]:
+    """Shortest-path closure plus octagonal strengthening.
 
     Strengthening (``m[i,j] = min(m[i,j], (m[i, i^1] + m[j^1, j]) / 2)``)
     after a full closure yields the strongly closed canonical form.  The
     final ``+ 0.0`` normalizes any ``-0.0`` entries to ``+0.0`` so that the
     byte-level interning key coincides with numeric equality.
-    """
-    size = m.shape[0]
-    arange = np.arange(size)
-    bar = arange ^ 1
-    half = (m[arange, bar][:, None] + m[bar, arange][None, :]) / 2.0
-    np.minimum(m, half, out=m)
-    if np.any(np.diag(m) < 0):
-        return None
-    np.fill_diagonal(m, 0.0)
-    np.add(m, 0.0, out=m)
-    return m
-
-
-def _close(matrix: np.ndarray) -> Optional[np.ndarray]:
-    """Shortest-path closure plus octagonal strengthening.
 
     Returns the closed matrix, or ``None`` if the constraint system is
     infeasible (a negative cycle exists).
@@ -178,26 +165,15 @@ def _close(matrix: np.ndarray) -> Optional[np.ndarray]:
     np.fill_diagonal(m, 0.0)
     for k in range(size):
         np.minimum(m, m[:, k:k + 1] + m[k:k + 1, :], out=m)
-    return _strengthen_and_check(m)
-
-
-def _close_incremental(
-    matrix: np.ndarray, touched: Sequence[int]
-) -> Optional[np.ndarray]:
-    """Restore strong closure after tightening entries incident to ``touched``.
-
-    If ``matrix`` was strongly closed before constraints were added, and
-    every added constraint's entries lie in rows/columns of the ``touched``
-    DBM indices, then any *new* shortest path must pass through a touched
-    vertex — so running Floyd–Warshall restricted to the touched pivots
-    restores closure in O(|touched| · n²) instead of O(n³), after which one
-    strengthening pass restores the strongly closed form as usual.
-    """
-    m = matrix.copy()
+    arange = np.arange(size)
+    bar = arange ^ 1
+    half = (m[arange, bar][:, None] + m[bar, arange][None, :]) / 2.0
+    np.minimum(m, half, out=m)
+    if np.any(np.diag(m) < 0):
+        return None
     np.fill_diagonal(m, 0.0)
-    for k in touched:
-        np.minimum(m, m[:, k:k + 1] + m[k:k + 1, :], out=m)
-    return _strengthen_and_check(m)
+    np.add(m, 0.0, out=m)
+    return m
 
 
 class OctagonDomain(AbstractDomain[OctagonState]):
@@ -225,27 +201,6 @@ class OctagonDomain(AbstractDomain[OctagonState]):
 
     def _closed(self, variables: Tuple[str, ...], matrix: np.ndarray) -> OctagonState:
         closed = _close(matrix)
-        if closed is None:
-            return self.bottom()
-        return OctagonState(variables, closed, False, closed=True)
-
-    def _closed_incremental(
-        self,
-        variables: Tuple[str, ...],
-        matrix: np.ndarray,
-        touched: Sequence[int],
-        base_closed: bool,
-    ) -> OctagonState:
-        """Close ``matrix`` after constraint additions incident to ``touched``.
-
-        Uses the pivot-restricted incremental closure when the base matrix
-        was known to be strongly closed, and the full cubic closure
-        otherwise (e.g. downstream of a deliberately non-closed widening).
-        """
-        if base_closed:
-            closed = _close_incremental(matrix, touched)
-        else:
-            closed = _close(matrix)
         if closed is None:
             return self.bottom()
         return OctagonState(variables, closed, False, closed=True)
@@ -484,7 +439,6 @@ class OctagonDomain(AbstractDomain[OctagonState]):
         assert out.matrix is not None
         matrix = out.matrix.copy()
         k = out.index(target)
-        touched = [2 * k, 2 * k + 1]
         if hi is not None:
             matrix[2 * k, 2 * k + 1] = min(matrix[2 * k, 2 * k + 1], 2 * hi)
         if lo is not None:
@@ -511,9 +465,7 @@ class OctagonDomain(AbstractDomain[OctagonState]):
                         matrix[2 * j, 2 * k + 1] = min(matrix[2 * j, 2 * k + 1], constant)
                         matrix[2 * k + 1, 2 * j] = min(matrix[2 * k + 1, 2 * j], -constant)
                         matrix[2 * j + 1, 2 * k] = min(matrix[2 * j + 1, 2 * k], -constant)
-        # Every constraint added above mentions the (just forgotten) target,
-        # so closure only needs to propagate through its two DBM indices.
-        return self._closed_incremental(out.variables, matrix, touched, out.closed)
+        return self._closed(out.variables, matrix)
 
     # -- assume ------------------------------------------------------------------------------
 
@@ -581,10 +533,6 @@ class OctagonDomain(AbstractDomain[OctagonState]):
         matrix = state.matrix.copy()
         items = sorted(coeffs.items())
         bound = float(constant)
-        touched = []
-        for name in coeffs:
-            k = state.index(name)
-            touched.extend((2 * k, 2 * k + 1))
         if len(items) == 1:
             (name, coeff), = items
             k = state.index(name)
@@ -607,9 +555,7 @@ class OctagonDomain(AbstractDomain[OctagonState]):
             else:
                 matrix[2 * i + 1, 2 * j] = min(matrix[2 * i + 1, 2 * j], bound)
                 matrix[2 * j + 1, 2 * i] = min(matrix[2 * j + 1, 2 * i], bound)
-        # All tightened entries are incident to the constraint's variables.
-        return self._closed_incremental(state.variables, matrix, touched,
-                                        state.closed)
+        return self._closed(state.variables, matrix)
 
     # -- concretization -----------------------------------------------------------------------
 
@@ -690,8 +636,7 @@ class OctagonDomain(AbstractDomain[OctagonState]):
             matrix[2 * k, 2 * k + 1] = min(matrix[2 * k, 2 * k + 1], 2.0 * hi)
         if lo is not None:
             matrix[2 * k + 1, 2 * k] = min(matrix[2 * k + 1, 2 * k], -2.0 * lo)
-        return self._closed_incremental(out.variables, matrix,
-                                        (2 * k, 2 * k + 1), out.closed)
+        return self._closed(out.variables, matrix)
 
     def variable_bounds(self, state: OctagonState, name: str) -> Tuple[Optional[int], Optional[int]]:
         """Interval bounds the octagon implies for ``name`` (client helper)."""

@@ -189,8 +189,7 @@ class CallGraph:
 
         The engine analyzes recursive programs via the SCC summary fixpoint;
         clients that want the paper's original restriction (e.g. to
-        guarantee no widening on summaries) call this explicitly or pass
-        ``require_nonrecursive=True`` to the engine.
+        guarantee no widening on summaries) call this explicitly.
         """
         for component in self.sccs():
             members = sorted(component)

@@ -36,8 +36,7 @@ across procedure boundaries:
   call consumes the current exit-summary assumption (⊥ initially); the
   engine iterates, widening the assumption and re-dirtying exactly the
   dependent call cells, until the computed exit is covered by the
-  assumption.  ``check_nonrecursive`` is an opt-in validation
-  (``require_nonrecursive=True``), no longer a hard restriction.
+  assumption.
 
 Entry states are maintained as the join of per-call-site *contributions*;
 when a call site disappears (edit) its contribution is retracted, and when
@@ -97,7 +96,6 @@ class InterproceduralEngine:
         domain: AbstractDomain,
         policy: Optional[ContextPolicy] = None,
         entry: str = "main",
-        require_nonrecursive: bool = False,
         store: Optional[Union[SummaryStore, str]] = None,
         memo_capacity: Optional[int] = None,
         cutoff: bool = True,
@@ -113,10 +111,7 @@ class InterproceduralEngine:
         self.cutoff = cutoff
         self.policy = policy if policy is not None else ContextInsensitive()
         self.entry = entry
-        self.require_nonrecursive = require_nonrecursive
         self.callgraph = CallGraph(cfgs)
-        if require_nonrecursive:
-            self.callgraph.check_nonrecursive()
         #: The persistent second tier behind the memo table (optional).  A
         #: string is parsed as a ``"sqlite:<path>"``-style spec.
         self.store: Optional[SummaryStore] = (
@@ -246,11 +241,10 @@ class InterproceduralEngine:
         engine.stmt_change_listener(set(), engine.stmt_cells())
         return engine
 
-    def _make_call_transfer(self, caller_key: ProcedureKey) -> Callable[..., Any]:
-        def call_transfer(stmt: A.CallStmt, state: Any,
-                          site: Optional[Name] = None) -> Any:
+    def _make_call_transfer(
+            self, caller_key: ProcedureKey) -> Callable[[A.CallStmt, Any, Name], Any]:
+        def call_transfer(stmt: A.CallStmt, state: Any, site: Name) -> Any:
             return self._analyze_call(caller_key, stmt, state, site)
-        call_transfer.accepts_site = True  # type: ignore[attr-defined]
         return call_transfer
 
     def _make_stmt_listener(self, caller_key: ProcedureKey) -> Callable[[Any, Any], None]:
@@ -487,7 +481,7 @@ class InterproceduralEngine:
     # -- the call transfer --------------------------------------------------------------
 
     def _analyze_call(self, caller_key: ProcedureKey, stmt: A.CallStmt,
-                      state: Any, site: Optional[Name] = None) -> Any:
+                      state: Any, site: Name) -> Any:
         callee = stmt.function
         if callee not in self.cfgs:
             # Unknown (external) callee: fall back to the domain's own
@@ -498,8 +492,7 @@ class InterproceduralEngine:
         callee_cfg = self.cfgs[callee]
         entry_state = self.domain.call_entry(state, callee_cfg.params, stmt.args)
         callee_key = (callee, context)
-        skey: SiteKey = ((site.loc, site.aux, site.index)
-                         if site is not None else (-1, -1, -1))
+        skey: SiteKey = (site.loc, site.aux, site.index)
         self.record_call_contribution(caller_key, skey, callee, context,
                                       entry_state)
         if callee_key in self._active:
@@ -611,21 +604,26 @@ class InterproceduralEngine:
         self.counters["interproc_store_hits"] += 1
         return (exit_state,)
 
-    def store_probe(self, name: str, context: Context,
-                    entry_state: Any) -> Optional[Any]:
-        """Probe the store for a summary at an *explicit* entry state.
+    def probe_summary(self, name: str, context: Context,
+                      entry_state: Any) -> Tuple[Optional[str], Any]:
+        """Look up a summary at an *explicit* entry state, installing nothing.
 
-        The parallel coordinator's dispatch hook: a hit means the job's
-        result is already known for this exact (code, context, entry), so
-        no worker needs to run — the exit is seeded like any certified
-        result.  No memo installation happens here (that is
-        :meth:`seed_summary`'s job, after certification).
+        Returns ``("memo", exit)`` or ``("store", exit)`` for the tier that
+        holds the summary for this exact (code, context, entry), or
+        ``(None, None)``.  The parallel coordinator's dispatch hook: a hit
+        means no worker needs to run.  Neither the memo's hit/miss counts
+        nor the summary hit/miss counters move, and nothing is installed
+        (that is :meth:`seed_summary`'s job, after certification).
         """
-        if self.store is None:
-            return None
         memo_args = (name, context, self.deep_digest(name), entry_state)
-        stored = self._store_lookup(memo_args)
-        return None if stored is None else stored[0]
+        found, cached = self.memo.peek("summary", memo_args)
+        if found:
+            return "memo", cached
+        if self.store is not None:
+            stored = self._store_lookup(memo_args)
+            if stored is not None:
+                return "store", stored[0]
+        return None, None
 
     def store_stats(self) -> Optional[Dict[str, int]]:
         """The attached store's counter snapshot, or None without a store."""
@@ -971,8 +969,6 @@ class InterproceduralEngine:
                 self.engines[key].resync()
             self.cfgs[procedure] = primary.cfg
             self.callgraph.update_procedure(procedure, self.cfgs[procedure])
-            if self.require_nonrecursive:
-                self.callgraph.check_nonrecursive()
             # Drop recursion assumptions (re-derived from scratch on the
             # next fixpoint, for precision) and invalidate the content
             # digests of the procedure and its transitive callers.

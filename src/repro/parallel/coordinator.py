@@ -17,14 +17,14 @@ breaks that serialization in three phases:
    ship each wave's speculated keys to the worker pool, leaves first, so
    every job receives the exit summaries of the callees computed by
    earlier waves.  Workers evaluate full DAIGs; jobs in one wave share no
-   call path, so they run concurrently without coordination.  When the
-   engine has a persistent :class:`~repro.store.SummaryStore`, each key is
-   first probed there at its speculated entry — a hit short-circuits the
-   worker entirely (the stored exit becomes a ``from_store`` result,
-   certified unconditionally because entry-keyed seeds at underived
-   entries are inert) — and workers receive the store's ``(kind,
-   location)`` spec plus the deep code digests so they can consult prior
-   runs' summaries where a wave summary was not shipped.
+   call path, so they run concurrently without coordination.  Each key is
+   first probed at its speculated entry through the engine's one summary
+   lookup (:meth:`~repro.interproc.engine.InterproceduralEngine.probe_summary`:
+   memo, then persistent store) — a hit short-circuits the worker entirely
+   (the exit becomes a ``served_by`` result, certified unconditionally
+   because entry-keyed seeds at underived entries are inert).  Served
+   exits are not shipped to workers, so a job calling such a key comes back
+   ``incomplete`` and is recomputed on demand.
 
 3. **Certify** — a knock-out fixpoint over the workers' evidence: a key's
    result is certified only if its job completed, every summary it
@@ -173,11 +173,6 @@ class ParallelCoordinator:
         keys_by_proc: Dict[str, List[SummaryKey]] = {}
         for key in spec_entries:
             keys_by_proc.setdefault(key[0], []).append(key)
-        store = engine.store
-        store_spec = None if store is None else store.spec()
-        deep_digests = ({} if store_spec is None else
-                        {name: engine.deep_digest(name)
-                         for name in engine.cfgs})
 
         for wave in cg.condensation_waves():
             candidates: List[SummaryKey] = []
@@ -189,28 +184,15 @@ class ParallelCoordinator:
                                              key=lambda k: repr(k[1])))
             job_keys: List[SummaryKey] = []
             for key in candidates:
-                # Early-cutoff short circuit: the engine's own memo already
-                # holds the summary for exactly this (code, context, entry)
-                # — e.g. re-keyed by a certified value-preserving edit — so
-                # the job is avoided outright, before even the store probe.
-                memo_args = (key[0], key[1], engine.deep_digest(key[0]),
-                             spec_entries[key])
-                found, cached = engine.memo.peek("summary", memo_args)
-                if found:
-                    results[key] = JobResult(key=key, exit_state=cached,
-                                             from_memo=True)
+                # A summary for exactly this (code, context, entry) in the
+                # memo (e.g. re-keyed by a certified value-preserving edit)
+                # or the store (a prior run) means no worker needs to run.
+                tier, exit_state = engine.probe_summary(
+                    key[0], key[1], spec_entries[key])
+                if tier is not None:
+                    results[key] = JobResult(key=key, exit_state=exit_state,
+                                             served_by=tier)
                     continue
-                # Persistent-store short circuit: a prior run's summary at
-                # exactly the speculated entry means no worker needs to run
-                # for this key — the stored exit is certified like any
-                # entry-keyed seed.
-                if store is not None:
-                    stored = engine.store_probe(key[0], key[1],
-                                                spec_entries[key])
-                    if stored is not None:
-                        results[key] = JobResult(key=key, exit_state=stored,
-                                                 from_store=True)
-                        continue
                 job_keys.append(key)
             if not job_keys:
                 continue
@@ -223,18 +205,17 @@ class ParallelCoordinator:
                            for ckey in ((site[1].function,
                                          engine.policy.callee_context(
                                              context, (name, site[1]))),)}
-                # Store-served exits are deliberately *not* shipped as wave
-                # summaries: a consumer capturing one could not be
-                # re-derived from worker contributions at certification
-                # time.  Its workers fall back to their own store probe.
+                # Memo- and store-served exits are deliberately *not*
+                # shipped as wave summaries: a consumer capturing one could
+                # not be re-derived from worker contributions at
+                # certification time.
                 summaries = {ckey: (spec_entries[ckey],
                                     results[ckey].exit_state)
                              for ckey in callees
                              if ckey in results
                              and results[ckey].error is None
                              and results[ckey].exit_state is not None
-                             and not results[ckey].from_store
-                             and not results[ckey].from_memo}
+                             and results[ckey].served_by is None}
                 payload = JobPayload(
                     procedure=name,
                     cfg=engine.cfgs[name].copy(),
@@ -244,8 +225,6 @@ class ParallelCoordinator:
                     domain_spec=engine.domain.name,
                     callee_params=callee_params,
                     summaries=summaries,
-                    store_spec=store_spec,
-                    deep_digests=deep_digests,
                 )
                 futures.append((key, self.pool.submit(run_summary_job, payload)))
             # Wave barrier: later waves consume these exits.
@@ -272,9 +251,8 @@ class ParallelCoordinator:
 
         certified: Set[SummaryKey] = {
             key for key, result in results.items()
-            if result.from_store or result.from_memo
+            if result.served_by is not None
             or (result.error is None and not result.incomplete
-                and not result.used_store
                 and result.exit_state is not None
                 and key not in regrew_union)}
 
@@ -293,7 +271,7 @@ class ParallelCoordinator:
             surviving: Set[SummaryKey] = set()
             for key in certified:
                 result = results[key]
-                if result.from_store or result.from_memo:
+                if result.served_by is not None:
                     # A stored or memo-served summary is keyed by its
                     # entry: it is consumed only if demanded evaluation
                     # derives exactly that entry, so it needs no
@@ -412,7 +390,6 @@ class ParallelCoordinator:
         errors: Dict[str, str] = {}
         incomplete = 0
         store_served = 0
-        store_assisted = 0
         cutoff_avoided = 0
         for key, result in sorted(results.items(), key=lambda kv: repr(kv[0])):
             durations[repr(key)] = result.duration
@@ -421,12 +398,10 @@ class ParallelCoordinator:
                 errors[repr(key)] = result.error
             if result.incomplete:
                 incomplete += 1
-            if result.from_store:
+            if result.served_by == "store":
                 store_served += 1
-            if result.from_memo:
+            if result.served_by == "memo":
                 cutoff_avoided += 1
-            if result.used_store:
-                store_assisted += 1
             for stat, value in result.stats.items():
                 worker_stats[stat] = worker_stats.get(stat, 0) + value
         engine.counters["interproc_parallel_cutoff_avoided"] += cutoff_avoided
@@ -443,10 +418,8 @@ class ParallelCoordinator:
             "knocked_out": len(results) - len(certified),
             "incomplete": incomplete,
             # Keys answered straight from the persistent store (no worker
-            # ran) and worker jobs that consumed at least one stored
-            # summary in place of a havoc fallback.
+            # ran).
             "store_served": store_served,
-            "store_assisted": store_assisted,
             # Keys answered from the engine's own summary memo (survived or
             # re-keyed across edits by early cutoff): no worker, no store
             # round trip.

@@ -13,7 +13,10 @@ single entry-target summary, not a per-call-state one), while the entry
 state each site *would* contribute is recorded on the side.  The
 coordinator certifies those recorded contributions against the entries the
 summaries were actually computed at; a worker never decides correctness,
-it only reports enough evidence to check it.
+it only reports enough evidence to check it.  A call whose callee summary
+was not shipped falls back to havoc and marks the job ``incomplete``
+(never seeded): workers do not read the persistent summary store, whose
+only reader is the engine.
 
 Interned abstract states cross the process boundary through their
 ``__reduce__`` hooks, so every state in the result re-interns on receipt
@@ -42,11 +45,6 @@ _DOMAINS: Optional[Dict[str, Any]] = None
 _MEMOS: Dict[str, Any] = {}
 _MEMO_CAPACITY = 1 << 16
 
-#: Per-process persistent-store handles, keyed by (kind, location) spec:
-#: a worker reopens the coordinator's store once and keeps the connection
-#: across jobs (sqlite is multi-process safe).
-_STORES: Dict[Tuple[str, str], Any] = {}
-
 
 def _domain(spec: str) -> Any:
     global _DOMAINS
@@ -67,20 +65,6 @@ def _memo(spec: str) -> Any:
     return memo
 
 
-def _store(spec: Optional[Tuple[str, str]]) -> Any:
-    if spec is None:
-        return None
-    handle = _STORES.get(spec)
-    if handle is None:
-        try:
-            from ..store import store_from_spec
-            handle = _STORES[spec] = store_from_spec(*spec)
-        except Exception:
-            _STORES[spec] = None  # cache the failure: the store is optional
-            return None
-    return handle
-
-
 @dataclass
 class JobPayload:
     """Everything one summary evaluation needs, picklable."""
@@ -95,13 +79,6 @@ class JobPayload:
     callee_params: Dict[str, Tuple[str, ...]]
     #: Exit summaries from earlier waves: (callee, context) -> (entry, exit).
     summaries: Dict[SummaryKey, Tuple[Any, Any]]
-    #: The coordinator's persistent summary store, as a reopenable
-    #: ``(kind, location)`` spec (None when no store is attached or the
-    #: store has no cross-process identity).
-    store_spec: Optional[Tuple[str, str]] = None
-    #: Deep code digests of every known procedure, so a worker can compute
-    #: the same content-addressed store keys the engines do.
-    deep_digests: Dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -121,25 +98,15 @@ class JobResult:
     #: A needed callee summary was not shipped (evaluation fell back to
     #: havoc semantics); the result is unusable for seeding.
     incomplete: bool = False
-    #: Callee summaries served from the persistent store instead of a
-    #: shipped wave result.  Store-served exits are sound for the entry
-    #: they were fetched at, but their consistency with this dispatch's
-    #: speculated entries is unverified, so the coordinator treats the
-    #: result like an incomplete one (not seedable) — the win is that the
-    #: evaluation proceeds with real summaries instead of havoc.
-    used_store: FrozenSet[SummaryKey] = frozenset()
-    #: The coordinator answered this key entirely from the persistent
-    #: store: no worker ran, the exit is the stored summary at the
-    #: speculated entry, and certification accepts it unconditionally
-    #: (entry-keyed seeds at underived entries are dead weight, never
-    #: soundness hazards).
-    from_store: bool = False
-    #: The coordinator answered this key from the engine's own summary
-    #: memo — the summary for exactly this (code digest, context, entry)
-    #: survived earlier edits (e.g. re-keyed by an early-cutoff certified
-    #: edit), so no worker ran.  Certified like a ``from_store`` result:
-    #: entry-keyed, needs no caller/consumer evidence.
-    from_memo: bool = False
+    #: ``"memo"`` or ``"store"`` when the coordinator answered this key
+    #: from that summary tier at the speculated entry
+    #: (:meth:`~repro.interproc.engine.InterproceduralEngine.probe_summary`)
+    #: and no worker ran.  A memo hit is a summary that survived earlier
+    #: edits (e.g. re-keyed by an early-cutoff certified edit); a store hit
+    #: is a prior run's.  Certification accepts either unconditionally:
+    #: entry-keyed seeds at underived entries are dead weight, never
+    #: soundness hazards.
+    served_by: Optional[str] = None
     duration: float = 0.0
     #: CPU seconds of the job, immune to worker-process time-slicing: on a
     #: host with fewer cores than workers, wall ``duration`` includes time
@@ -153,6 +120,7 @@ class JobResult:
 def run_summary_job(payload: JobPayload) -> JobResult:
     """Evaluate one (procedure, context, entry) exit summary."""
     from ..daig.engine import DaigEngine
+    from ..daig.names import Name
     from ..intern import intern_stats
     from ..interproc.context import policy_by_name
     from ..lang import ast as A
@@ -166,35 +134,9 @@ def run_summary_job(payload: JobPayload) -> JobResult:
         contribs: Dict[SummaryKey, Dict[SiteKey, Any]] = {}
         regrew: Set[SummaryKey] = set()
         used: Set[SummaryKey] = set()
-        used_store: Set[SummaryKey] = set()
         state_flags = {"incomplete": False}
-        store = _store(payload.store_spec)
 
-        def store_exit(callee_key: SummaryKey, entry: Any) -> Optional[Any]:
-            """A stored summary for ``callee_key`` at this site's entry,
-            or None.  Best effort: the store keys summaries by the
-            callee's *joined* entry target, so a hit needs this site to be
-            the callee's only (or dominant) caller — exactly the wide
-            fan-out shape wave scheduling dispatches."""
-            if store is None:
-                return None
-            digest = payload.deep_digests.get(callee_key[0])
-            if digest is None:
-                return None
-            from ..store import (StoreDecodeError, decode_summary,
-                                 summary_store_key)
-            blob = store.get(summary_store_key(
-                payload.domain_spec, callee_key[0], callee_key[1],
-                digest, entry))
-            if blob is None:
-                return None
-            try:
-                return decode_summary(blob)
-            except StoreDecodeError:
-                return None
-
-        def call_transfer(stmt: A.CallStmt, state: Any,
-                          site: Optional[Any] = None) -> Any:
+        def call_transfer(stmt: A.CallStmt, state: Any, site: Name) -> Any:
             callee = stmt.function
             if callee not in payload.callee_params:
                 # External callee: the domain's own havoc semantics, exactly
@@ -205,8 +147,7 @@ def run_summary_job(payload: JobPayload) -> JobResult:
             callee_key: SummaryKey = (callee, context)
             entry = domain.call_entry(
                 state, payload.callee_params[callee], stmt.args)
-            skey: SiteKey = ((site.loc, site.aux, site.index)
-                             if site is not None else (-1, -1, -1))
+            skey: SiteKey = (site.loc, site.aux, site.index)
             sites = contribs.setdefault(callee_key, {})
             previous = sites.get(skey)
             if previous is None:
@@ -221,23 +162,15 @@ def run_summary_job(payload: JobPayload) -> JobResult:
             shipped = payload.summaries.get(callee_key)
             if shipped is None:
                 # No summary for this callee was computed by earlier waves
-                # (unspeculated, recursive, or knocked out): consult the
-                # persistent store before giving up — a prior run may have
-                # the summary at exactly this entry.  Otherwise the havoc
-                # fallback keeps the evaluation running for timing
-                # purposes, but the result must not be seeded.
-                stored = store_exit(callee_key, entry)
-                if stored is not None:
-                    used_store.add(callee_key)
-                    return domain.call_return(
-                        state, stored, stmt.target, stmt.args)
+                # (unspeculated, recursive, served by a summary tier, or
+                # knocked out): the havoc fallback keeps the evaluation
+                # running for timing purposes, but the result must not be
+                # seeded.
                 state_flags["incomplete"] = True
                 return domain.transfer(stmt, state)
             used.add(callee_key)
             _entry, exit_state = shipped
             return domain.call_return(state, exit_state, stmt.target, stmt.args)
-
-        call_transfer.accepts_site = True  # type: ignore[attr-defined]
 
         intern_before = intern_stats()
         engine = DaigEngine(
@@ -251,7 +184,6 @@ def run_summary_job(payload: JobPayload) -> JobResult:
         result.contribs = contribs
         result.regrew = frozenset(regrew)
         result.used = frozenset(used)
-        result.used_store = frozenset(used_store)
         result.incomplete = state_flags["incomplete"]
         stats: Dict[str, int] = dict(engine.stats.as_dict())
         intern_after = intern_stats()

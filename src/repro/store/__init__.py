@@ -3,8 +3,9 @@
 Exit summaries are keyed by ``(procedure, context, deep code digest,
 entry state)`` — every component content-addressed and process-independent
 — and persisted through a pluggable :class:`SummaryStore` (in-memory or
-sqlite), so a restarted engine, a second engine on the same code, or a
-pool worker starts from hits instead of recomputing.
+sqlite), so a restarted engine, or a second engine on the same code,
+starts from hits instead of recomputing.  The interprocedural engine is
+the store's only reader.
 """
 
 from .base import (
@@ -19,7 +20,6 @@ from .backends import (
     InMemorySummaryStore,
     SqliteSummaryStore,
     open_store,
-    store_from_spec,
 )
 from .canonical import (
     canonical_bytes,
@@ -43,6 +43,5 @@ __all__ = [
     "decode_summary",
     "encode_summary",
     "open_store",
-    "store_from_spec",
     "summary_store_key",
 ]

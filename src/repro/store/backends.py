@@ -6,22 +6,21 @@
   persistent backend (single file, transactional, safe under concurrent
   readers).
 
-Selection helpers parse ``"memory"`` / ``"sqlite:<path>"`` specs and
-reopen a store from the picklable ``(kind, location)`` pair workers
-receive.
+:func:`open_store` parses the ``"memory"`` / ``"sqlite:<path>"`` specs and
+is the one way to open a store by name.
 """
 
 from __future__ import annotations
 
 import os
 import sqlite3
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .base import SummaryStore
 
 
 class InMemorySummaryStore(SummaryStore):
-    """A per-process dict store (no cross-process identity)."""
+    """A per-process dict store."""
 
     kind = "memory"
 
@@ -52,10 +51,10 @@ class SqliteSummaryStore(SummaryStore):
     """One ``summaries(key TEXT PRIMARY KEY, blob BLOB)`` table.
 
     Autocommit mode (``isolation_level=None``) so every put is immediately
-    visible to other connections — a restarted engine or a pool worker
-    opens its own connection on the same path.  ``check_same_thread=False``
-    lets a handle opened on one thread serve another (the base class
-    serializes access under one lock).
+    visible to other connections — a restarted engine opens its own
+    connection on the same path.  ``check_same_thread=False`` lets a handle
+    opened on one thread serve another (the base class serializes access
+    under one lock).
     """
 
     kind = "sqlite"
@@ -113,18 +112,6 @@ class SqliteSummaryStore(SummaryStore):
         except sqlite3.Error:
             pass
 
-    def spec(self) -> Tuple[str, str]:
-        return ("sqlite", self.path)
-
-
-def store_from_spec(kind: str, location: str = "") -> SummaryStore:
-    """Open a store from the picklable ``(kind, location)`` pair."""
-    if kind == "memory":
-        return InMemorySummaryStore()
-    if kind == "sqlite":
-        return SqliteSummaryStore(location)
-    raise ValueError("unknown summary-store kind %r" % (kind,))
-
 
 def open_store(spec: str) -> SummaryStore:
     """Parse a ``"memory"`` / ``"sqlite:<path>"`` spec."""
@@ -135,6 +122,6 @@ def open_store(spec: str) -> SummaryStore:
     if kind == "sqlite":
         if not location:
             raise ValueError("store spec %r needs a location" % (spec,))
-        return store_from_spec(kind, location)
+        return SqliteSummaryStore(location)
     raise ValueError("unknown summary-store spec %r" % (spec,))
 

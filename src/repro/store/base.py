@@ -4,10 +4,11 @@ A summary store is a flat ``key -> blob`` map: keys are the
 content-addressed hex digests of :func:`repro.store.canonical.summary_store_key`
 and blobs are format-versioned pickles of exit states
 (:func:`encode_summary` / :func:`decode_summary`).  The store layer never
-interprets states — serialization happens at the engine boundary, where
-interned states re-intern through their ``__reduce__`` hooks on load, so a
-blob written by one process is pointer-equal to the live state another
-process derives.
+interprets states — serialization happens at the boundary of the
+interprocedural engine, the store's only reader and writer, where interned
+states re-intern through their ``__reduce__`` hooks on load, so a blob
+written by one engine (or an earlier run) is pointer-equal to the live
+state another engine derives.
 
 Robustness contract: a store is a *cache*.  Every failure mode — missing
 key, truncated blob, wrong magic, stale format version, unpicklable
@@ -22,7 +23,7 @@ from __future__ import annotations
 import pickle
 import threading
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional
 
 #: Magic prefix + format version of every stored blob.  Bump the version
 #: when the state serialization changes shape; decoders treat any other
@@ -143,11 +144,6 @@ class SummaryStore(ABC):
     def close(self) -> None:
         """Release backend resources; further operations may fail (and are
         then swallowed as misses, per the cache contract)."""
-
-    def spec(self) -> Optional[Tuple[str, str]]:
-        """A picklable ``(kind, location)`` other processes can reopen, or
-        None for stores with no cross-process identity (in-memory)."""
-        return None
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

@@ -94,14 +94,6 @@ class TestWorkloadIntegration:
         assert sum(combined_result.latencies()) < sum(batch_result.latencies())
 
 
-# ---------------------------------------------------------------------------
-# Known gap: pinned until fixed (strict, so the fix must drop the marker)
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "on octagons, edits inside loops can leave the incremental engine "
-    "answering differently from a fresh engine on the same program"))
 def test_octagon_incremental_answer_equals_fresh_engine():
     """Theorem 6.1 on octagons: after 61 edits of this generated stream,
     the demanded answer at location 81 equals a fresh engine's on a copy

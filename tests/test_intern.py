@@ -20,6 +20,7 @@ from __future__ import annotations
 import gc
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -198,12 +199,7 @@ def test_intern_stats_shape():
 # Demanded == from-scratch still holds under interning
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=10, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(min_value=0, max_value=10_000))
-def test_octagon_demanded_matches_batch_with_interning(seed):
-    """The octagon ``closed`` flag lives outside the intern key; demanded
-    results must still coincide with a from-scratch batch analysis."""
+def _check_octagon_demanded_matches_batch(seed):
     domain = OctagonDomain()
     generator = WorkloadGenerator(seed=seed, call_probability=0.0)
     steps = generator.generate(8)
@@ -216,6 +212,26 @@ def test_octagon_demanded_matches_batch_with_interning(seed):
     fresh = analyze_cfg(engine.cfg.copy(), domain)
     for loc in engine.cfg.reachable_locations():
         assert domain.equal(engine.query_location(loc), fresh[loc])
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_octagon_demanded_matches_batch_with_interning(seed):
+    """The octagon ``closed`` flag lives outside the intern key; demanded
+    results must still coincide with a from-scratch batch analysis."""
+    _check_octagon_demanded_matches_batch(seed)
+
+
+@pytest.mark.parametrize("seed", [
+    185, 529, 577, 618, 989, 1703, 1934, 2124, 2390, 2802, 3162, 3419, 4001,
+    4172, 4643, 5163, 5717, 5776, 5957, 6270, 7618, 8474, 8875, 8982, 9134,
+    9150, 9291, 9402, 9546, 9881, 9922,
+])
+def test_octagon_demanded_matches_batch_on_closure_seeds(seed):
+    """The seeds in 0..10,000 on which an octagon closure that flagged
+    unclosed matrices as closed made demanded and batch answers diverge."""
+    _check_octagon_demanded_matches_batch(seed)
 
 
 @settings(max_examples=10, deadline=None,

@@ -189,8 +189,7 @@ class TestInterproceduralAnalysis:
                                        IntervalDomain())
         assert engine.query_entry_exit() is not None
         with pytest.raises(RecursionError_):
-            InterproceduralEngine(cfgs_of(RECURSIVE_PROGRAM), IntervalDomain(),
-                                  require_nonrecursive=True)
+            CallGraph(cfgs_of(RECURSIVE_PROGRAM)).check_nonrecursive()
 
     def test_unknown_external_calls_are_havocked(self):
         domain = IntervalDomain()

@@ -1,15 +1,20 @@
 """Tests for the DBM-based octagon domain."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ai import analyze_cfg
 from repro.concrete import ConcreteState, collecting_semantics, initial_state
+from repro.daig import DaigEngine
 from repro.domains import OctagonDomain
+from repro.domains.octagon import OctagonState, _close
 from repro.lang import ast as A
 from repro.lang import build_cfg, build_program_cfgs, parse_expression, parse_program
+from repro.lang.cfg import Cfg
 from repro.lang.programs import array_program
+from repro.workload.generator import WorkloadGenerator
 
 from helpers import BRANCH_SOURCE, LOOP_SOURCE, NESTED_SOURCE
 
@@ -167,6 +172,37 @@ class TestLatticeOperations:
         b = run(domain, [A.AssignStmt("x", A.IntLit(2))])
         assert hash(a) == hash(b)
         assert a == b
+
+
+class TestClosure:
+    def test_copy_chains_close_to_the_same_state(self, domain):
+        """``v6 = v5; v9 = v6`` implies ``v9 = v5``: both orders of the
+        copies reach one octagon."""
+        top = domain.top(["v5"])
+        chained = run(domain, [A.AssignStmt("v6", A.Var("v5")),
+                               A.AssignStmt("v9", A.Var("v6"))], top)
+        direct = run(domain, [A.AssignStmt("v9", A.Var("v5")),
+                              A.AssignStmt("v6", A.Var("v5"))], top)
+        assert domain.equal(chained, direct)
+
+    def test_closed_flag_is_true_to_the_matrix(self, domain):
+        """Every state flagged ``closed`` along a generated edit stream is a
+        fixpoint of the closure (the join and ``x := x + c`` fast paths
+        trust the flag)."""
+        cfg = Cfg("main")
+        cfg.add_edge(cfg.entry, A.SkipStmt(), cfg.exit)
+        engine = DaigEngine(cfg, domain)
+        checked = 0
+        stream = WorkloadGenerator(seed=185, call_probability=0.0).generate(40)
+        for step in stream:
+            step.edit.apply_to_engine(engine)
+            engine.query_all()
+            for state in engine.daig.values.values():
+                if (isinstance(state, OctagonState) and state.closed
+                        and not state.is_bottom):
+                    assert np.array_equal(_close(state.matrix), state.matrix)
+                    checked += 1
+        assert checked > 0
 
 
 class TestConcretization:

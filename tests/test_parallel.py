@@ -309,8 +309,10 @@ class TestCoordinator:
 class TestCoordinatorStore:
     def test_coordinator_serves_probed_keys_from_store(self, tmp_path):
         """A warm coordinator run answers previously stored keys without
-        dispatching a worker, and the results stay digest-equal."""
-        from repro.store import SqliteSummaryStore, store_from_spec
+        dispatching a worker, and the results stay digest-equal.  The one
+        dispatched job (``main``) calls only store-served keys, whose exits
+        are not shipped, so it comes back incomplete and is knocked out."""
+        from repro.store import SqliteSummaryStore, open_store
 
         domain = IntervalDomain()
         source = wide_call_graph_source(4, inner_loops=1)
@@ -321,55 +323,21 @@ class TestCoordinatorStore:
 
         warm = InterproceduralEngine(
             cfgs_of(source), domain,
-            store=store_from_spec(*store.spec()))
+            store=open_store("sqlite:%s" % store.path))
         with PersistentWorkerPool(workers=2, kind="serial") as pool:
             report = ParallelCoordinator(warm, pool).run()
         assert report["store_served"] > 0
         assert not report["errors"]
         # Store-served keys never became worker jobs.
         assert report["jobs"] + report["store_served"] >= 4
+        assert report["wave_jobs"] == [[repr(("main", ()))]]
+        assert report["incomplete"] == report["knocked_out"] == 1
         warm.query_entry_exit()
         assert warm.summary_digest() == cold_digest
 
-    def test_worker_consults_store_when_summary_not_shipped(self, tmp_path):
-        """A job whose callee summary was not shipped falls back to the
-        persistent store instead of havoc: the result is complete but
-        flagged ``used_store`` (and therefore not certifiable)."""
-        from repro.store import SqliteSummaryStore
-
-        domain = IntervalDomain()
-        store = SqliteSummaryStore(str(tmp_path / "consult.db"))
-        session = InterproceduralEngine(cfgs_of(CHAIN_PROGRAM), domain,
-                                        store=store)
-        session.query("middle", session.cfgs["middle"].exit)
-        assert session.counters["interproc_store_writes"] > 0
-
-        cfgs = cfgs_of(CHAIN_PROGRAM)
-        payload = JobPayload(
-            procedure="middle",
-            cfg=cfgs["middle"].copy(),
-            context=(),
-            entry=domain.initial(cfgs["middle"].params),
-            policy_name="context-insensitive",
-            domain_spec=domain.name,
-            callee_params={name: tuple(cfg.params)
-                           for name, cfg in cfgs.items()},
-            summaries={},  # leaf deliberately not shipped
-            store_spec=store.spec(),
-            deep_digests={name: session.deep_digest(name)
-                          for name in session.cfgs},
-        )
-        result = run_summary_job(payload)
-        assert result.error is None
-        assert not result.incomplete
-        assert result.used_store == frozenset({("leaf", ())})
-        expected = session.analyze_everything()[("middle", ())][
-            session.cfgs["middle"].exit]
-        assert domain.equal(result.exit_state, expected)
-
     def test_store_results_survive_a_real_process_pool(self, tmp_path):
-        """End to end across process boundaries: the workers reopen the
-        store from its spec and the warmed engine digests equal."""
+        """End to end across process boundaries: store-served keys plus
+        process-pool jobs, and the warmed engine digests equal."""
         from repro.store import SqliteSummaryStore
 
         domain = IntervalDomain()

@@ -21,7 +21,7 @@ import pytest
 
 from helpers import random_workload
 
-from repro.daig import DaigEngine, MemoTable
+from repro.daig import DaigEngine, MemoTable, StructureSnapshot
 from repro.domains import IntervalDomain, SignDomain
 from repro.lang import ast as A
 from repro.lang.cfg import Cfg
@@ -108,6 +108,23 @@ class TestSpliceLocality:
         pre_exit = engine.cfg.in_edges(engine.cfg.exit)[0].src
         engine.insert_statement_after(pre_exit, A.AssignStmt("z", A.IntLit(1)))
         assert engine.builder.current_unrolling(engine.daig, head, {}) == unrolled
+        assert_results_match(engine, domain)
+
+    def test_whole_program_splice_updates_the_live_snapshot(self):
+        """An edit whose region covers most of the program forces the
+        structure rebuild; the whole-program splice re-signs the live
+        snapshot in place rather than swapping in a new capture."""
+        domain = IntervalDomain()
+        engine = grown_engine(domain)
+        snapshot = engine._snapshot
+        captures = engine.edit_stats.snapshot_full_captures
+        engine.insert_statement_after(engine.cfg.entry,
+                                      A.AssignStmt("v2", A.IntLit(4)))
+        assert engine.edit_stats.snapshot_full_captures == captures + 1
+        assert engine.edit_stats.last_report.full_capture
+        assert engine._snapshot is snapshot
+        assert snapshot == StructureSnapshot.capture(engine.cfg)
+        engine.check_consistency()
         assert_results_match(engine, domain)
 
 

@@ -38,7 +38,6 @@ from repro.store import (
     decode_summary,
     encode_summary,
     open_store,
-    store_from_spec,
     summary_store_key,
 )
 from repro.workload import WorkloadGenerator
@@ -130,12 +129,10 @@ class TestBackends:
     def test_persistence_across_handles(self, kind, tmp_path):
         store = _make_store(kind, tmp_path)
         store.put("key", b"payload")
-        spec = store.spec()
         store.close()
         if kind == "memory":
-            assert spec is None  # no cross-process identity
-            return
-        reopened = store_from_spec(*spec)
+            return  # a dict store has nothing to reopen
+        reopened = open_store("sqlite:%s" % store.path)
         assert reopened.get("key") == b"payload"
 
     def test_one_handle_shared_between_threads(self, kind, tmp_path):
@@ -347,7 +344,7 @@ class TestWarmStart:
 
         warm = InterproceduralEngine(cfgs_of(CHAIN_PROGRAM), domain,
                                      policy_by_name(policy_name),
-                                     store=store_from_spec(*store.spec()))
+                                     store=open_store("sqlite:%s" % store.path))
         warm.query_entry_exit()
         assert warm.counters["interproc_summary_misses"] == 0
         assert warm.counters["interproc_store_hits"] > 0
@@ -483,6 +480,40 @@ class TestMemoStoreInterplay:
         engine.query_entry_exit()
         assert engine.counters["interproc_summary_misses"] == misses_after_cold
         assert engine.counters["interproc_store_hits"] > hits_before
+
+    def test_probe_summary_reports_the_serving_tier_and_installs_nothing(self):
+        """``probe_summary`` peeks the memo, then the store, and returns the
+        tier that holds the summary; it installs nothing and moves neither
+        the memo's nor the engine's summary hit/miss counts."""
+        domain = IntervalDomain()
+        source = """
+            function leaf(x) { return x + 1; }
+            function main() { var a = leaf(1); return a; }
+        """
+        store = InMemorySummaryStore()
+        cold = InterproceduralEngine(cfgs_of(source), domain, store=store)
+        cold.query_entry_exit()
+        entry = cold.entry_states[("leaf", ())]
+        expected = cold.query("leaf", cold.cfgs["leaf"].exit)
+
+        def untouched(engine):
+            return (engine.memo.stats(),
+                    engine.counters["interproc_summary_hits"],
+                    engine.counters["interproc_summary_misses"])
+
+        before = untouched(cold)
+        tier, exit_state = cold.probe_summary("leaf", (), entry)
+        assert tier == "memo" and domain.equal(exit_state, expected)
+        assert untouched(cold) == before
+
+        warm = InterproceduralEngine(cfgs_of(source), domain, store=store)
+        before = untouched(warm)
+        tier, exit_state = warm.probe_summary("leaf", (), entry)
+        assert tier == "store" and domain.equal(exit_state, expected)
+        assert warm.probe_summary("leaf", (), domain.initial(("x",))) == (
+            None, None)
+        assert untouched(warm) == before
+        assert ("leaf", ()) not in warm.engines
 
 
 # ---------------------------------------------------------------------------
