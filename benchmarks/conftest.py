@@ -1,4 +1,4 @@
-"""Shared configuration for the benchmark harness.
+"""Shared configuration for the paper-figure benchmarks.
 
 The paper's full workload (3,000 edits x 9 trials, 135,000 queries) takes
 hours in pure Python; the checked-in defaults are scaled down so that
@@ -9,16 +9,10 @@ variables below to run closer to paper scale:
 
 * ``REPRO_BENCH_EDITS``  — edits per trial (paper: 3000; default: 120)
 * ``REPRO_BENCH_TRIALS`` — independent trials (paper: 9; default: 2)
-* ``REPRO_BENCH_BATCH``  — consecutive edits coalesced into one splice per
-  workload step (default: 1, the paper's one-edit-per-step session)
-* ``REPRO_BENCH_JSON``   — path to dump the latency summaries and work
-  counters (splice-vs-rebuild cell counts) as JSON; CI uploads this as the
-  perf-trajectory artifact (default: ``BENCH_fig10.json`` in the CWD)
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
@@ -42,100 +36,19 @@ def fig10_results(workload_scale):
     """Run the Fig. 10 workload once per session and share it across benches.
 
     Returns ``{configuration name: [LatencySample, ...]}`` pooled over all
-    trials, and writes the summaries plus each configuration's final work
-    counters (transfers, splice-vs-rebuild cell counts, ...) to the JSON
-    artifact path.
+    trials.
     """
     from repro.analysis.config import ALL_CONFIGURATIONS
     from repro.domains import OctagonDomain
-    from repro.workload import generate_trials, run_trial, summarize
+    from repro.workload import generate_trials, run_trial
 
     edits, trials = workload_scale
-    batch_size = max(1, _env_int("REPRO_BENCH_BATCH", 1))
     streams = generate_trials(edits=edits, trials=trials, base_seed=0)
     results = {}
-    work = {}
-    phases = {}
     for configuration_cls in ALL_CONFIGURATIONS:
         samples = []
-        total_work = {}
-        total_phases = {}
         for stream in streams:
             configuration = configuration_cls(OctagonDomain())
-            outcome = run_trial(configuration, stream, batch_size=batch_size)
-            samples.extend(outcome.samples)
-            for key, value in outcome.work.items():
-                total_work[key] = total_work.get(key, 0) + value
-            for key, value in outcome.phases.items():
-                total_phases[key] = total_phases.get(key, 0.0) + value
+            samples.extend(run_trial(configuration, stream).samples)
         results[configuration_cls.name] = samples
-        work[configuration_cls.name] = total_work
-        phases[configuration_cls.name] = total_phases
-
-    from repro.intern import intern_stats
-
-    artifact = {
-        "workload": {"edits": edits, "trials": trials, "batch_size": batch_size},
-        "configurations": {
-            name: {
-                "latency_summary": summarize([s.seconds for s in samples]),
-                "samples": len(samples),
-                "work": work[name],
-                # Per-phase latency breakdown (structure update / snapshot
-                # update / splice / query), so future PRs can see which
-                # phase regressed, not just the end-to-end latency.
-                "phases": phases[name],
-            }
-            for name, samples in results.items()
-        },
-        # Hash-consing effectiveness over the whole workload: per-type intern
-        # table hit/miss counters (hits = states/names reused by identity).
-        "intern": intern_stats(),
-        "perf_trajectory": _perf_trajectory(
-            {"edits": edits, "trials": trials, "batch_size": batch_size},
-            {name: phase.get("query", 0.0) for name, phase in phases.items()}),
-    }
-    path = os.environ.get("REPRO_BENCH_JSON", "BENCH_fig10.json")
-    with open(path, "w") as handle:
-        json.dump(artifact, handle, indent=2, sort_keys=True)
     return results
-
-
-#: Query-phase seconds measured at the reference scale (edits=120, trials=2,
-#: batch_size=1, base_seed=0) immediately *before* the hash-consing PR — the
-#: first entry of the perf trajectory.  Update this table (and the label)
-#: whenever a PR materially moves the numbers, so the artifact always records
-#: where the current numbers came from.
-_QUERY_SECONDS_BASELINE = {
-    "label": "pre-hash-consing",
-    "workload": {"edits": 120, "trials": 2, "batch_size": 1},
-    "query_seconds": {
-        "batch": 7.3164,
-        "incremental": 1.5026,
-        "demand-driven": 5.4498,
-        "incr+demand": 1.1087,
-    },
-}
-
-
-@pytest.fixture(scope="session")
-def fig10_query_baseline():
-    """The pre-hash-consing query-phase seconds (perf-trajectory anchor)."""
-    return _QUERY_SECONDS_BASELINE
-
-
-def _perf_trajectory(workload, current_query_seconds):
-    """Before/after query-phase seconds (speedups only at the same scale)."""
-    trajectory = {
-        "baseline": _QUERY_SECONDS_BASELINE,
-        "current_query_seconds": current_query_seconds,
-        "comparable": workload == _QUERY_SECONDS_BASELINE["workload"],
-    }
-    if trajectory["comparable"]:
-        baseline = _QUERY_SECONDS_BASELINE["query_seconds"]
-        trajectory["speedup"] = {
-            name: round(baseline[name] / seconds, 3)
-            for name, seconds in current_query_seconds.items()
-            if name in baseline and seconds > 0.0
-        }
-    return trajectory

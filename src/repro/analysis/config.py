@@ -17,12 +17,16 @@ implemented atop the DAIG framework):
 
 The driver (:mod:`repro.workload.driver`) feeds the same edit/query stream
 to each configuration and measures the per-step latency.
+
+:class:`InterprocIncrementalDemandConfiguration` is configuration (4) lifted
+to whole programs: edits name a procedure and queries name ``(procedure,
+location)`` sites.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from ..daig.engine import DaigEngine
 from ..daig.memo import MemoTable
@@ -53,23 +57,12 @@ class AnalysisConfiguration(ABC):
     def __init__(self, domain: AbstractDomain, initial_cfg: Optional[Cfg] = None) -> None:
         self.domain = domain
         self.cfg = initial_cfg.copy() if initial_cfg is not None else _empty_program()
-        self._retired_work: Dict[str, int] = {}
         self._retired_phases: Dict[str, float] = {}
 
     @abstractmethod
     def apply_edit(self, edit: ProgramEdit) -> None:
         """Incorporate a program edit (doing whatever re-analysis this
         configuration performs eagerly)."""
-
-    def apply_edits(self, edits: Sequence[ProgramEdit]) -> None:
-        """Incorporate several consecutive edits.
-
-        Configurations built on the DAIG engine override this to coalesce
-        the batch into a single splice (and the from-scratch configurations
-        into a single rebuild); the default applies them one by one.
-        """
-        for edit in edits:
-            self.apply_edit(edit)
 
     @abstractmethod
     def answer_queries(self, locations: Sequence[Loc]) -> Dict[Loc, Any]:
@@ -84,15 +77,6 @@ class AnalysisConfiguration(ABC):
         return self.cfg.size()
 
     @staticmethod
-    def _fold_engine_counters(totals: Dict[str, int], engine: Optional[DaigEngine]) -> None:
-        """Accumulate one engine's query and edit counters into ``totals``."""
-        if engine is None:
-            return
-        for counters in (engine.stats.as_dict(), engine.edit_stats.as_dict()):
-            for key, value in counters.items():
-                totals[key] = totals.get(key, 0) + value
-
-    @staticmethod
     def _fold_engine_phases(totals: Dict[str, float], engine: Optional[DaigEngine]) -> None:
         """Accumulate one engine's per-phase wall-clock split into ``totals``."""
         if engine is None:
@@ -100,33 +84,20 @@ class AnalysisConfiguration(ABC):
         for key, value in engine.phase_seconds().items():
             totals[key] = totals.get(key, 0.0) + value
 
-    def _retire_engine_work(self) -> None:
-        """Fold the current engine's counters into the running totals.
+    def _retire_engine(self) -> None:
+        """Fold the current engine's phase seconds into the running totals.
 
         From-scratch configurations call this before discarding an engine,
-        so that :meth:`work_stats` reports the work of *every* rebuild, not
-        just the last one.
+        so that :meth:`phase_stats` covers *every* rebuild, not just the
+        last one.
         """
-        engine = getattr(self, "engine", None)
-        self._fold_engine_counters(self._retired_work, engine)
-        self._fold_engine_phases(self._retired_phases, engine)
-
-    def work_stats(self) -> Dict[str, int]:
-        """Cumulative query/edit work counters (splice-vs-rebuild accounting).
-
-        The sum of every retired engine's counters plus the live engine's —
-        for the incremental configurations that is one long-lived engine;
-        for the from-scratch configurations it covers every rebuild.
-        """
-        totals = dict(self._retired_work)
-        self._fold_engine_counters(totals, getattr(self, "engine", None))
-        return totals
+        self._fold_engine_phases(self._retired_phases, getattr(self, "engine", None))
 
     def phase_stats(self) -> Dict[str, float]:
         """Cumulative per-phase wall-clock seconds (structure update /
         snapshot update / splice / query), summed over every engine this
-        configuration has owned.  Lets the benchmarks report which phase a
-        latency regression lives in, not just the end-to-end number.
+        configuration has owned, so a session can see which phase its
+        latency lives in, not just the end-to-end number.
         """
         totals = dict(self._retired_phases)
         self._fold_engine_phases(totals, getattr(self, "engine", None))
@@ -144,14 +115,8 @@ class BatchConfiguration(AnalysisConfiguration):
         self.apply_edit_count = 0
 
     def apply_edit(self, edit: ProgramEdit) -> None:
-        self.apply_edits([edit])
-
-    def apply_edits(self, edits: Sequence[ProgramEdit]) -> None:
-        # A batch developer who looks at results every k edits re-analyzes
-        # once per batch, not once per keystroke.
-        for edit in edits:
-            edit.apply_to_cfg(self.cfg)
-        self._retire_engine_work()
+        edit.apply_to_cfg(self.cfg)
+        self._retire_engine()
         self.engine = None  # free the old DAIG before building its successor
         self.engine = DaigEngine(self.cfg.copy(), self.domain, memo=MemoTable())
         self._results = self.engine.query_all()
@@ -177,13 +142,6 @@ class IncrementalConfiguration(AnalysisConfiguration):
         self.cfg = self.engine.cfg
         self._results = self.engine.query_all()
 
-    def apply_edits(self, edits: Sequence[ProgramEdit]) -> None:
-        with self.engine.batch_edits():
-            for edit in edits:
-                edit.apply_to_engine(self.engine)
-        self.cfg = self.engine.cfg
-        self._results = self.engine.query_all()
-
     def answer_queries(self, locations: Sequence[Loc]) -> Dict[Loc, Any]:
         return {loc: self._results.get(loc, self.domain.bottom()) for loc in locations}
 
@@ -199,13 +157,9 @@ class DemandConfiguration(AnalysisConfiguration):
         self.engine = DaigEngine(self.cfg.copy(), self.domain, memo=MemoTable())
 
     def apply_edit(self, edit: ProgramEdit) -> None:
-        self.apply_edits([edit])
-
-    def apply_edits(self, edits: Sequence[ProgramEdit]) -> None:
-        for edit in edits:
-            edit.apply_to_cfg(self.cfg)
+        edit.apply_to_cfg(self.cfg)
         # Dirty the full DAIG: rebuild it (and the memo table) from scratch.
-        self._retire_engine_work()
+        self._retire_engine()
         self.engine = None  # free the old DAIG before building its successor
         self.engine = DaigEngine(self.cfg.copy(), self.domain, memo=MemoTable())
 
@@ -228,12 +182,6 @@ class IncrementalDemandConfiguration(AnalysisConfiguration):
         edit.apply_to_engine(self.engine)
         self.cfg = self.engine.cfg
 
-    def apply_edits(self, edits: Sequence[ProgramEdit]) -> None:
-        with self.engine.batch_edits():
-            for edit in edits:
-                edit.apply_to_engine(self.engine)
-        self.cfg = self.engine.cfg
-
     def answer_queries(self, locations: Sequence[Loc]) -> Dict[Loc, Any]:
         return {loc: self.engine.query_location(loc) for loc in locations}
 
@@ -247,171 +195,27 @@ ALL_CONFIGURATIONS = (
 )
 
 
-# ---------------------------------------------------------------------------
-# Interprocedural configurations (multi-procedure workloads)
-# ---------------------------------------------------------------------------
-
-
-class InterproceduralConfiguration(ABC):
-    """A way of keeping *interprocedural* results current across edits.
-
-    The same four-way design space as Fig. 10, lifted to whole programs:
-    edits name a procedure, queries name (procedure, location) sites, and
-    the incremental configurations answer both through one long-lived
-    :class:`~repro.interproc.engine.InterproceduralEngine` whose
-    cross-procedure propagation is O(dependent call sites) per edit.
+class InterprocIncrementalDemandConfiguration:
+    """The full technique across procedures: O(dependent call sites)
+    dirtying on edits, demanded summaries on queries, through one
+    long-lived :class:`~repro.interproc.engine.InterproceduralEngine`.
     """
-
-    name: str = "interproc-configuration"
-    demand_driven: bool = False
-    incremental: bool = False
 
     def __init__(
         self,
         cfgs: Dict[str, Cfg],
         domain: AbstractDomain,
         policy: Optional[ContextPolicy] = None,
-        entry: str = "main",
-        store: Optional[Any] = None,
     ) -> None:
-        self.cfgs = {name: cfg.copy() for name, cfg in cfgs.items()}
-        self.domain = domain
-        self.policy = policy
-        self.entry = entry
-        #: Optional persistent summary store (a SummaryStore or a
-        #: ``"sqlite:..."``/``"memory"`` spec string), shared by every
-        #: engine this configuration builds — this is what lets the
-        #: from-scratch configurations warm-start across rebuilds.
-        self.store = store
-        self._retired_work: Dict[str, int] = {}
-        self._retired_phases: Dict[str, float] = {}
-        self.engine: Optional[InterproceduralEngine] = None
-
-    def _build_engine(self) -> InterproceduralEngine:
-        return InterproceduralEngine(
-            {name: cfg.copy() for name, cfg in self.cfgs.items()},
-            self.domain, self.policy, entry=self.entry, store=self.store)
-
-    def _retire_engine_work(self) -> None:
-        if self.engine is None:
-            return
-        for key, value in self.engine.total_stats().items():
-            self._retired_work[key] = self._retired_work.get(key, 0) + value
-        for key, value in self.engine.total_phase_seconds().items():
-            self._retired_phases[key] = self._retired_phases.get(key, 0.0) + value
-
-    @abstractmethod
-    def apply_edit(self, procedure: str, edit: ProgramEdit) -> None:
-        """Incorporate an edit to one procedure."""
-
-    def answer_queries(
-        self, sites: Sequence[Any]) -> Dict[Any, Any]:
-        """Answer queries at ``(procedure, location)`` sites."""
-        assert self.engine is not None
-        return {(procedure, loc): self.engine.query(procedure, loc)
-                for procedure, loc in sites}
+        self.engine = InterproceduralEngine(
+            {name: cfg.copy() for name, cfg in cfgs.items()}, domain, policy)
 
     def step(self, step: Any) -> Dict[Any, Any]:
-        """One workload step: apply the edit, then answer the queries."""
-        self.apply_edit(step.procedure, step.edit)
-        return self.answer_queries(step.query_sites)
-
-    def program_size(self) -> int:
-        return sum(cfg.size() for cfg in self.cfgs.values())
-
-    def work_stats(self) -> Dict[str, int]:
-        totals = dict(self._retired_work)
-        if self.engine is not None:
-            for key, value in self.engine.total_stats().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def phase_stats(self) -> Dict[str, float]:
-        totals = dict(self._retired_phases)
-        if self.engine is not None:
-            for key, value in self.engine.total_phase_seconds().items():
-                totals[key] = totals.get(key, 0.0) + value
-        return totals
-
-
-class InterprocBatchConfiguration(InterproceduralConfiguration):
-    """Whole-program from-scratch re-analysis after every edit."""
-
-    name = "interproc-batch"
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.engine = self._build_engine()
-        self.engine.analyze_everything()
-
-    def apply_edit(self, procedure: str, edit: ProgramEdit) -> None:
-        edit.apply_to_cfg(self.cfgs[procedure])
-        self._retire_engine_work()
-        self.engine = None  # free the old engines before rebuilding
-        self.engine = self._build_engine()
-        self.engine.analyze_everything()
-
-
-class InterprocDemandConfiguration(InterproceduralConfiguration):
-    """No reuse across edits; only queried cells are evaluated."""
-
-    name = "interproc-demand"
-    demand_driven = True
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.engine = self._build_engine()
-
-    def apply_edit(self, procedure: str, edit: ProgramEdit) -> None:
-        edit.apply_to_cfg(self.cfgs[procedure])
-        self._retire_engine_work()
-        self.engine = None
-        self.engine = self._build_engine()
-
-
-class InterprocIncrementalConfiguration(InterproceduralConfiguration):
-    """Incremental cross-procedure dirtying with eager recomputation."""
-
-    name = "interproc-incremental"
-    incremental = True
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.engine = self._build_engine()
-        self.engine.analyze_everything()
-
-    def apply_edit(self, procedure: str, edit: ProgramEdit) -> None:
-        assert self.engine is not None
-        self.engine.edit_procedure(procedure, edit.apply_to_engine)
-        self.cfgs[procedure] = self.engine.cfgs[procedure]
-        self.engine.analyze_everything()
-
-
-class InterprocIncrementalDemandConfiguration(InterproceduralConfiguration):
-    """The full technique across procedures: O(dependent call sites)
-    dirtying on edits, demanded summaries on queries."""
-
-    name = "interproc-incr+demand"
-    demand_driven = True
-    incremental = True
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.engine = self._build_engine()
-
-    def apply_edit(self, procedure: str, edit: ProgramEdit) -> None:
-        assert self.engine is not None
-        self.engine.edit_procedure(procedure, edit.apply_to_engine)
-        self.cfgs[procedure] = self.engine.cfgs[procedure]
-
-
-#: The interprocedural configurations, mirroring the Fig. 10 four-way split.
-ALL_INTERPROC_CONFIGURATIONS = (
-    InterprocBatchConfiguration,
-    InterprocIncrementalConfiguration,
-    InterprocDemandConfiguration,
-    InterprocIncrementalDemandConfiguration,
-)
+        """One workload step: edit one procedure, then answer the queries
+        at the step's ``(procedure, location)`` sites."""
+        self.engine.edit_procedure(step.procedure, step.edit.apply_to_engine)
+        return {(procedure, loc): self.engine.query(procedure, loc)
+                for procedure, loc in step.query_sites}
 
 
 def make_configuration(

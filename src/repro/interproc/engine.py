@@ -625,10 +625,6 @@ class InterproceduralEngine:
                 return "store", stored[0]
         return None, None
 
-    def store_stats(self) -> Optional[Dict[str, int]]:
-        """The attached store's counter snapshot, or None without a store."""
-        return None if self.store is None else self.store.stats()
-
     def _note_exit(self, key: ProcedureKey, exit_state: Any) -> None:
         """Record the summary consumers last saw; on change, dirty them."""
         previous = self._last_exit.get(key)
@@ -1132,7 +1128,7 @@ class InterproceduralEngine:
         # Tripwire: every engine built through `_engine_for` is indexed; an
         # engine missing from the index would silently miss dirtying, so it
         # falls back to the legacy full ref-set scan — and the scan counter
-        # (asserted == 0 in tests and on the CI bench artifact) exposes it.
+        # (asserted == 0 in the tier-1 tests) exposes it.
         unindexed = [key for key in self.engines
                      if key not in self._site_callee]
         stack = [procedure]

@@ -544,8 +544,8 @@ def wide_call_graph_source(width: int, inner_loops: int = 3,
     cost grows much faster than DAIG size — exactly the regime where
     shipping evaluation to workers pays, because the coordinator's
     serial per-procedure cost (structure + DAIG construction) stays
-    proportional to size.  Shared by ``benchmarks/bench_parallel.py``
-    and the parallel tests.
+    proportional to size.  Shared by the parallel and store tests and by
+    the ``session-restart`` benchmark workload.
     """
     parts = []
     for i in range(width):
@@ -584,9 +584,8 @@ def bystander_source(bystanders: int) -> str:
     ``main`` calls one ``leaf`` (the edit target) plus ``bystanders``
     unrelated helpers: only the single ``leaf`` call site depends on leaf
     edits, so the dependent-call-site work of a leaf edit must stay
-    constant as ``bystanders`` grows.  Shared by the interprocedural
-    locality benchmark and its unit tests so both assert on the same
-    program shape.
+    constant as ``bystanders`` grows (the interprocedural locality
+    tests).
     """
     parts = ["function leaf(x) { var r = x + 1; return r; }"]
     for i in range(bystanders):

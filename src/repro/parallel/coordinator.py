@@ -40,7 +40,7 @@ breaks that serialization in three phases:
    demand hits them without ever evaluating the callee DAIGs in-process.
    Everything else is discarded: the sequential engine recomputes it on
    demand, which is why parallelism can change only latency, never
-   results (``summary_digest`` equality is asserted in CI).
+   results (``summary_digest`` equality is asserted in the tier-1 tests).
 
 Recursive SCCs and everything reachable only through them are never
 speculated: their summaries are entry-dependent fixpoints whose
@@ -384,15 +384,12 @@ class ParallelCoordinator:
         engine.counters["interproc_parallel_jobs"] += jobs
         engine.counters["interproc_parallel_waves"] += len(wave_sizes)
 
-        worker_stats: Dict[str, int] = {}
-        durations: Dict[str, float] = {}
         cpu_durations: Dict[str, float] = {}
         errors: Dict[str, str] = {}
         incomplete = 0
         store_served = 0
         cutoff_avoided = 0
         for key, result in sorted(results.items(), key=lambda kv: repr(kv[0])):
-            durations[repr(key)] = result.duration
             cpu_durations[repr(key)] = result.cpu_seconds
             if result.error is not None:
                 errors[repr(key)] = result.error
@@ -402,12 +399,9 @@ class ParallelCoordinator:
                 store_served += 1
             if result.served_by == "memo":
                 cutoff_avoided += 1
-            for stat, value in result.stats.items():
-                worker_stats[stat] = worker_stats.get(stat, 0) + value
         engine.counters["interproc_parallel_cutoff_avoided"] += cutoff_avoided
 
         self.report = {
-            "speculated": len(spec["entries"]),
             "excluded_procedures": sorted(spec["excluded"]),
             "jobs": jobs,
             "waves": len(wave_sizes),
@@ -425,15 +419,11 @@ class ParallelCoordinator:
             # round trip.
             "cutoff_avoided": cutoff_avoided,
             "errors": errors,
-            "durations": durations,
             "cpu_durations": cpu_durations,
-            "worker_stats": worker_stats,
             "phase_seconds": {
                 "speculate": speculate_seconds,
                 "dispatch": dispatch_seconds,
                 "certify": certify_seconds,
             },
-            "pool": {"kind": self.pool.kind, "workers": self.pool.workers,
-                     "warmed": self.pool.warmed},
         }
         return self.report

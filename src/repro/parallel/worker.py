@@ -107,13 +107,10 @@ class JobResult:
     #: entry-keyed seeds at underived entries are dead weight, never
     #: soundness hazards.
     served_by: Optional[str] = None
-    duration: float = 0.0
-    #: CPU seconds of the job, immune to worker-process time-slicing: on a
-    #: host with fewer cores than workers, wall ``duration`` includes time
-    #: the worker spent descheduled while its siblings ran, so schedule
-    #: models pack ``cpu_seconds`` instead.
+    #: CPU seconds of the job, immune to worker-process time-slicing (on a
+    #: host with fewer cores than workers, wall time would include time the
+    #: worker spent descheduled while its siblings ran).
     cpu_seconds: float = 0.0
-    stats: Dict[str, int] = field(default_factory=dict)
     error: Optional[str] = None
 
 
@@ -121,11 +118,9 @@ def run_summary_job(payload: JobPayload) -> JobResult:
     """Evaluate one (procedure, context, entry) exit summary."""
     from ..daig.engine import DaigEngine
     from ..daig.names import Name
-    from ..intern import intern_stats
     from ..interproc.context import policy_by_name
     from ..lang import ast as A
 
-    started = time.perf_counter()
     cpu_started = time.process_time()
     result = JobResult(key=(payload.procedure, payload.context))
     try:
@@ -172,7 +167,6 @@ def run_summary_job(payload: JobPayload) -> JobResult:
             _entry, exit_state = shipped
             return domain.call_return(state, exit_state, stmt.target, stmt.args)
 
-        intern_before = intern_stats()
         engine = DaigEngine(
             payload.cfg,
             domain,
@@ -185,17 +179,7 @@ def run_summary_job(payload: JobPayload) -> JobResult:
         result.regrew = frozenset(regrew)
         result.used = frozenset(used)
         result.incomplete = state_flags["incomplete"]
-        stats: Dict[str, int] = dict(engine.stats.as_dict())
-        intern_after = intern_stats()
-        stats["intern_hits"] = sum(
-            after["hits"] - intern_before[name]["hits"]
-            for name, after in intern_after.items() if name in intern_before)
-        stats["intern_misses"] = sum(
-            after["misses"] - intern_before[name]["misses"]
-            for name, after in intern_after.items() if name in intern_before)
-        result.stats = stats
     except Exception:
         result.error = traceback.format_exc(limit=8)
-    result.duration = time.perf_counter() - started
     result.cpu_seconds = time.process_time() - cpu_started
     return result

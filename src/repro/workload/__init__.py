@@ -20,11 +20,7 @@ from .generator import (
 )
 from .driver import (
     WorkloadResult,
-    generate_interproc_trials,
     generate_trials,
-    merge_results,
-    run_comparison,
-    run_interproc_trial,
     run_trial,
 )
 from .stats import (
@@ -53,11 +49,7 @@ __all__ = [
     "WorkloadGenerator",
     "WorkloadStep",
     "WorkloadResult",
-    "generate_interproc_trials",
     "generate_trials",
-    "merge_results",
-    "run_comparison",
-    "run_interproc_trial",
     "run_trial",
     "LatencySample",
     "cumulative_distribution",

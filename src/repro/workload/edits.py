@@ -126,8 +126,7 @@ class ReplaceStatement(ProgramEdit):
 def relabel_assignment(target: str, value: A.Expr):
     """An ``edit_procedure`` callback relabelling the first assignment to
     ``target`` with a new right-hand side — the statement-only edit the
-    interprocedural locality experiments drive in a loop (shared between
-    the benchmark and the unit tests so both measure the same edit)."""
+    interprocedural locality tests drive in a loop."""
     def edit(engine: DaigEngine) -> None:
         edge = next(e for e in engine.cfg.edges
                     if isinstance(e.stmt, A.AssignStmt)

@@ -183,17 +183,6 @@ class WorkloadGenerator:
             return DeleteStatement(edge.src, edge.dst)
         return ReplaceStatement(edge.src, edge.dst, self._statement())
 
-    def generate_statement_only(self, edits: int) -> List[WorkloadStep]:
-        """Generate a statement-only edit/query stream over the current
-        program (grow the program first with :meth:`generate`)."""
-        steps: List[WorkloadStep] = []
-        for index in range(edits):
-            edit = self.next_statement_only_edit()
-            edit.apply_to_cfg(self.cfg)
-            steps.append(WorkloadStep(
-                index, edit, self._sample_queries(), self.cfg.size()))
-        return steps
-
     def _sample_queries(self) -> Tuple[Loc, ...]:
         points = self.cfg.insertion_points() + [self.cfg.exit]
         return tuple(self.rng.choice(points) for _ in range(self.queries_per_edit))

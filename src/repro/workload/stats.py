@@ -10,6 +10,7 @@ print exactly the rows the paper's Fig. 10 contains.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -29,10 +30,8 @@ def percentile(samples: Sequence[float], fraction: float) -> float:
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("percentile fraction must be within [0, 1]")
     ordered = sorted(samples)
-    if fraction == 0.0:
-        return ordered[0]
-    rank = max(1, int(round(fraction * len(ordered) + 0.5)))
-    return ordered[min(rank, len(ordered)) - 1]
+    rank = max(1, math.ceil(fraction * len(ordered)))
+    return ordered[rank - 1]
 
 
 def summarize(samples: Sequence[float]) -> Dict[str, float]:

@@ -167,7 +167,11 @@ def test_cutoff_never_changes_any_answer(seed, policy_name, program):
         engine.query_entry_exit()
         _drive_random_stream(engine, seed)
         assert engine.counters["interproc_callsite_scans"] == 0
-    assert disabled.counters["interproc_summary_cutoffs"] == 0
+    # A cutoff-disabled engine keeps every cutoff counter at exactly zero.
+    totals = disabled.total_stats()
+    assert totals["interproc_summary_cutoffs"] == 0
+    assert totals["interproc_store_rekeys"] == 0
+    assert totals["cells_cutoff"] == totals["cells_restored"] == 0
     assert enabled.summary_digest() == disabled.summary_digest()
 
 
@@ -238,6 +242,55 @@ def test_revert_streams_cut_off_with_zero_caller_recomputation(seed,
     for procedure in engine.queried_roots():
         oracle.query(procedure, oracle.cfgs[procedure].entry)
     assert engine.summary_digest() == oracle.summary_digest()
+
+
+def _leaf_assignment(left, right):
+    """``a = left + right``, the first statement of CHAIN_PROGRAM's leaf."""
+    return A.AssignStmt("a", A.BinOp("+", left, right))
+
+
+def _toggle_stream_deltas(policy_name, cutoff, toggled):
+    """Counter deltas of four edits toggling leaf's ``a = x + 1`` to
+    ``toggled`` and back, querying after each, plus the final digest."""
+    original = _leaf_assignment(A.Var("x"), A.IntLit(1))
+    engine = InterproceduralEngine(cfgs_of(CHAIN_PROGRAM), IntervalDomain(),
+                                   policy_by_name(policy_name), cutoff=cutoff)
+    engine.query_entry_exit()
+    before = engine.total_stats()
+    current = original
+    for _edit in range(4):
+        new = original if current is toggled else toggled
+        engine.edit_procedure("leaf", _replace(str(current), new))
+        engine.query_entry_exit()
+        current = new
+    after = engine.total_stats()
+    deltas = {key: value - before.get(key, 0) for key, value in after.items()}
+    return deltas, engine.summary_digest()
+
+
+@pytest.mark.parametrize("policy_name", POLICIES)
+def test_toggle_streams_against_cutoff_disabled_twin(policy_name):
+    """Value-preserving toggles (``a = x + 1`` <-> ``a = 1 + x``) certify
+    every edit: the memo is re-keyed, cells are restored, no call site is
+    dirtied, and the stream costs at most half the transfers of a
+    cutoff-disabled twin.  Semantic toggles (``a = x + 2`` <-> ``a = x +
+    1``) certify nothing and dirty callers.  Both end digest-equal to the
+    twin."""
+    preserving = _leaf_assignment(A.IntLit(1), A.Var("x"))
+    on, digest = _toggle_stream_deltas(policy_name, True, preserving)
+    off, twin_digest = _toggle_stream_deltas(policy_name, False, preserving)
+    assert digest == twin_digest
+    assert on["interproc_summary_cutoffs"] == 4
+    assert on["interproc_store_rekeys"] > 0 and on["cells_cutoff"] > 0
+    assert on["interproc_callsite_dirties"] == 0
+    assert 2 * on["transfers"] <= off["transfers"]
+
+    semantic = _leaf_assignment(A.Var("x"), A.IntLit(2))
+    on, digest = _toggle_stream_deltas(policy_name, True, semantic)
+    _off, twin_digest = _toggle_stream_deltas(policy_name, False, semantic)
+    assert digest == twin_digest
+    assert on["interproc_summary_cutoffs"] == 0
+    assert on["interproc_callsite_dirties"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.ai import analyze_cfg
+from repro.analysis.config import IncrementalDemandConfiguration
 from repro.daig import DaigEngine
 from repro.domains import IntervalDomain, OctagonDomain
 from repro.domains.nonrel import ArraySummary, EnvState, ScalarValue
 from repro.domains.octagon import OctagonState
 from repro.domains.values import Constant, Interval
 from repro.daig.names import Name
-from repro.intern import all_tables, intern_stats
+from repro.intern import all_tables, intern_stats, reset_intern_stats
 from repro.lang import ast as A
 from repro.lang.cfg import Cfg
+from repro.workload import generate_trials, run_trial
 from repro.workload.generator import WorkloadGenerator
 
 COMMON_SETTINGS = dict(
@@ -185,7 +187,7 @@ def test_intern_tables_release_states_on_engine_teardown():
 
 
 def test_intern_stats_shape():
-    """Every registered table reports the counters CI asserts on."""
+    """Every registered table reports its hit, miss and entry counters."""
     stats = intern_stats()
     for expected in ("daig.Name", "octagon.OctagonState", "nonrel.EnvState",
                      "nonrel.ScalarValue", "nonrel.ArraySummary",
@@ -193,6 +195,49 @@ def test_intern_stats_shape():
         assert expected in stats
         for field in ("entries", "hits", "misses"):
             assert stats[expected][field] >= 0
+
+
+def test_hot_tables_reuse_states_on_a_fig10_workload():
+    """A Fig. 10 edit/query stream re-derives equal names and octagon
+    states constantly: both hot tables must show hits."""
+    reset_intern_stats()
+    steps = generate_trials(edits=30, trials=1, base_seed=3)[0]
+    run_trial(IncrementalDemandConfiguration(OctagonDomain()), steps)
+    stats = intern_stats()
+    assert stats["daig.Name"]["hits"] > 0
+    assert stats["octagon.OctagonState"]["hits"] > 0
+
+
+def _eight_variable_states():
+    """(domain, state) for an 8-variable interval environment and an
+    8-variable relational octagon."""
+    interval = IntervalDomain()
+    env = interval.initial()
+    for index in range(8):
+        env = interval.transfer(
+            A.AssignStmt("v%d" % index, A.IntLit(index)), env)
+    octagon = OctagonDomain()
+    oct_state = octagon.initial(["v%d" % index for index in range(8)])
+    for index in range(7):
+        oct_state = octagon.transfer(A.AssignStmt(
+            "v%d" % (index + 1),
+            A.BinOp("+", A.Var("v%d" % index), A.IntLit(1))), oct_state)
+    return [(interval, env), (octagon, oct_state)]
+
+
+def test_identity_fast_paths_do_no_intern_lookup():
+    """``join(s, s)``, ``equal(s, s)`` and ``leq(s, s)`` are pointer checks:
+    they hold without building (hence interning) a single object."""
+    def lookups():
+        return sum(table["hits"] + table["misses"]
+                   for table in intern_stats().values())
+
+    for domain, state in _eight_variable_states():
+        before = lookups()
+        assert domain.join(state, state) is state
+        assert domain.equal(state, state)
+        assert domain.leq(state, state)
+        assert lookups() == before, domain.name
 
 
 # ---------------------------------------------------------------------------

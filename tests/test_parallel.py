@@ -169,7 +169,7 @@ class TestSummaryJob:
         result = run_summary_job(self._payload(CHAIN_PROGRAM, "leaf", domain))
         assert result.error is None and not result.incomplete
         assert domain.equal(result.exit_state, expected)
-        assert result.cpu_seconds >= 0.0 and result.duration > 0.0
+        assert result.cpu_seconds >= 0.0
 
     def test_missing_callee_summary_marks_incomplete(self):
         domain = IntervalDomain()
@@ -272,13 +272,24 @@ class TestCoordinator:
         assert parallel.summary_digest() == sequential.summary_digest()
 
     def test_locality_counters_unchanged_by_warming(self):
-        domain = IntervalDomain()
+        """Warming scans no call site and rebuilds no procedure's CFG
+        structure, through the coordinator run and the final query."""
+        cfgs = cfgs_of(wide_call_graph_source(4, inner_loops=1))
+        for cfg in cfgs.values():
+            cfg.ensure_structure()  # lowering the CFG is not analysis
+        parallel = InterproceduralEngine(
+            cfgs, IntervalDomain(), policy_by_name("insensitive"))
+
+        def full_builds():
+            return sum(cfg.structure_stats()["structure_full_builds"]
+                       for cfg in parallel.cfgs.values())
+
+        before = full_builds()
         with PersistentWorkerPool(workers=2, kind="serial") as pool:
-            _sequential, parallel, _report = _warmed_pair(
-                wide_call_graph_source(4, inner_loops=1), domain,
-                "insensitive", pool)
+            ParallelCoordinator(parallel, pool).run()
         parallel.query_entry_exit()
         assert parallel.counters["interproc_callsite_scans"] == 0
+        assert full_builds() == before
 
     def test_process_pool_round_trips_interned_states(self):
         """One real multiprocess run: payloads pickle out, results pickle

@@ -27,6 +27,7 @@ from repro.domains import IntervalDomain
 from repro.interproc import InterproceduralEngine, policy_by_name
 from repro.lang import ast as A
 from repro.lang import build_program_cfgs, parse_program
+from repro.lang.programs import wide_call_graph_source
 from repro.store import (
     STORE_FORMAT_VERSION,
     STORE_MAGIC,
@@ -351,6 +352,42 @@ class TestWarmStart:
         assert warm.counters["interproc_store_writes"] == 0
         assert warm.summary_digest() == cold_digest
 
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    def test_restarts_serve_a_wide_call_graph_from_the_store(
+            self, policy_name, tmp_path):
+        """Two engines restarted on the cold run's store serve every
+        summary from it, at a tenth of the cold run's transfers at most;
+        editing one worker afterwards misses one or two summaries, not the
+        program's six, and ends digest-equal to a storeless engine given
+        the same edit."""
+        source = wide_call_graph_source(5, inner_loops=2)
+        domain = IntervalDomain()
+        policy = policy_by_name(policy_name)
+        spec = "sqlite:%s" % (tmp_path / "wide.db")
+
+        def open_and_query(store):
+            engine = InterproceduralEngine(cfgs_of(source), domain, policy,
+                                           store=store)
+            engine.query_entry_exit()
+            return engine
+
+        cold_transfers = open_and_query(spec).total_stats()["transfers"]
+        for _restart in range(2):
+            warm = open_and_query(spec)
+            assert warm.counters["interproc_summary_misses"] == 0
+            assert warm.counters["interproc_store_writes"] == 0
+            assert warm.counters["interproc_store_errors"] == 0
+            assert warm.counters["interproc_store_hits"] >= 1
+            assert 10 * warm.total_stats()["transfers"] <= cold_transfers
+
+        warm.edit_procedure("work0", _noise)
+        warm.query_entry_exit()
+        assert 1 <= warm.counters["interproc_summary_misses"] <= 2
+        oracle = open_and_query(None)
+        oracle.edit_procedure("work0", _noise)
+        oracle.query_entry_exit()
+        assert warm.summary_digest() == oracle.summary_digest()
+
     def test_recursive_program_warm_digest_equality(self, tmp_path):
         """Recursion re-runs its summary fixpoint on a warm start (cold
         runs only memoize the post-fixpoint entry), but the *results* must
@@ -566,21 +603,3 @@ class TestStoreGarbageCollection:
         engine.collect_garbage()  # must not trip over the absent store
         assert engine.counters["interproc_store_expired"] == 0
 
-
-# ---------------------------------------------------------------------------
-# Workload-driver integration
-# ---------------------------------------------------------------------------
-
-
-def test_driver_reports_store_stats(tmp_path):
-    from repro.analysis.config import InterprocIncrementalDemandConfiguration
-    from repro.workload import generate_interproc_trials, run_interproc_trial
-
-    workload = generate_interproc_trials(edits=10, trials=1, procedures=4)[0]
-    configuration = InterprocIncrementalDemandConfiguration(
-        workload.fresh_cfgs(), IntervalDomain(),
-        store="sqlite:%s" % (tmp_path / "driver.db"))
-    result = run_interproc_trial(configuration, workload.steps)
-    assert result.work["interproc_store_writes"] > 0
-    assert "summary_store_puts" in result.work
-    assert result.work["summary_store_entries"] > 0

@@ -28,11 +28,13 @@ from hypothesis import strategies as st
 
 from helpers import random_workload
 
+from repro.analysis.config import IncrementalDemandConfiguration
 from repro.daig import DaigEngine
 from repro.daig.splice import StructureSnapshot
 from repro.domains import IntervalDomain, SignDomain
 from repro.lang import ast as A
 from repro.lang.cfg import Cfg
+from repro.workload import generate_trials, run_trial
 from repro.workload.generator import WorkloadGenerator
 
 COMMON_SETTINGS = dict(
@@ -349,6 +351,34 @@ class TestLocalityCounters:
             loc = engine.cfg.in_edges(engine.cfg.exit)[0].src
             engine.insert_statement_after(loc, A.AssignStmt("u", A.IntLit(index)))
         assert engine.edit_stats.as_dict()["snapshot_full_captures"] == captures
+
+    def test_fig10_stream_rebuilds_less_than_once_per_edit(self):
+        """Full structure builds and full snapshot captures happen at
+        construction or on the locality fallback, never once per edit."""
+        edits = 60
+        configuration = IncrementalDemandConfiguration(SignDomain())
+        run_trial(configuration,
+                  generate_trials(edits=edits, trials=1, base_seed=0)[0])
+        stats = configuration.engine.edit_stats.as_dict()
+        assert stats["structure_full_builds"] < edits, stats
+        assert stats["snapshot_full_captures"] < edits, stats
+
+    def test_random_structural_edits_reanalyze_less_than_full_rebuilds(self):
+        """Averaged over random edit positions, the structure phase
+        re-analyzes well under what a per-edit full rebuild would pay."""
+        engine, generator = self._grown_engine(edits=60, seed=0)
+        before = engine.edit_stats.as_dict()
+        probe = 30
+        for step in generator.generate(probe):
+            step.edit.apply_to_engine(engine)
+        after = engine.edit_stats.as_dict()
+        size = engine.cfg.size()
+        reanalyzed = (
+            after["structure_locs_reanalyzed"]
+            - before["structure_locs_reanalyzed"]
+            + (after["structure_full_builds"] - before["structure_full_builds"])
+            * size)
+        assert reanalyzed < 0.8 * probe * size, (reanalyzed, size)
 
 
 class TestEdgeIndices:

@@ -120,6 +120,13 @@ class TestStatistics:
         assert percentile(samples, 0.0) == 0.1
         assert percentile(samples, 1.0) == 0.5
         assert percentile([7.0], 0.9) == 7.0
+        # The rank is ceil(fraction * n), also when fraction * n is a whole
+        # number: the p50 of two samples is the smaller one.
+        assert percentile([1.0, 2.0], 0.5) == 1.0
+        ranks = [float(rank) for rank in range(1, 61)]
+        assert percentile(ranks[:10], 0.9) == 9.0
+        assert percentile(ranks[:20], 0.95) == 19.0
+        assert percentile(ranks, 0.95) == 57.0
 
     def test_percentile_validation(self):
         with pytest.raises(ValueError):
