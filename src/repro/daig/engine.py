@@ -14,17 +14,27 @@ compute (Theorem 6.1).  Query evaluation is iterative (an explicit worklist
 in :mod:`repro.daig.query`), so demand chains of arbitrary depth run at the
 interpreter's default recursion limit.
 
+The DAIG itself is built on first demand: constructing an engine records
+the CFG, domain and entry state, and the initial DAIG (Definition A.2), its
+evaluator and the live :class:`~repro.daig.splice.StructureSnapshot` are
+built by the first query, cell write or read of the ``daig`` attribute (see
+:meth:`DaigEngine.materialize`).
+An engine whose answers are always served from elsewhere — a callee whose
+exit summary comes from the interprocedural memo or persistent store —
+never builds one.
+
 Program edits go through the CFG's structural edit operations, which update
 the CFG's derived structure *incrementally* (:mod:`repro.lang.structure`)
-and report the affected region to the engine's live
-:class:`~repro.daig.splice.StructureSnapshot` — captured from scratch
-exactly once, at engine construction.  When the engine synchronizes (after
-each edit, or once per :meth:`batch_edits` block), only the reported region
-is re-signed and spliced (:func:`repro.daig.splice.splice_delta`): stale
-cells are removed, dirty locations re-encoded, and everything downstream
-dirtied (rules E-Commit / E-Propagate / E-Loop) for lazy recomputation.
-End to end, edit latency is proportional to the edit's impacted region —
-there is no O(program) pass left on the edit path.
+and report the affected region to the engine's live snapshot — captured
+from scratch exactly once, when the DAIG is built.  When the engine
+synchronizes (after each edit, or once per :meth:`batch_edits` block), only
+the reported region is re-signed and spliced
+(:func:`repro.daig.splice.splice_delta`): stale cells are removed, dirty
+locations re-encoded, and everything downstream dirtied (rules E-Commit /
+E-Propagate / E-Loop) for lazy recomputation.  Before the DAIG is built an
+edit only changes (and validates) the CFG.  End to end, edit latency is
+proportional to the edit's impacted region — there is no O(program) pass
+left on the edit path.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from ..lang.cfg import Cfg, CfgEdge, Loc
 from ..lang.structure import StructureListener
 from .build import DaigBuilder
 from .edit import write_cell
+from .graph import Daig
 from .memo import MemoTable
 from .names import Name, stmt_name
 from .query import QueryEvaluator, QueryStats, StaleDemandError
@@ -104,7 +115,12 @@ class EditStats:
 
 
 class DaigEngine:
-    """Incremental, demand-driven abstract interpretation of one procedure."""
+    """Incremental, demand-driven abstract interpretation of one procedure.
+
+    The DAIG, its :class:`QueryEvaluator` and the live structure snapshot
+    are built by the first query, cell write or read of :attr:`daig`
+    (:meth:`materialize`).
+    """
 
     def __init__(
         self,
@@ -119,29 +135,53 @@ class DaigEngine:
         self.domain = domain
         self.memo = memo if memo is not None else MemoTable()
         self.call_transfer = call_transfer
-        self._entry_state = entry_state
         self.cutoff = cutoff
         self.builder = DaigBuilder(cfg, domain, entry_state)
-        self.daig = self.builder.build()
-        self.evaluator = QueryEvaluator(
-            self.daig, self.memo, domain, self.builder, call_transfer,
-            cutoff=cutoff)
         self.edit_stats = EditStats(cfg)
+        # Built on first demand by :meth:`materialize`; the query path reads
+        # these plain attributes, not the building :attr:`daig` property.
+        self._daig: Optional[Daig] = None
+        self.evaluator: Optional[QueryEvaluator] = None
         # The live structure snapshot: captured from scratch exactly once,
-        # then updated in place over each edit's affected region.
-        self._snapshot = StructureSnapshot.capture(cfg)
+        # when the DAIG is built, then updated in place over each edit's
+        # affected region (reported through the listener, which is
+        # subscribed to the CFG from then on).
+        self._snapshot: Optional[StructureSnapshot] = None
         self._listener = StructureListener()
-        cfg.add_structure_listener(self._listener)
         self._batch_depth = 0
         self._cfg_dirty = False
         self._phase = {"snapshot": 0.0, "splice": 0.0, "query": 0.0}
         #: Optional consumer of statement-cell deltas: called with
-        #: ``(removed_keys, present_key_to_stmt)`` after every splice and
+        #: ``(removed_keys, present_key_to_stmt)`` when the DAIG is built
+        #: (every statement cell), after every splice and after every
         #: direct statement write, so clients indexing statements (the
         #: interprocedural call-site index) stay in sync at O(affected
         #: region) cost.  Keys are ``(src, dst, index)`` triples.
         self.stmt_change_listener: Optional[
             Callable[[Any, Any], None]] = None
+
+    def materialize(self) -> None:
+        """Build the DAIG, its evaluator and the live snapshot, if not yet
+        built.
+
+        Queries and cell writes call this on first demand.  The build runs
+        the same validity checks as an edit (a rejected CFG leaves the
+        engine unbuilt) and reports every statement cell to
+        ``stmt_change_listener``.
+        """
+        if self._daig is not None:
+            return
+        daig = self.builder.build()
+        self._snapshot = StructureSnapshot.capture(self.cfg)
+        self.evaluator = QueryEvaluator(
+            daig, self.memo, self.domain, self.builder, self.call_transfer,
+            cutoff=self.cutoff)
+        self.cfg.add_structure_listener(self._listener)
+        self._daig = daig
+        # The build encoded the current CFG: no edit is left to splice.
+        self._cfg_dirty = False
+        if self.stmt_change_listener is not None:
+            self.stmt_change_listener(set(), dict(self._snapshot.stmt_cells))
 
     def _values_equal(self, first: Any, second: Any) -> bool:
         # Interned states make the common case a pointer comparison.
@@ -150,7 +190,21 @@ class DaigEngine:
     # -- introspection -------------------------------------------------------------
 
     @property
+    def daig(self) -> Daig:
+        """The DAIG, built on first read."""
+        self.materialize()
+        return self._daig
+
+    @property
+    def built(self) -> bool:
+        """Whether the DAIG has been built (asking never builds it)."""
+        return self._daig is not None
+
+    @property
     def stats(self) -> QueryStats:
+        # An engine that was never queried has done no query work.
+        if self.evaluator is None:
+            return QueryStats()
         return self.evaluator.stats
 
     @property
@@ -160,15 +214,6 @@ class DaigEngine:
     def size(self) -> Tuple[int, int]:
         """``(cells, computations)`` of the current DAIG."""
         return self.daig.size()
-
-    def stmt_cells(self) -> Dict[Tuple[int, int, int], A.AtomicStmt]:
-        """The DAIG's statement cells, keyed by ``(src, dst, index)``.
-
-        A copy of the live snapshot's statement table — consumers indexing
-        statements take this once at construction and then follow the
-        incremental deltas delivered to ``stmt_change_listener``.
-        """
-        return dict(self._snapshot.stmt_cells)
 
     def phase_seconds(self, include_structure: bool = True) -> Dict[str, float]:
         """Cumulative wall-clock time per engine phase.
@@ -190,6 +235,7 @@ class DaigEngine:
 
     def query_cell(self, name: Name) -> Any:
         """Query an arbitrary cell by name (the raw Fig. 8 judgment)."""
+        self.materialize()
         self._sync_structure()
         started = time.perf_counter()
         try:
@@ -204,6 +250,7 @@ class DaigEngine:
         fixed points to converge and returns the abstract state computed from
         the final iterate, which equals the classical invariant.
         """
+        self.materialize()
         self._sync_structure()
         started = time.perf_counter()
         try:
@@ -220,7 +267,7 @@ class DaigEngine:
                     overrides: Dict[Loc, int] = {}
                     for head in heads:
                         self._ensure_converged(head, overrides)
-                        comp = self.daig.defining(
+                        comp = self._daig.defining(
                             self.builder.fix_name(head, overrides))
                         overrides[head] = comp.srcs[0].iteration_of(head)
                     if self.cfg.is_loop_head(loc):
@@ -253,17 +300,17 @@ class DaigEngine:
         the cached fixed point is dropped (always sound) and recomputed.
         """
         fix_cell = self.builder.fix_name(head, overrides)
-        comp = self.daig.defining(fix_cell)
+        comp = self._daig.defining(fix_cell)
         if comp is None:
             raise KeyError("no loop structure for head %d" % head)
         first, second = comp.srcs
-        if (self.daig.has_value(first) and self.daig.has_value(second)
-                and self._values_equal(self.daig.value(first),
-                                       self.daig.value(second))):
+        if (self._daig.has_value(first) and self._daig.has_value(second)
+                and self._values_equal(self._daig.value(first),
+                                       self._daig.value(second))):
             self.evaluator.query(fix_cell)
             return
-        if self.daig.has_value(fix_cell):
-            self.daig.clear_value(fix_cell)
+        if self._daig.has_value(fix_cell):
+            self._daig.clear_value(fix_cell)
         self.evaluator.query(fix_cell)
 
     # -- faithful cell-level edits (Fig. 9) ----------------------------------------------
@@ -275,6 +322,7 @@ class DaigEngine:
         incoming edges (i.e. the destination is not a join point); the
         general case goes through :meth:`replace_statement`.
         """
+        self.materialize()
         self._sync_structure()
         indexed = self.cfg.fwd_edges_to(edge.dst)
         index = 0
@@ -283,7 +331,7 @@ class DaigEngine:
                 index = i if len(indexed) > 1 else 0
         new_edge = self.cfg.replace_edge_statement(edge, stmt)
         name = stmt_name(edge.src, edge.dst, index)
-        write_cell(self.daig, self.builder, name, stmt)
+        write_cell(self._daig, self.builder, name, stmt)
         # Keep the live snapshot in step so the next structural sync does
         # not spuriously re-dirty the already-written cell.
         self._snapshot.set_stmt((edge.src, edge.dst, index), stmt)
@@ -341,12 +389,16 @@ class DaigEngine:
         return cont
 
     def set_entry_state(self, state: Any) -> None:
-        """Change the procedure's entry abstract state (interprocedural use)."""
+        """Change the procedure's entry abstract state (interprocedural use).
+
+        Before the DAIG is built this only records the state, which the
+        build then seeds the entry cell with.
+        """
         self._sync_structure()
-        self._entry_state = state
         self.builder.entry_state = state
-        entry_name = self.builder.state_name(self.cfg.entry, {})
-        write_cell(self.daig, self.builder, entry_name, state)
+        if self._daig is not None:
+            entry_name = self.builder.state_name(self.cfg.entry, {})
+            write_cell(self._daig, self.builder, entry_name, state)
 
     # -- structure synchronization ---------------------------------------------------------
 
@@ -397,7 +449,8 @@ class DaigEngine:
         every (procedure, context) engine; an edit is applied to the CFG
         once, through one engine, and the remaining engines catch up here —
         their structure listeners already hold the affected region, so the
-        cost is one delta splice over that region, not a rebuild.
+        cost is one delta splice over that region, not a rebuild.  An engine
+        whose DAIG is not built yet only validates the edited CFG.
         """
         self._cfg_dirty = True
         self._sync_structure()
@@ -407,9 +460,10 @@ class DaigEngine:
         sync.  A no-op when no structural edit is outstanding.
 
         Validity (reducibility, loop exits, entry outside loops) is checked
-        before any snapshot or DAIG mutation: a rejected edit leaves the
-        engine's caches intact and the accumulated region pending, so the
-        caller can repair the CFG with further edits and re-sync.
+        before any snapshot or DAIG mutation, built or not: a rejected edit
+        leaves the engine's caches intact and the accumulated region
+        pending, so the caller can repair the CFG with further edits and
+        re-sync.
         """
         if not self._cfg_dirty:
             return
@@ -418,11 +472,13 @@ class DaigEngine:
         # pending so a repairing edit can re-sync.
         _check_encodable(self.builder)
         self._cfg_dirty = False
+        if self._daig is None:
+            return  # the first demand builds from the current CFG
         full, sig_suspects, head_suspects = self._listener.drain()
         if full:
-            report = splice(self.daig, self.builder, self._snapshot)
+            report = splice(self._daig, self.builder, self._snapshot)
         else:
-            report = splice_delta(self.daig, self.builder, self._snapshot,
+            report = splice_delta(self._daig, self.builder, self._snapshot,
                                   sig_suspects, head_suspects)
         self.edit_stats.record(report)
         self._phase["snapshot"] += report.snapshot_seconds

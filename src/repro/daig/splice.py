@@ -6,7 +6,7 @@ its structure and its previously computed values (rules E-Commit /
 E-Propagate / E-Loop applied at the granularity of whole regions).
 
 The engine owns a single *live* :class:`StructureSnapshot`, captured once
-at construction.  The CFG's incremental structure layer
+when it builds its DAIG.  The CFG's incremental structure layer
 (:mod:`repro.lang.structure`) reports, per refresh, the set of locations
 and loop heads whose encoding signature may have changed, and
 :func:`splice_delta` re-signs, diffs and updates only those entries in
@@ -103,8 +103,8 @@ def _stmt_cells_at(cfg: Cfg, loc: int) -> Dict[StmtKey, Any]:
 class StructureSnapshot:
     """The structural encoding of a CFG.
 
-    Captured from scratch once, at engine construction, and thereafter
-    updated *in place* over the affected region of each edit by
+    Captured from scratch once, when the engine builds its DAIG, and
+    thereafter updated *in place* over the affected region of each edit by
     :func:`splice_delta`.
     """
 

@@ -4,15 +4,19 @@ Following Section 7.1 of the paper — and extending it with a *demanded
 summary* architecture so that the O(affected-region) edit invariant holds
 across procedure boundaries:
 
-* One DAIG per *(procedure, context)* pair, built on demand, but one
-  **shared, immutable-by-convention CFG** (and hence one
+* One engine per *(procedure, context)* pair, whose DAIG is built only
+  when it is first evaluated (a summary served from the memo or the store
+  never builds its callee's DAIG), but one **shared,
+  immutable-by-convention CFG** (and hence one
   :class:`~repro.lang.structure.CfgStructure` cache and one structure
   analysis) per *procedure*, regardless of how many contexts analyze it.
 * A **call-site dependency index** — ``callee name → {(caller engine, call
-  cells)}`` — maintained from the engines' statement-cell deltas (initial
-  scan at engine construction, patched per splice), so an edit to a callee
-  dirties exactly the dependent call cells: no per-edit scan over any
-  engine's full DAIG ref set (``interproc_callsite_scans`` stays 0).
+  cells)}`` — maintained from the engines' statement-cell deltas (every
+  statement cell when an engine builds its DAIG, patched per splice), so an
+  edit to a callee dirties exactly the dependent call cells: no per-edit
+  scan over any engine's full DAIG ref set (``interproc_callsite_scans``
+  stays 0).  An engine without a DAIG has no call cells to dirty and has
+  recorded no contributions to retract.
 * **Procedure summaries** keyed by ``(procedure, context, deep code
   digest, entry state)`` in the shared :class:`~repro.daig.memo.MemoTable`:
   repeated calls at a previously seen entry state reuse the memoized exit
@@ -145,15 +149,14 @@ class InterproceduralEngine:
         #: covering the procedure and its transitive callees (shared per
         #: call-graph SCC) — the summary-staleness stamp, stable across
         #: processes.  Both lazily (re)computed; edits pop exactly the
-        #: O(dependent procedures) stale entries where the old integer
-        #: version bump used to happen.
+        #: O(dependent procedures) stale entries.
         self._code_digest: Dict[str, str] = {}
         self._deep_digest: Dict[str, str] = {}
         #: Store keys written/consulted per (procedure, context), so
         #: :meth:`collect_garbage` can expire a retired context's
         #: persistent entries (bounded store growth).
         self._store_keys: Dict[ProcedureKey, Set[str]] = {}
-        #: Memoized summary keys per procedure, so a version bump can purge
+        #: Memoized summary keys per procedure, so a digest change can purge
         #: the now-unreachable entries instead of leaking them in an
         #: unbounded memo table.
         self._summary_keys: Dict[str, Set[Tuple]] = {}
@@ -235,10 +238,10 @@ class InterproceduralEngine:
         self._proc_keys.setdefault(name, []).append(key)
         self._site_callee[key] = {}
         self.counters["interproc_engines_built"] += 1
-        # Index the engine's call cells once (O(procedure)), then keep the
-        # index patched from statement-cell deltas reported per splice.
+        # The engine indexes its call cells when it builds its DAIG
+        # (O(procedure), once), then patches the index from the
+        # statement-cell deltas of every splice.
         engine.stmt_change_listener = self._make_stmt_listener(key)
-        engine.stmt_change_listener(set(), engine.stmt_cells())
         return engine
 
     def _make_call_transfer(
@@ -684,14 +687,18 @@ class InterproceduralEngine:
 
     def ensure_engine(self, name: str, context: Context,
                       entry_state: Any) -> DaigEngine:
-        """Materialize the engine for ``(name, context)`` if absent.
+        """The engine for ``(name, context)``, created if absent, with its
+        DAIG built (structure only — no evaluation).
 
-        The parallel coordinator uses this to pre-build the DAIGs of
-        certified summary jobs (structure only — no evaluation), so that
-        their call sites are indexed and later edits retract contributions
-        exactly as if the engines had been built on demand.
+        The parallel coordinator installs certified summary jobs through
+        this before replaying their workers' call contributions: those
+        contributions are retracted through the call-site index, which
+        covers only built engines, so later edits retract them exactly as
+        if the engines had been evaluated on demand.
         """
-        return self._engine_for(name, context, entry_state)
+        engine = self._engine_for(name, context, entry_state)
+        engine.materialize()
+        return engine
 
     def record_call_contribution(self, caller_key: ProcedureKey, skey: SiteKey,
                                  callee: str, context: Context,
@@ -724,7 +731,7 @@ class InterproceduralEngine:
 
     def seed_summary(self, name: str, context: Context,
                      entry_state: Any, exit_state: Any) -> None:
-        """Install a precomputed exit summary for the *current* code version.
+        """Install a precomputed exit summary for the *current* code.
 
         Keyed — like every summary — by the entry state, so a seed is only
         ever consumed when demanded evaluation derives exactly this entry
@@ -939,8 +946,9 @@ class InterproceduralEngine:
         (:meth:`~repro.daig.engine.DaigEngine.resync`).  Cross-procedure
         propagation dirties exactly the dependent call cells from the
         call-site index — there is no scan over any DAIG's ref set — and
-        bumps the summary version of the procedure and its transitive
-        callers, so stale summaries die with their memo keys.
+        drops the deep code digests of the procedure and its transitive
+        callers, so their summaries are looked up under new content keys
+        and the stale memo entries are purged.
         """
         if procedure not in self.cfgs:
             raise KeyError("no procedure named %r" % (procedure,))
@@ -1118,10 +1126,11 @@ class InterproceduralEngine:
     def _dirty_callers_of(self, procedure: str) -> Set[ProcedureKey]:
         """Dirty the call cells dependent on ``procedure``, transitively.
 
-        Driven entirely by the call-site index: the work is proportional to
+        Driven by the call-site index, plus the call graph's reverse edges
+        for callers with no built DAIG: the work is proportional to
         the number of dependent call sites (plus their downstream cells),
         never to the size of any DAIG or of the program.  Returns the caller
-        engine keys whose cells were dirtied.
+        engine keys whose cells were dirtied (or that have no DAIG yet).
         """
         touched: Set[ProcedureKey] = set()
         seen: Set[str] = set()
@@ -1151,6 +1160,18 @@ class InterproceduralEngine:
                 self._dirty_keys.add(caller_key)
                 touched.add(caller_key)
                 stack.append(caller_key[0])
+            # A caller without a built DAIG, or without any engine, has no
+            # call cells to dirty (and is not in the index), but the exit
+            # summaries it was served from the memo or the store depend on
+            # ``proc`` and reached its own callers, so the walk goes on
+            # through it.
+            for caller in self.callgraph.callers(proc):
+                keys = self._proc_keys.get(caller, ())
+                unbuilt = [key for key in keys if not self.engines[key].built]
+                self._dirty_keys.update(unbuilt)
+                touched.update(unbuilt)
+                if len(unbuilt) == len(keys):
+                    stack.append(caller)
             for caller_key in unindexed:
                 engine = self.engines[caller_key]
                 self.counters["interproc_callsite_scans"] += 1
@@ -1197,11 +1218,12 @@ class InterproceduralEngine:
     # -- statistics ----------------------------------------------------------------------
 
     def total_stats(self) -> Dict[str, int]:
-        """Aggregate query/edit statistics over every constructed DAIG.
+        """Aggregate query/edit statistics over every engine.
 
         Structure-phase counters are shared per *procedure* (one CFG and one
         structure cache regardless of context count), so they are folded in
-        once per procedure, not once per engine."""
+        once per procedure, not once per engine.  ``daigs`` counts the
+        engines whose DAIG is built."""
         totals: Dict[str, int] = {}
         for engine in self.engines.values():
             for key, value in engine.stats.as_dict().items():
@@ -1212,7 +1234,7 @@ class InterproceduralEngine:
         for name in {key[0] for key in self.engines}:
             for key, value in self.cfgs[name].structure_stats().items():
                 totals[key] = totals.get(key, 0) + value
-        totals["daigs"] = len(self.engines)
+        totals["daigs"] = sum(engine.built for engine in self.engines.values())
         totals.update(self.counters)
         return totals
 

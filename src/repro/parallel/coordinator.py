@@ -34,10 +34,11 @@ breaks that serialization in three phases:
    sources (sequential demand order decides which intermediate exits such
    a callee's consumers capture), and the join of the certified callers'
    *reported* contributions equals the dispatched entry exactly.  Certified results are installed into the
-   live engine — engines pre-built, contributions replayed, exit summaries
-   seeded into the shared memo table under the same ``(procedure, context,
-   version, entry)`` keys sequential evaluation derives — so subsequent
-   demand hits them without ever evaluating the callee DAIGs in-process.
+   live engine — DAIGs built so their call sites are indexed,
+   contributions replayed, exit summaries seeded into the shared memo table
+   under the same ``(procedure, context, deep code digest, entry)`` keys
+   sequential evaluation derives — so subsequent demand hits them without
+   ever evaluating the callee DAIGs in-process.
    Everything else is discarded: the sequential engine recomputes it on
    demand, which is why parallelism can change only latency, never
    results (``summary_digest`` equality is asserted in the tier-1 tests).
@@ -329,10 +330,12 @@ class ParallelCoordinator:
                 break
             certified = surviving
 
-        # Install: pre-build certified engines (structure only) so call
-        # sites index for later edits, replay worker-derived contributions
-        # (a seeded caller is never evaluated in-process, so its callees
-        # would otherwise miss its entry contributions), then seed exits.
+        # Install: build the certified engines' DAIGs (structure only, no
+        # evaluation) so their call sites are indexed, replay the
+        # worker-derived contributions through that index (a seeded caller
+        # is never evaluated in-process, so its callees would otherwise miss
+        # its entry contributions, and later edits retract them exactly),
+        # then seed exits.
         proc_rank = {proc: rank
                      for rank, proc in enumerate(spec["callers_first"])}
 

@@ -160,6 +160,29 @@ class TestStructuralEdits:
         engine = DaigEngine(cfg, interval_domain)
         assert interval_domain.is_bottom(engine.query_location(987654))
 
+    @pytest.mark.parametrize("queried", [True, False],
+                             ids=["queried", "never-queried"])
+    def test_rejected_edit_recovers_after_repair(self, interval_domain,
+                                                 queried):
+        """An edge leaving a loop body from a non-head location is rejected
+        when the engine resyncs, whether or not its DAIG was ever built
+        (building on first demand never delays validation); removing the
+        edge and resyncing restores every answer."""
+        cfg = build_cfg(parse_program(LOOP_SOURCE).procedure("main"))
+        engine = DaigEngine(cfg, interval_domain)
+        if queried:
+            engine.query_all()
+        head = cfg.loop_heads()[0]
+        body_loc = sorted(cfg.natural_loop(head) - {head})[0]
+        escape = cfg.add_edge(body_loc, A.SkipStmt(), cfg.exit)
+        with pytest.raises(ValueError):
+            engine.resync()
+        cfg.remove_edge(escape)
+        engine.resync()
+        batch = analyze_cfg(cfg.copy(), interval_domain)
+        for loc in cfg.reachable_locations():
+            assert interval_domain.equal(engine.query_location(loc), batch[loc])
+
     def test_entry_state_override_and_update(self, interval_domain):
         cfg = build_cfg(parse_program(
             "function main(n) { var x = n + 1; return x; }").procedure("main"))
@@ -210,11 +233,30 @@ class TestIncrementalConsistencyOverRandomEditSequences:
                     "divergence at %d after %s" % (loc, step.edit.describe()))
             engine.check_consistency()
 
+    def test_edits_before_the_first_query_splice_nothing(self, domain_cls,
+                                                         seed):
+        """An engine that was never queried has no DAIG to splice: an edit
+        stream only changes the CFG, and the first query builds the DAIG
+        of the edited program."""
+        domain = domain_cls()
+        generator, steps = random_workload(seed + 150, edits=15)
+        engine = DaigEngine(_empty_cfg(), domain)
+        for step in steps:
+            step.edit.apply_to_engine(engine)
+        assert engine.edit_stats.splices == 0
+        fresh = analyze_cfg(engine.cfg.copy(), domain)
+        answers = engine.query_all()
+        assert set(answers) == set(engine.cfg.reachable_locations())
+        for loc, value in answers.items():
+            assert domain.equal(value, fresh[loc])
+        assert engine.edit_stats.splices == 0
+
     def test_batched_edit_stream_matches_from_scratch(self, domain_cls, seed):
         """Coalescing a whole stream into one splice is equivalent too."""
         domain = domain_cls()
         generator, steps = random_workload(seed + 100, edits=15)
         engine = DaigEngine(_empty_cfg(), domain)
+        engine.materialize()
         with engine.batch_edits():
             for step in steps:
                 step.edit.apply_to_engine(engine)

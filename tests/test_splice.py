@@ -132,6 +132,7 @@ class TestBatchEdits:
     def test_batch_coalesces_to_one_splice(self):
         domain = SignDomain()
         engine = DaigEngine(empty_cfg(), domain)
+        engine.materialize()
         _generator, steps = random_workload(seed=3, edits=25)
         splices_before = engine.edit_stats.splices
         with engine.batch_edits():
@@ -145,6 +146,7 @@ class TestBatchEdits:
     def test_nested_batches_join_the_outer_batch(self):
         domain = SignDomain()
         engine = DaigEngine(empty_cfg(), domain)
+        engine.materialize()
         with engine.batch_edits():
             engine.insert_statement_after(
                 engine.cfg.entry, A.AssignStmt("a", A.IntLit(1)))
@@ -160,6 +162,7 @@ class TestBatchEdits:
         pre-batch state (clients interleave queries with edit callbacks)."""
         domain = IntervalDomain()
         engine = DaigEngine(empty_cfg(), domain)
+        engine.materialize()
         with engine.batch_edits():
             loc = engine.insert_statement_after(
                 engine.cfg.entry, A.AssignStmt("k", A.IntLit(7)))

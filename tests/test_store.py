@@ -24,9 +24,9 @@ from hypothesis import strategies as st
 
 import repro
 from repro.domains import IntervalDomain
-from repro.interproc import InterproceduralEngine, policy_by_name
+from repro.interproc import ENTRY_CONTEXT, InterproceduralEngine, policy_by_name
 from repro.lang import ast as A
-from repro.lang import build_program_cfgs, parse_program
+from repro.lang import build_program_cfgs, parse_expression, parse_program
 from repro.lang.programs import wide_call_graph_source
 from repro.store import (
     STORE_FORMAT_VERSION,
@@ -42,6 +42,7 @@ from repro.store import (
     summary_store_key,
 )
 from repro.workload import WorkloadGenerator
+from repro.workload.edits import relabel_assignment
 
 COMMON_SETTINGS = dict(
     max_examples=10,
@@ -68,6 +69,14 @@ function main() {
 }
 """
 
+#: CHAIN_PROGRAM one call level deeper: main -> middle -> inner -> leaf.
+DEEP_CHAIN_PROGRAM = """
+function leaf(x) { return x + 1; }
+function inner(z) { var i = leaf(z); return i; }
+function middle(y) { var m = inner(y); return m; }
+function main() { var small = middle(1); var big = middle(100); return small + big; }
+"""
+
 DIAMOND_PROGRAM = """
 function leaf(x) { return x + 1; }
 function left(y) { var l = leaf(y); return l; }
@@ -92,6 +101,16 @@ def _fresh_copy(cfgs):
 
 def _noise(pe):
     pe.insert_statement_after(pe.cfg.entry, A.AssignStmt("noise", A.IntLit(1)))
+
+
+class _BuildEveryDaig(InterproceduralEngine):
+    """Builds each DAIG when its engine is created, so every engine is in
+    the call-site index: the reference for engines that build on demand."""
+
+    def _engine_for(self, name, context, entry_state):
+        engine = super()._engine_for(name, context, entry_state)
+        engine.materialize()
+        return engine
 
 
 def _make_store(kind, tmp_path, tag=""):
@@ -356,29 +375,38 @@ class TestWarmStart:
     def test_restarts_serve_a_wide_call_graph_from_the_store(
             self, policy_name, tmp_path):
         """Two engines restarted on the cold run's store serve every
-        summary from it, at a tenth of the cold run's transfers at most;
-        editing one worker afterwards misses one or two summaries, not the
-        program's six, and ends digest-equal to a storeless engine given
-        the same edit."""
+        summary from it, at a tenth of the cold run's transfers at most,
+        and build only main's DAIG: a store-served worker gets neither a
+        DAIG nor a structure analysis.  Editing one worker afterwards
+        misses one or two summaries, not the program's six, and ends
+        digest-equal to a storeless engine given the same edit."""
         source = wide_call_graph_source(5, inner_loops=2)
         domain = IntervalDomain()
         policy = policy_by_name(policy_name)
         spec = "sqlite:%s" % (tmp_path / "wide.db")
 
-        def open_and_query(store):
-            engine = InterproceduralEngine(cfgs_of(source), domain, policy,
-                                           store=store)
+        def open_and_query(store, cfgs=None):
+            engine = InterproceduralEngine(cfgs or cfgs_of(source), domain,
+                                           policy, store=store)
             engine.query_entry_exit()
             return engine
 
+        def worker_full_builds(cfgs):
+            return {name: cfg.structure_stats()["structure_full_builds"]
+                    for name, cfg in cfgs.items() if name.startswith("work")}
+
         cold_transfers = open_and_query(spec).total_stats()["transfers"]
         for _restart in range(2):
-            warm = open_and_query(spec)
+            cfgs = cfgs_of(source)
+            builds_before = worker_full_builds(cfgs)
+            warm = open_and_query(spec, cfgs)
             assert warm.counters["interproc_summary_misses"] == 0
             assert warm.counters["interproc_store_writes"] == 0
             assert warm.counters["interproc_store_errors"] == 0
             assert warm.counters["interproc_store_hits"] >= 1
             assert 10 * warm.total_stats()["transfers"] <= cold_transfers
+            assert warm.total_stats()["daigs"] == 1
+            assert worker_full_builds(cfgs) == builds_before
 
         warm.edit_procedure("work0", _noise)
         warm.query_entry_exit()
@@ -387,6 +415,86 @@ class TestWarmStart:
         oracle.edit_procedure("work0", _noise)
         oracle.query_entry_exit()
         assert warm.summary_digest() == oracle.summary_digest()
+
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    @pytest.mark.parametrize("source", [CHAIN_PROGRAM, DEEP_CHAIN_PROGRAM],
+                             ids=["chain", "deep-chain"])
+    def test_editing_below_a_store_served_callee_dirties_its_callers(
+            self, source, policy_name):
+        """A warm start serves ``middle`` from the store without building
+        its DAIG, so no call-site index entry links ``leaf`` to ``main``;
+        editing ``leaf`` must still dirty ``main``'s calls to ``middle``.
+        In the deep chain ``inner`` gets no engine at all, so the walk up
+        from ``leaf`` must pass through a caller that has none."""
+        domain = IntervalDomain()
+        policy = policy_by_name(policy_name)
+        store = InMemorySummaryStore()
+        InterproceduralEngine(cfgs_of(source), domain, policy,
+                              store=store).query_entry_exit()
+        warm = InterproceduralEngine(cfgs_of(source), domain, policy,
+                                     store=store)
+        oracle = InterproceduralEngine(cfgs_of(source), domain, policy)
+        for engine in (warm, oracle):
+            engine.query_entry_exit()
+            engine.edit_procedure("leaf", relabel_assignment(
+                A.RETURN_VARIABLE, parse_expression("x + 5")))
+        assert warm.counters["interproc_store_hits"] >= 1
+        assert domain.equal(warm.query_entry_exit(), oracle.query_entry_exit())
+        assert warm.summary_digest() == oracle.summary_digest()
+
+    @settings(**COMMON_SETTINGS)
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           policy_name=st.sampled_from(POLICIES))
+    def test_edits_after_a_warm_start_answer_as_with_every_daig_built(
+            self, seed, policy_name):
+        """Property: a warm-started engine, whose store-served procedures
+        have no DAIG, answers every query of a live procedure in a further
+        edit stream exactly like one that builds each DAIG as soon as its
+        engine exists, and every query of the entry procedure exactly like
+        a storeless engine given the same stream.
+
+        A procedure that an edit left without callers (not live) answers
+        from a stale entry target whose value depends on the order its
+        call sites are retracted in, which building later changes (seeds
+        1906 and 2399 under the insensitive policy).  Against the storeless
+        engine only the entry procedure is compared: a direct query of
+        another procedure can differ at the parent already, from that
+        stale target or from a root context's top entry (both open ROADMAP
+        items)."""
+        domain = IntervalDomain()
+        policy = policy_by_name(policy_name)
+        generator = WorkloadGenerator(seed=seed, queries_per_edit=2)
+        # Calls twice as likely as the default: chains that put a
+        # store-served procedure between a caller and an edited callee.
+        workload = generator.generate_multiprocedure(
+            edits=12, procedures=4, call_probability=0.4)
+        half = len(workload.steps) // 2
+        cfgs = workload.fresh_cfgs()
+        for step in workload.steps[:half]:
+            step.edit.apply_to_cfg(cfgs[step.procedure])
+        engines = []
+        for engine_class in (InterproceduralEngine, _BuildEveryDaig):
+            store = InMemorySummaryStore()
+            InterproceduralEngine(_fresh_copy(cfgs), domain, policy,
+                                  store=store).summary_digest()
+            engines.append(engine_class(_fresh_copy(cfgs), domain, policy,
+                                        store=store))
+        engines.append(InterproceduralEngine(_fresh_copy(cfgs), domain, policy))
+        lazy, eager, storeless = engines
+        for engine in engines:
+            engine.query_entry_exit()
+        for step in workload.steps[half:]:
+            for engine in engines:
+                engine.edit_procedure(step.procedure, step.edit.apply_to_engine)
+            for procedure, loc in step.query_sites:
+                answer, eager_answer, storeless_answer = (
+                    engine.query(procedure, loc) for engine in engines)
+                if (procedure, ENTRY_CONTEXT) in eager.live_keys():
+                    assert domain.equal(answer, eager_answer)
+                if procedure == lazy.entry:
+                    assert domain.equal(answer, storeless_answer)
+        assert all(engine.built for engine in eager.engines.values())
+        assert lazy.summary_digest() == eager.summary_digest()
 
     def test_recursive_program_warm_digest_equality(self, tmp_path):
         """Recursion re-runs its summary fixpoint on a warm start (cold

@@ -265,6 +265,7 @@ class TestLiveSnapshot:
         domain = domain_cls()
         generator, steps = random_workload(seed=17, edits=25)
         engine = DaigEngine(_seed_cfg(), domain)
+        engine.materialize()
         rng = random.Random(17)
         for index, step in enumerate(steps):
             step.edit.apply_to_engine(engine)
@@ -281,6 +282,7 @@ class TestLiveSnapshot:
         domain = domain_cls()
         generator, steps = random_workload(seed=23, edits=20)
         engine = DaigEngine(_seed_cfg(), domain)
+        engine.materialize()
         for start in range(0, len(steps), 5):
             with engine.batch_edits():
                 for step in steps[start:start + 5]:
