@@ -24,17 +24,18 @@ exit summary comes from the interprocedural memo or persistent store —
 never builds one.
 
 Program edits go through the CFG's structural edit operations, which update
-the CFG's derived structure *incrementally* (:mod:`repro.lang.structure`)
-and report the affected region to the engine's live snapshot — captured
+the CFG's derived structure exactly (:mod:`repro.lang.structure`) and
+report the affected locations to the engine's live snapshot — captured
 from scratch exactly once, when the DAIG is built.  When the engine
 synchronizes (after each edit, or once per :meth:`batch_edits` block), only
-the reported region is re-signed and spliced
+the reported locations are re-signed and spliced
 (:func:`repro.daig.splice.splice_delta`): stale cells are removed, dirty
 locations re-encoded, and everything downstream dirtied (rules E-Commit /
 E-Propagate / E-Loop) for lazy recomputation.  Before the DAIG is built an
 edit only changes (and validates) the CFG.  End to end, edit latency is
-proportional to the edit's impacted region — there is no O(program) pass
-left on the edit path.
+proportional to the edit's impacted region; the one term that grows with
+the code downstream of an insertion is the structure layer's dominator
+set union.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ class EditStats:
     """Counters describing the structural-edit work an engine performed.
 
     Besides the DAIG-side splice counters, :meth:`as_dict` folds in the
-    CFG's structure-phase counters (full rebuilds vs. incremental refreshes
-    vs. statement-only patches, and locations re-analyzed) and the
+    CFG's structure-phase counters (full rebuilds vs. exact insertion
+    updates vs. statement-only patches, and locations analyzed) and the
     snapshot-phase counters (whole-program splices vs. entries re-signed),
     so the benchmark layer can verify that no phase does O(program) work
     per edit.

@@ -106,7 +106,8 @@ class QueryEvaluator:
         self.call_transfer = call_transfer
         #: Early cutoff: compare every committed value against the cell's
         #: pre-edit shadow and restore the unchanged downstream cone.
-        #: Disabled only by benchmark baselines measuring its benefit.
+        #: Disabled only in cutoff-disabled twins: the reference engines the
+        #: cutoff tests and editbench's interproc oracle compare against.
         self.cutoff = cutoff
         self.stats = QueryStats()
 

@@ -6,16 +6,18 @@ its structure and its previously computed values (rules E-Commit /
 E-Propagate / E-Loop applied at the granularity of whole regions).
 
 The engine owns a single *live* :class:`StructureSnapshot`, captured once
-when it builds its DAIG.  The CFG's incremental structure layer
-(:mod:`repro.lang.structure`) reports, per refresh, the set of locations
-and loop heads whose encoding signature may have changed, and
+when it builds its DAIG.  The CFG's structure layer
+(:mod:`repro.lang.structure`) reports, per edit, the set of locations and
+loop heads whose encoding signature may have changed, and
 :func:`splice_delta` re-signs, diffs and updates only those entries in
-place.  A statement-only edit re-signs exactly one location; a structural
-edit re-signs its affected neighbourhood.  When the structure layer reports
-that locality was defeated (a wholesale edge replacement, an irreducible
-graph, or a region covering most of the program), :func:`splice` runs the
-same algorithm with every old and new location as a suspect; that fallback
-is the only whole-program snapshot walk after engine construction.
+place.  A statement-only edit re-signs exactly one location; an insertion
+re-signs its new locations, the destinations of the edges it moved, and
+the heads of the loops that contain it or are new — a handful of
+locations, at any program size.  Only when the structure was rebuilt from
+scratch (raw edge surgery on the CFG, or a wholesale edge replacement)
+does :func:`splice` run the same algorithm with every old and new location
+as a suspect; that is the only whole-program snapshot walk after the DAIG
+is built.
 
 The splice actions remove exactly the stale cell regions (via the
 :class:`~repro.daig.graph.Daig` region indices), re-encode the dirty
@@ -186,9 +188,8 @@ def _check_encodable(builder: DaigBuilder) -> None:
 
 def splice(daig: Daig, builder: DaigBuilder,
            snapshot: StructureSnapshot) -> SpliceReport:
-    """Splice ``daig`` after an edit that defeated the structure layer's
-    locality (a wholesale edge replacement, an irreducible graph, or a
-    region covering most of the program).
+    """Splice ``daig`` after the structure layer rebuilt from scratch (raw
+    edge surgery on the CFG, or a wholesale edge replacement).
 
     The whole-program case of :func:`splice_delta`: every location and loop
     head of the old or the new CFG is a suspect, so ``snapshot`` is re-signed
@@ -209,7 +210,7 @@ def splice_delta(daig: Daig, builder: DaigBuilder, snapshot: StructureSnapshot,
 
     ``snapshot`` is the engine's live snapshot (in sync with the CFG as of
     the previous splice); ``sig_suspects`` / ``head_suspects`` come from the
-    CFG's incremental structure layer and over-approximate the locations and
+    CFG's structure layer and over-approximate the locations and
     loop heads whose encoding may have changed.  The snapshot is updated in
     place; everything outside the suspect sets is untouched by construction.
     """

@@ -57,9 +57,11 @@ class InternTable:
         self._table: "weakref.WeakValueDictionary[Hashable, Any]" = (
             weakref.WeakValueDictionary())
         #: Serializes insertions so that concurrent construction of the same
-        #: value (the parallel intra-DAIG worklist, re-interning results
-        #: received from workers) yields a single canonical object.  The
-        #: ``get`` fast path stays lock-free: a miss there only costs an
+        #: value yields a single canonical object.  The analysis itself is
+        #: single-threaded; the one other thread that interns is a process
+        #: pool's result handler, which re-interns worker results as it
+        #: unpickles them while the coordinator may still be submitting.
+        #: The ``get`` fast path stays lock-free: a miss there only costs an
         #: extra trip through ``insert``, which re-checks under the lock.
         self._lock = threading.Lock()
         _REGISTRY.append(self)

@@ -20,22 +20,26 @@ location.  This module provides:
 Locations are small integers; fresh locations are always allocated from a
 monotonically increasing counter so that edits never recycle a location name.
 
-Derived structure is *incremental* (:mod:`repro.lang.structure`): instead of
-a blanket invalidation, every edit reports a structural delta — statement
-relabels patch the live analysis in place with zero dominator/loop work, and
-edge insertions/removals refresh only the edit's forward-reachability
-neighbourhood.  The graph additionally maintains adjacency and edge-position
-indices so single edits are O(1) and continuation detach is O(out-degree)
-instead of O(edges).
+Derived structure lives in one :class:`~repro.lang.structure.CfgStructure`
+per graph, updated per edit instead of recomputed: a statement relabel
+patches it in place with zero dominator/loop work, and each
+``insert_*_after`` first brings a missing or stale structure up to date,
+then hands it the one insertion — the insertion point, its new locations
+and the destinations of the moved edges — to apply exactly.  Raw edge
+surgery (:meth:`Cfg.add_edge` / :meth:`Cfg.remove_edge` on a live graph)
+and wholesale edge replacement drop the structure, and the next structural
+query rebuilds it from scratch.  The graph additionally maintains adjacency
+and edge-position indices so single edits are O(1) and continuation detach
+is O(out-degree) instead of O(edges).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import ast as A
-from .structure import CfgStructure, PendingDelta, StructureListener
+from .structure import CfgStructure, StructureListener
 
 Loc = int
 
@@ -60,8 +64,8 @@ class Cfg:
     """A statement-labelled control-flow graph for a single procedure.
 
     The graph is mutable (edits arrive as the developer types); all derived
-    structural information (dominators, loops, join points, ...) lives in an
-    incremental cache that edits update over their affected region only.
+    structural information (dominators, loops, join points, ...) lives in a
+    live cache that each insertion updates exactly.
     """
 
     def __init__(
@@ -81,8 +85,9 @@ class Cfg:
         self._out: Dict[Loc, List[CfgEdge]] = {entry: [], exit_loc: []}
         self._in: Dict[Loc, List[CfgEdge]] = {entry: [], exit_loc: []}
         self._edge_pos: Dict[CfgEdge, List[int]] = {}
+        #: The derived structure; None when missing or stale (the next
+        #: structural query rebuilds it from scratch).
         self._analysis: Optional[CfgStructure] = None
-        self._pending: Optional[PendingDelta] = None
         self._listeners: List[StructureListener] = []
         self._structure_stats: Dict[str, int] = {
             "structure_full_builds": 0,
@@ -95,30 +100,29 @@ class Cfg:
     # -- construction -------------------------------------------------------
 
     def fresh_loc(self) -> Loc:
-        """Allocate a new, never-before-used location."""
+        """Allocate a new, never-before-used location (edge-less, so the
+        derived structure is unaffected)."""
         loc = self._next_loc
         self._next_loc += 1
         self.locations.add(loc)
         self._out[loc] = []
         self._in[loc] = []
-        self._record_structural({loc})
         return loc
 
     def add_edge(self, src: Loc, stmt: A.AtomicStmt, dst: Loc) -> CfgEdge:
-        """Add the edge ``src --[stmt]--> dst`` (locations must exist)."""
-        if src not in self.locations or dst not in self.locations:
-            raise ValueError("edge endpoints must be existing locations")
-        edge = CfgEdge(src, stmt, dst)
-        self._edge_pos.setdefault(edge, []).append(len(self.edges))
-        self.edges.append(edge)
-        self._out[src].append(edge)
-        self._in[dst].append(edge)
-        self._record_structural({dst}, added=(edge,))
+        """Add the edge ``src --[stmt]--> dst`` (locations must exist).
+
+        Raw surgery: the derived structure is rebuilt from scratch on the
+        next structural query.
+        """
+        edge = self._link(src, stmt, dst)
+        self._invalidate()
         return edge
 
     def remove_edge(self, edge: CfgEdge) -> None:
+        """Remove ``edge`` (raw surgery, like :meth:`add_edge`)."""
         self._remove_edge_object(edge)
-        self._record_structural({edge.dst}, removed=(edge,))
+        self._invalidate()
 
     def copy(self) -> "Cfg":
         """Return an independent copy sharing no mutable state."""
@@ -130,9 +134,8 @@ class Cfg:
         return dup
 
     def _invalidate(self) -> None:
-        """Discard all derived structure (wholesale-mutation fallback)."""
+        """Discard all derived structure (raw or wholesale mutation)."""
         self._analysis = None
-        self._pending = None
         for listener in self._listeners:
             listener.note_full()
 
@@ -153,43 +156,35 @@ class Cfg:
         self._rebuild_indices()
         self._invalidate()
 
-    # -- delta recording -----------------------------------------------------
+    # -- structure listeners -------------------------------------------------
 
     def add_structure_listener(self, listener: StructureListener) -> None:
         """Subscribe a consumer (e.g. a DAIG engine's structure snapshot)
-        to the affected regions of future structural refreshes."""
+        to the affected regions of future edits."""
         self._listeners.append(listener)
 
     def remove_structure_listener(self, listener: StructureListener) -> None:
         if listener in self._listeners:
             self._listeners.remove(listener)
 
-    def _record_structural(
-        self,
-        seeds: Set[Loc],
-        added: Iterable[CfgEdge] = (),
-        removed: Iterable[CfgEdge] = (),
-    ) -> None:
-        if self._analysis is None:
-            return  # next query builds from scratch (and reports `full`)
-        pending = self._pending
-        if pending is None:
-            pending = self._pending = PendingDelta()
-        pending.seeds |= seeds
-        pending.added_edges.extend(added)
-        pending.removed_edges.extend(removed)
-
     def _record_stmt_patch(self, old: CfgEdge, new: CfgEdge) -> None:
         self._structure_stats["structure_stmt_patches"] += 1
         if self._analysis is not None:
-            if self._pending is not None:
-                self._pending.stmt_patches.append((old, new))
-            else:
-                self._analysis.patch_stmt(old, new)
+            self._analysis.patch_stmt(old, new)
         for listener in self._listeners:
             listener.note_region({new.dst}, set())
 
     # -- low-level edge surgery (O(degree), via the position index) ----------
+
+    def _link(self, src: Loc, stmt: A.AtomicStmt, dst: Loc) -> CfgEdge:
+        if src not in self.locations or dst not in self.locations:
+            raise ValueError("edge endpoints must be existing locations")
+        edge = CfgEdge(src, stmt, dst)
+        self._edge_pos.setdefault(edge, []).append(len(self.edges))
+        self.edges.append(edge)
+        self._out[src].append(edge)
+        self._in[dst].append(edge)
+        return edge
 
     def _positions_of(self, edge: CfgEdge) -> List[int]:
         positions = self._edge_pos.get(edge)
@@ -267,18 +262,10 @@ class Cfg:
             self._analysis = CfgStructure(self)
             for listener in self._listeners:
                 listener.note_full()
-        elif self._pending is not None:
-            pending, self._pending = self._pending, None
-            full, sig_suspects, head_suspects = self._analysis.refresh(pending)
-            for listener in self._listeners:
-                if full:
-                    listener.note_full()
-                else:
-                    listener.note_region(sig_suspects, head_suspects)
         return self._analysis
 
     def ensure_structure(self) -> None:
-        """Force any pending structural delta to be applied now."""
+        """Rebuild a missing or stale structure now."""
         self._analyze()
 
     def structure_stats(self) -> Dict[str, int]:
@@ -390,11 +377,10 @@ class Cfg:
         """Delete a statement by replacing it with ``skip`` (paper, Lemma B.2)."""
         return self.replace_edge_statement(edge, A.SkipStmt())
 
-    def _detach_continuation(self, loc: Loc) -> Loc:
-        """Create a continuation location taking over ``loc``'s out-edges.
-
-        Every statement insertion works by splicing new structure between
-        ``loc`` and the returned continuation location.
+    def _insert_after(self, loc: Loc, fill: Callable[[Loc], None]) -> Loc:
+        """Move ``loc``'s out-edges to a fresh continuation location, let
+        ``fill`` link ``loc`` to it through fresh locations, and hand the
+        insertion to the structure; returns the continuation.
 
         When ``loc`` is a loop head, only the edges that stay inside its
         natural loop are moved: the loop-exit edge keeps originating at the
@@ -403,16 +389,24 @@ class Cfg:
         head.  The inserted code therefore runs on every iteration, which is
         what "inserting just inside the loop" means.
         """
-        moved = self.out_edges(loc)
-        if self.is_loop_head(loc):
-            loop = self.natural_loop(loc)
+        self._require_insertion_point(loc)
+        analysis = self._analyze()
+        moved = list(self._out[loc])
+        loop = analysis.natural_loops.get(loc)
+        if loop is not None:
             moved = [edge for edge in moved if edge.dst in loop]
+        first = self._next_loc
         cont = self.fresh_loc()
         for edge in moved:
-            new_edge = CfgEdge(cont, edge.stmt, edge.dst)
-            self._replace_edge_object(edge, new_edge)
-            self._record_structural(
-                {edge.dst}, added=(new_edge,), removed=(edge,))
+            self._replace_edge_object(edge, CfgEdge(cont, edge.stmt, edge.dst))
+        fill(cont)
+        full, sig_suspects, head_suspects = analysis.refresh(
+            loc, range(first, self._next_loc), {edge.dst for edge in moved})
+        for listener in self._listeners:
+            if full:
+                listener.note_full()
+            else:
+                listener.note_region(sig_suspects, head_suspects)
         return cont
 
     def insert_statement_after(self, loc: Loc, stmt: A.AtomicStmt) -> Loc:
@@ -420,10 +414,7 @@ class Cfg:
 
         Returns the newly created continuation location.
         """
-        self._require_insertion_point(loc)
-        cont = self._detach_continuation(loc)
-        self.add_edge(loc, stmt, cont)
-        return cont
+        return self._insert_after(loc, lambda cont: self._link(loc, stmt, cont))
 
     def insert_conditional_after(
         self,
@@ -433,11 +424,10 @@ class Cfg:
         else_stmts: Sequence[A.AtomicStmt] = (),
     ) -> Loc:
         """Insert ``if (cond) { then } else { else }`` after ``loc``."""
-        self._require_insertion_point(loc)
-        cont = self._detach_continuation(loc)
-        self._build_branch(loc, A.AssumeStmt(cond), then_stmts, cont)
-        self._build_branch(loc, A.AssumeStmt(A.negate(cond)), else_stmts, cont)
-        return cont
+        def fill(cont: Loc) -> None:
+            self._build_branch(loc, A.AssumeStmt(cond), then_stmts, cont)
+            self._build_branch(loc, A.AssumeStmt(A.negate(cond)), else_stmts, cont)
+        return self._insert_after(loc, fill)
 
     def insert_loop_after(
         self,
@@ -451,21 +441,20 @@ class Cfg:
         the head of two distinct loops (keeping one back edge per head, as the
         paper assumes for reducible CFGs).
         """
-        self._require_insertion_point(loc)
-        cont = self._detach_continuation(loc)
-        head = self.fresh_loc()
-        self.add_edge(loc, A.SkipStmt(), head)
-        self.add_edge(head, A.AssumeStmt(A.negate(cond)), cont)
-        # Loop body: head --assume(cond)--> ... --last--> head (back edge).
-        body = list(body_stmts) if body_stmts else [A.SkipStmt()]
-        current = head
-        current_stmt: A.AtomicStmt = A.AssumeStmt(cond)
-        for stmt in body:
-            nxt = self.fresh_loc()
-            self.add_edge(current, current_stmt, nxt)
-            current, current_stmt = nxt, stmt
-        self.add_edge(current, current_stmt, head)
-        return cont
+        def fill(cont: Loc) -> None:
+            head = self.fresh_loc()
+            self._link(loc, A.SkipStmt(), head)
+            self._link(head, A.AssumeStmt(A.negate(cond)), cont)
+            # Loop body: head --assume(cond)--> ... --last--> head (back edge).
+            body = list(body_stmts) if body_stmts else [A.SkipStmt()]
+            current = head
+            current_stmt: A.AtomicStmt = A.AssumeStmt(cond)
+            for stmt in body:
+                nxt = self.fresh_loc()
+                self._link(current, current_stmt, nxt)
+                current, current_stmt = nxt, stmt
+            self._link(current, current_stmt, head)
+        return self._insert_after(loc, fill)
 
     def _build_branch(
         self,
@@ -478,9 +467,9 @@ class Cfg:
         current_stmt = first
         for stmt in stmts:
             nxt = self.fresh_loc()
-            self.add_edge(current, current_stmt, nxt)
+            self._link(current, current_stmt, nxt)
             current, current_stmt = nxt, stmt
-        self.add_edge(current, current_stmt, join)
+        self._link(current, current_stmt, join)
 
     def _require_insertion_point(self, loc: Loc) -> None:
         if loc not in self.locations:

@@ -1,82 +1,64 @@
-"""The incremental CFG structure cache: O(affected-region) edit latency.
+"""The live CFG structure, updated exactly on insertions.
 
-Before this layer existed, every CFG mutation called a blanket
-``_invalidate()`` and the next structural query recomputed *everything*
-(reachability, dominators, the forward/back edge partition, natural loops,
-loop nesting, join points) from scratch — an O(program) pass per edit that
-dominated edit latency once the DAIG side became incremental.
+The DAIG encoding (Section 4 / Appendix A) reads a CFG's reachability,
+dominators, forward/back edge partition, natural loops, loop nesting, join
+points and per-location ``fwd-edges-to`` index.  :class:`CfgStructure`
+holds all of them for one CFG and keeps them current as the CFG is edited:
 
-This module replaces that with a *live* analysis object
-(:class:`CfgStructure`) that is updated in place from **structural deltas**
-reported by the CFG's edit operations:
-
-* **Statement-only edits** (relabelling an existing edge in place) perform
-  *zero* dominator/loop work: the only derived structure that can change is
-  the ``fwd-edges-to`` index of the edge's destination (the pre-join indices
+* **Statement-only edits** (relabelling an existing edge in place) do
+  *zero* dominator/loop work: the only derived fact that can change is the
+  ``fwd-edges-to`` index of the edge's destination (the pre-join indices
   sort on statement text), which is re-sorted in O(in-degree).
-* **Structural edits** (edge added / removed / retargeted, fresh location)
-  accumulate into a :class:`PendingDelta`; the next structural query
-  refreshes the analysis over the edit's *affected region* only — the
-  forward-reachability closure ``R`` of the changed edges' destinations.
-  Dominator sets are recomputed only for ``R`` (locations outside ``R``
-  cannot gain or lose entry-paths through the edit, so their dominators are
-  provably unchanged); natural loops are recomputed only for heads whose
-  body intersects ``R`` or whose back-edge set changed; the loop-exit
-  validity map and the forward-cycle (reducibility) check are likewise
-  confined to the region.
-* **Fallbacks that defeat locality** — wholesale edge-list replacement
-  (``Cfg._invalidate``), a graph already known to be irreducible, or a
-  region covering most of the program — take a from-scratch rebuild, and
-  the counters say so.
+* **Insertions** are the only structural edits the engine makes.
+  ``Cfg.insert_*_after(loc)`` moves ``loc``'s out-edges to a fresh
+  continuation ``cont`` (only the in-loop edges when ``loc`` is a loop
+  head) and fills ``loc → cont`` with a single-entry fragment of new
+  locations.  :meth:`CfgStructure.refresh` applies exactly that change.
+* **Raw edge surgery** (``Cfg.add_edge`` / ``remove_edge`` on a live CFG,
+  or the wholesale replacement ``Cfg._reset_edges``), and an insertion
+  into a graph that is irreducible or has a loop-exit violation, take a
+  from-scratch rebuild, and the counters say so.
+
+Why the insertion update is exact.  The fragment is entered only from
+``loc`` and left only through ``cont``, so every entry path that used a
+moved edge ``loc → d`` now runs ``loc → … → cont → d`` and no other path
+changes.  Hence the new locations take ``loc``'s reachability; their
+dominators are ``dom(loc)`` plus the fragment's own, from a local pass
+over its few locations, which also finds the fragment's back edge and
+natural loop; moved edges keep their forward or back class; old
+locations keep their loop membership, and every loop that contains
+``loc`` gains the whole fragment.  Loop nesting keeps its order, because
+the loops of a reducible graph are nested or disjoint and all loops that
+contain ``loc`` grow by the same locations.  The one fact of old
+locations that changes is dominance: a location all of whose entry paths
+use a moved edge gains ``dom(cont) − dom(loc)``.  These are the
+locations ``loc`` strictly dominates (the loop body, when ``loc`` is a
+loop head: its exit edges stay put), found by a forward walk from the
+moved edges' destinations through locations ``loc`` dominates.  That
+union, one set union per location and no fixpoint, is the one
+per-insertion term that grows with the code downstream of ``loc``: an
+insertion right after the entry adds to every dominator set.  (An
+immediate-dominator tree would remove it.)
 
 Listeners (the DAIG engine's live :class:`~repro.daig.splice.StructureSnapshot`)
-subscribe to refresh *regions*: every refresh reports the set of locations
-whose encoding signature may have changed and the loop heads whose loop
-signature may have changed, so downstream caches can be updated in place
-over the same affected region instead of re-walking the whole CFG.
-
-Correctness rests on one closure argument, used throughout: every changed
-edge has its destination in the delta's seed set, and ``R`` is the
-forward closure of the seeds (over the union of old and new edges — removed
-edges contribute their destination as a seed directly).  Any path that uses
-a changed edge continues from that edge's destination, so only locations
-reachable from a seed can see a changed set of entry-paths; and since ``R``
-is successor-closed, no edge leaves ``R``.  Everything outside ``R`` keeps
-its reachability, dominators, and (absent loop-body changes) loop nesting.
+receive, per insertion, the locations whose encoding signature may have
+changed (the fragment and the moved edges' destinations) and the loop
+heads whose loop signature may have changed (the fragment's own and every
+loop that contains ``loc``, which includes the head of any moved back
+edge); a rebuild tells them to resynchronize from scratch.
 """
 
 from __future__ import annotations
 
+import bisect
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .cfg import Cfg, CfgEdge
 
 Loc = int
 EdgePair = Tuple[Loc, Loc]
-
-
-@dataclass
-class PendingDelta:
-    """Structural changes recorded since the analysis last refreshed.
-
-    ``seeds`` holds the destinations of every added/removed/retargeted edge
-    plus every freshly allocated location — the roots of the affected
-    region.  ``added_edges`` and ``removed_edges`` let the refresh classify
-    (and loop-exit-check) edges whose *source* lies outside the region and
-    drop stale entries keyed by removed edge objects.  ``stmt_patches``
-    carries statement relabels that arrived while a structural refresh was
-    already pending (they are re-applied after the regional rebuild).
-    ``full`` requests a from-scratch rebuild.
-    """
-
-    seeds: Set[Loc] = field(default_factory=set)
-    added_edges: List["CfgEdge"] = field(default_factory=list)
-    removed_edges: List["CfgEdge"] = field(default_factory=list)
-    stmt_patches: List[Tuple["CfgEdge", "CfgEdge"]] = field(default_factory=list)
-    full: bool = False
 
 
 class StructureListener:
@@ -111,26 +93,20 @@ class StructureListener:
         return out
 
 
-#: Fraction of the location set beyond which a region refresh falls back to
-#: a from-scratch rebuild (the constant-factor win of incrementality is gone
-#: once nearly everything is dirty anyway).
-_REBUILD_FRACTION = 0.75
-
-
 class CfgStructure:
-    """Live derived structural facts about a CFG, updated from deltas.
+    """Live derived structural facts about a CFG, updated per insertion.
 
-    Exposes the same facts as the old from-scratch ``_CfgAnalysis``
-    (``reachable``, ``dominators``, loop structure, ``fwd_edges_to``,
-    ``join_points``) plus O(1) reducibility and loop-exit validity, flat
-    forward/back edge lists (derived lazily from the per-edge
+    Exposes ``reachable``, ``dominators``, loop structure, ``fwd_edges_to``
+    and ``join_points``, plus O(1) reducibility and loop-exit validity,
+    flat forward/back edge lists (derived lazily from the per-edge
     classification), and work counters for the benchmark layer.
     """
 
     def __init__(self, cfg: "Cfg") -> None:
         self.cfg = cfg
-        # Work counters and time live on the CFG so they survive fallback
-        # rebuilds and report cumulatively per program, not per cache.
+        # Work counters and time live on the CFG so they survive the
+        # rebuild after raw edge surgery (a new object) and report
+        # cumulatively per program, not per cache.
         self.stats = cfg._structure_stats
         self.reachable: Set[Loc] = set()
         self.dominators: Dict[Loc, Set[Loc]] = {}
@@ -184,14 +160,13 @@ class CfgStructure:
     def reverse_postorder(self) -> List[Loc]:
         """Reverse postorder over forward edges (recomputed lazily).
 
-        Maintaining a global order incrementally would reintroduce an
+        Maintaining a global order per insertion would reintroduce an
         O(program) term per edit; instead the order is derived on demand
         (batch consumers that need it pay O(program) for an O(program)
-        result anyway) and the regional dominator fixpoint uses its own
-        local order over the affected region.
+        result anyway).
         """
         if self._rpo is None:
-            self._rpo = self._compute_rpo()
+            self._rpo = self._dfs_order(self.cfg.entry)
         return self._rpo
 
     # -- full rebuild ---------------------------------------------------------
@@ -199,8 +174,8 @@ class CfgStructure:
     def _rebuild(self) -> None:
         cfg = self.cfg
         self.stats["structure_full_builds"] += 1
-        self.reachable = self._bfs_reachable([cfg.entry])
-        self._rpo = self._compute_rpo()
+        self._rpo = self._dfs_order(cfg.entry)
+        self.reachable = set(self._rpo)
         self.dominators = self._full_dominators(self._rpo)
         self.back_pairs = {
             (e.src, e.dst) for e in cfg.edges
@@ -227,219 +202,128 @@ class CfgStructure:
         self.bad_loop_exits = {}
         for loc in self.reachable:
             self._refresh_bad_exits(loc)
-        self.has_forward_cycle = self._forward_cycle_in(self.reachable)
+        self.has_forward_cycle = self._has_forward_cycle()
 
-    # -- incremental refresh --------------------------------------------------
+    # -- exact insertion update ----------------------------------------------
 
-    def refresh(self, pending: PendingDelta) -> Tuple[bool, Set[Loc], Set[Loc]]:
-        """Apply a pending delta; returns ``(full, sig_suspects, head_suspects)``.
+    def refresh(self, loc: Loc, fragment: Sequence[Loc],
+                moved: Set[Loc]) -> Tuple[bool, Set[Loc], Set[Loc]]:
+        """Apply one insertion after ``loc``; returns
+        ``(full, sig_suspects, head_suspects)``.
 
-        ``sig_suspects`` over-approximates the locations whose DAIG encoding
-        signature may have changed; ``head_suspects`` does the same for loop
-        signatures.  When ``full`` is True the whole analysis was rebuilt
-        and the suspect sets are empty (consumers must resynchronize from
-        scratch).
+        ``fragment`` lists the insertion's new locations, continuation
+        first; ``moved`` holds the destinations of the edges that moved
+        from ``loc`` to the continuation.  ``sig_suspects`` covers the
+        locations whose DAIG encoding signature may have changed and
+        ``head_suspects`` the loop heads whose loop signature may have
+        changed.  When ``full`` is True the analysis was rebuilt from
+        scratch and the suspect sets are empty (consumers must
+        resynchronize from scratch).
         """
         started = time.perf_counter()
         try:
-            if pending.full or self.has_forward_cycle:
+            if self.has_forward_cycle or self.bad_loop_exits:
                 self._rebuild()
                 return True, set(), set()
-            if not pending.seeds:
-                suspects: Set[Loc] = set()
-                for old, new in pending.stmt_patches:
-                    self.patch_stmt(old, new)
-                    suspects.add(new.dst)
-                return False, suspects, set()
-            region = self._closure(pending.seeds)
-            if len(region) >= _REBUILD_FRACTION * max(1, len(self.cfg.locations)):
-                self._rebuild()
-                return True, set(), set()
-            sig, heads = self._refresh_region(region, pending)
-            for _old, new in pending.stmt_patches:
-                # The region rebuild already re-derived everything for its
-                # own locations; outside it, re-sort the destination's
-                # forward-edge index.  (The loop-exit entries of patched
-                # edges are reconciled inside the region refresh.)
-                if (new.dst not in region and new.dst in self.reachable
-                        and (new.src, new.dst) not in self.back_pairs):
-                    self._refresh_fwd_edges_to(new.dst)
-                sig.add(new.dst)
-            return False, sig, heads
+            sig_suspects, head_suspects = self._insert(loc, fragment, moved)
+            return False, sig_suspects, head_suspects
         finally:
             self.cfg._structure_seconds += time.perf_counter() - started
 
-    def _refresh_region(
-        self, region: Set[Loc], pending: PendingDelta
-    ) -> Tuple[Set[Loc], Set[Loc]]:
+    def _insert(self, loc: Loc, fragment: Sequence[Loc],
+                moved: Set[Loc]) -> Tuple[Set[Loc], Set[Loc]]:
         cfg = self.cfg
         self.stats["structure_refreshes"] += 1
-        self.stats["structure_locs_reanalyzed"] += len(region)
+        self.stats["structure_locs_reanalyzed"] += len(fragment)
         self._rpo = None
         self._flat_back = self._flat_forward = None
+        sig_suspects = set(fragment) | moved
+        if loc not in self.reachable:
+            return sig_suspects, set()  # nothing reachable changed
+        cont = fragment[0]
+        new = set(fragment)
+        self.reachable |= new
 
-        # 1. Reachability: locations outside the region keep theirs; inside,
-        # re-flood from the region's entry frontier.
-        frontier: Set[Loc] = set()
-        if cfg.entry in region:
-            frontier.add(cfg.entry)
-        for loc in region:
-            for edge in cfg._in.get(loc, ()):
-                if edge.src not in region and edge.src in self.reachable:
-                    frontier.add(loc)
-                    break
-        live = self._bfs_reachable(sorted(frontier), within=region)
-        for loc in region:
-            if loc in live:
-                self.reachable.add(loc)
-            else:
-                self.reachable.discard(loc)
-
-        # 2. Dominators for the region's reachable locations (boundary
-        # dominator sets are fixed and provably unchanged).  ⊤ is
-        # represented by absence; the iteration is the standard greatest
-        # fixpoint restricted to the region.
-        for loc in region:
-            if loc not in live:
-                self.dominators.pop(loc, None)
-        order = self._local_rpo(frontier, live)
-        newdom: Dict[Loc, Set[Loc]] = {}
-        if cfg.entry in live:
-            newdom[cfg.entry] = {cfg.entry}
+        # The fragment's dominators: dom(loc) plus a local pass rooted at
+        # loc (its only way in).  ⊤ is represented by absence.
+        local: Dict[Loc, Set[Loc]] = {loc: {loc}}
+        order = self._dfs_order(loc, within=new)[1:]
         changed = True
         while changed:
             changed = False
-            for loc in order:
-                if loc == cfg.entry:
-                    continue
-                pred_doms: List[Set[Loc]] = []
-                for edge in cfg._in.get(loc, ()):
-                    pred = edge.src
-                    if pred not in self.reachable:
-                        continue
-                    doms = newdom.get(pred) if pred in region \
-                        else self.dominators.get(pred)
-                    if doms is not None:
-                        pred_doms.append(doms)
-                if not pred_doms:
-                    continue  # all predecessors still ⊤ this pass
-                new = set.intersection(*pred_doms)
-                new.add(loc)
-                if newdom.get(loc) != new:
-                    newdom[loc] = new
+            for node in order:
+                doms = set.intersection(*[
+                    local[e.src] for e in cfg._in[node] if e.src in local])
+                doms.add(node)
+                if local.get(node) != doms:
+                    local[node] = doms
                     changed = True
-        self.dominators.update(newdom)
+        base = self.dominators[loc]
+        for node in fragment:
+            self.dominators[node] = base | local[node]
 
-        # 3. Edge classification.  Only edges with a source in the region
-        # (or explicitly added/removed edges, whose sources may lie outside
-        # it) can change class.
-        old_back_dsts = {d for (s, d) in self.back_pairs if s in region}
-        self.back_pairs = {p for p in self.back_pairs if p[0] not in region}
-        for loc in region & live:
-            doms = self.dominators.get(loc, set())
-            for edge in cfg._out.get(loc, ()):
-                if edge.dst in doms:
-                    self.back_pairs.add((loc, edge.dst))
-        for pair in {(e.src, e.dst) for e in pending.added_edges}:
-            if pair[0] not in region:
-                # Classify directly by the definition; the source's
-                # dominators are unchanged and current.  (Such an edge is in
-                # fact always forward: a back edge would make its source
-                # reachable from its destination and pull it into the
-                # region.  The classification also clears any stale pair
-                # left behind by a removed edge between the same locations.)
-                if pair[1] in self.dominators.get(pair[0], ()):
-                    self.back_pairs.add(pair)
-                else:
-                    self.back_pairs.discard(pair)
-        for edge in pending.removed_edges:
-            pair = (edge.src, edge.dst)
-            if pair[0] not in region and pair in self.back_pairs:
-                if not any(e.dst == edge.dst for e in cfg._out.get(edge.src, ())):
-                    self.back_pairs.discard(pair)
-        new_back_dsts = {d for (s, d) in self.back_pairs if s in region}
+        # Moved edges keep their class; the fragment classifies its own.
+        for dst in moved:
+            if (loc, dst) in self.back_pairs:
+                self.back_pairs.discard((loc, dst))
+                self.back_pairs.add((cont, dst))
+        new_heads: Set[Loc] = set()
+        for node in fragment:
+            for edge in cfg._out[node]:
+                if edge.dst in new and edge.dst in self.dominators[node]:
+                    self.back_pairs.add((node, edge.dst))
+                    new_heads.add(edge.dst)
 
-        # 4. Forward-edge indexing and join points for the region.
-        for loc in region:
-            self._refresh_fwd_edges_to(loc)
-            if len(self.fwd_edges_to.get(loc, ())) >= 2:
-                self.join_points.add(loc)
-            else:
-                self.join_points.discard(loc)
+        # Locations whose every entry path uses a moved edge gain the
+        # fragment's dominators of cont.
+        gained = self.dominators[cont] - base
+        for node in self._strictly_dominated(loc, moved):
+            self.dominators[node] |= gained
 
-        # 5. Natural loops: only heads whose back edges or body touch the
-        # region can change.
-        candidates: Set[Loc] = set(old_back_dsts) | set(new_back_dsts)
-        for loc in region:
-            candidates |= self.heads_by_loc.get(loc, set())
-        touched_locs: Set[Loc] = set(region)
-        for head in sorted(candidates):
-            old_body = self.natural_loops.pop(head, set())
-            has_back = any(
-                (e.src, head) in self.back_pairs and e.src in self.reachable
-                for e in cfg._in.get(head, ()))
-            new_body: Set[Loc] = self._natural_loop(head) if (
-                head in self.reachable and has_back) else set()
-            if new_body:
-                self.natural_loops[head] = new_body
-            for loc in old_body - new_body:
-                members = self.heads_by_loc.get(loc)
-                if members is not None:
-                    members.discard(head)
-                    if not members:
-                        del self.heads_by_loc[loc]
-            for loc in new_body - old_body:
-                self.heads_by_loc.setdefault(loc, set()).add(head)
-            touched_locs |= old_body | new_body
-        self.loop_heads = sorted(self.natural_loops)
+        # Loops: every loop containing loc gains the fragment; the
+        # fragment's own loop is local.
+        outer = self.containing[loc]
+        for head in outer:
+            self.natural_loops[head] |= new
+        if outer:
+            for node in fragment:
+                self.heads_by_loc[node] = set(outer)
+        for head in sorted(new_heads):
+            body = self._natural_loop(head)
+            self.natural_loops[head] = body
+            bisect.insort(self.loop_heads, head)
+            for node in body:
+                self.heads_by_loc.setdefault(node, set()).add(head)
+        for node in fragment:
+            self.containing[node] = self._containing_of(node)
 
-        # 6. Loop nesting (containment) for every location of a recomputed
-        # loop plus the region itself.
-        for loc in touched_locs:
-            if loc in self.reachable:
-                self.containing[loc] = self._containing_of(loc)
-            else:
-                self.containing.pop(loc, None)
+        # Forward-edge indices: the fragment's, and the re-sourced ones of
+        # the moved edges' destinations.  (The fragment leaves its loop only
+        # through its head and the moved edges keep their loops, so the
+        # graph stays reducible and free of loop-exit violations.)
+        for node in fragment:
+            self._refresh_fwd_edges_to(node)
+            if len(self.fwd_edges_to.get(node, ())) >= 2:
+                self.join_points.add(node)
+        for dst in moved:
+            self._refresh_fwd_edges_to(dst)
+        return sig_suspects, set(outer) | new_heads
 
-        # 7. Loop-exit validity.  First drop every entry keyed by an edge
-        # object that left the graph (removed or relabelled) so nothing
-        # stale survives or is resurrected; then re-derive the entries of
-        # every location whose containment may have changed; finally,
-        # recheck one-by-one the edges added or relabelled with a *source
-        # outside* that neighbourhood — their source's containment is
-        # unchanged, but the edge itself was never checked.  Edges that
-        # left the graph within the same batch are skipped.
-        for edge in pending.removed_edges:
-            self.bad_loop_exits.pop(edge, None)
-        for old, _new in pending.stmt_patches:
-            self.bad_loop_exits.pop(old, None)
-        for loc in touched_locs:
-            self._refresh_bad_exits(loc)
-        recheck: List["CfgEdge"] = list(pending.added_edges)
-        recheck.extend(pending.removed_edges)
-        for old, new in pending.stmt_patches:
-            recheck.append(old)
-            recheck.append(new)
-        for edge in recheck:
-            if edge.src not in touched_locs and edge in cfg._edge_pos:
-                self._check_edge_exit(edge)
-
-        # 8. Reducibility: a new forward cycle must lie inside the region
-        # (the region is successor-closed), so only the region is checked.
-        if self._forward_cycle_in(live):
-            self.has_forward_cycle = True
-
-        # Suspects for downstream (snapshot) caches: every location whose
-        # containment or incoming-edge structure may have changed, plus
-        # their successors (whose encoding reads the sources' loop info).
-        sig_suspects = set(touched_locs)
-        for loc in touched_locs:
-            for edge in cfg._out.get(loc, ()):
-                sig_suspects.add(edge.dst)
-        head_suspects = set(candidates)
-        for loc in touched_locs:
-            head_suspects |= self.heads_by_loc.get(loc, set())
-        return sig_suspects, head_suspects
+    def _strictly_dominated(self, loc: Loc, moved: Set[Loc]) -> Set[Loc]:
+        """The locations ``loc`` strictly dominates that its moved edges
+        lead to: all of them, or the loop body when ``loc`` is a loop head
+        (a forward walk that never passes ``loc`` again)."""
+        seen: Set[Loc] = set()
+        stack = list(moved)
+        while stack:
+            node = stack.pop()
+            if node in seen or node == loc:
+                continue
+            if loc not in self.dominators.get(node, ()):
+                continue
+            seen.add(node)
+            stack.extend(edge.dst for edge in self.cfg._out[node])
+        return seen
 
     # -- statement-only patches ----------------------------------------------
 
@@ -457,46 +341,22 @@ class CfgStructure:
 
     # -- helpers --------------------------------------------------------------
 
-    def _bfs_reachable(
-        self, roots: Sequence[Loc], within: Optional[Set[Loc]] = None
-    ) -> Set[Loc]:
-        seen: Set[Loc] = set()
-        stack = [loc for loc in roots if within is None or loc in within]
-        while stack:
-            loc = stack.pop()
-            if loc in seen:
-                continue
-            seen.add(loc)
-            for edge in self.cfg._out.get(loc, ()):
-                dst = edge.dst
-                if dst not in seen and (within is None or dst in within):
-                    stack.append(dst)
-        return seen
-
-    def _closure(self, seeds: Set[Loc]) -> Set[Loc]:
-        """Forward closure of the seeds over the current edges.
-
-        Removed edges need no ghost traversal: each removed edge's
-        destination is itself a seed, so everything reachable through it in
-        the pre-edit graph is reachable from the seed set directly.
-        """
-        return self._bfs_reachable(sorted(seeds))
-
     def _ordered_successors(self, loc: Loc) -> List[Loc]:
         return sorted({e.dst for e in self.cfg._out.get(loc, ())})
 
-    def _compute_rpo(self) -> List[Loc]:
-        visited: Set[Loc] = set()
+    def _dfs_order(self, start: Loc,
+                   within: Optional[Set[Loc]] = None) -> List[Loc]:
+        """Reverse postorder of a DFS from ``start`` (over successors in
+        ``within``, when given)."""
+        visited: Set[Loc] = {start}
         order: List[Loc] = []
-        start = self.cfg.entry
         stack: List[Tuple[Loc, List[Loc]]] = [(start, self._ordered_successors(start))]
-        visited.add(start)
         while stack:
             node, succs = stack[-1]
             advanced = False
             while succs:
                 nxt = succs.pop(0)
-                if nxt not in visited:
+                if nxt not in visited and (within is None or nxt in within):
                     visited.add(nxt)
                     stack.append((nxt, self._ordered_successors(nxt)))
                     advanced = True
@@ -504,32 +364,6 @@ class CfgStructure:
             if not advanced:
                 order.append(node)
                 stack.pop()
-        order.reverse()
-        return [loc for loc in order if loc in self.reachable]
-
-    def _local_rpo(self, frontier: Set[Loc], live: Set[Loc]) -> List[Loc]:
-        """A deterministic topological-ish order over the region's live set."""
-        visited: Set[Loc] = set()
-        order: List[Loc] = []
-        for root in sorted(frontier):
-            if root in visited or root not in live:
-                continue
-            stack: List[Tuple[Loc, List[Loc]]] = [
-                (root, self._ordered_successors(root))]
-            visited.add(root)
-            while stack:
-                node, succs = stack[-1]
-                advanced = False
-                while succs:
-                    nxt = succs.pop(0)
-                    if nxt not in visited and nxt in live:
-                        visited.add(nxt)
-                        stack.append((nxt, self._ordered_successors(nxt)))
-                        advanced = True
-                        break
-                if not advanced:
-                    order.append(node)
-                    stack.pop()
         order.reverse()
         return order
 
@@ -594,18 +428,6 @@ class CfgStructure:
         incoming.sort(key=lambda e: (e.src, str(e.stmt)))
         self.fwd_edges_to[loc] = [(i + 1, e) for i, e in enumerate(incoming)]
 
-    def _check_edge_exit(self, edge: "CfgEdge") -> None:
-        """Recheck the loop-exit rule for a single edge."""
-        self.bad_loop_exits.pop(edge, None)
-        if edge.src not in self.reachable:
-            return
-        if (edge.src, edge.dst) in self.back_pairs:
-            return
-        for head in self.containing.get(edge.src, ()):
-            if edge.dst not in self.natural_loops[head] and edge.src != head:
-                self.bad_loop_exits[edge] = head
-                return
-
     def _refresh_bad_exits(self, loc: Loc) -> None:
         """Recheck the loop-exit rule for ``loc``'s outgoing forward edges."""
         out = self.cfg._out.get(loc, ())
@@ -624,16 +446,16 @@ class CfgStructure:
                     self.bad_loop_exits[edge] = head
                     break
 
-    def _forward_cycle_in(self, nodes: Set[Loc]) -> bool:
-        """DFS cycle check over forward edges restricted to ``nodes``."""
+    def _has_forward_cycle(self) -> bool:
+        """DFS cycle check over the reachable forward edges."""
         succ: Dict[Loc, List[Loc]] = {}
-        for loc in nodes:
+        for loc in self.reachable:
             succ[loc] = [
                 e.dst for e in self.cfg._out.get(loc, ())
-                if e.dst in nodes and (e.src, e.dst) not in self.back_pairs
+                if (e.src, e.dst) not in self.back_pairs
             ]
         state: Dict[Loc, int] = {}
-        for start in nodes:
+        for start in self.reachable:
             if state.get(start, 0) != 0:
                 continue
             stack: List[Tuple[Loc, List[Loc]]] = [(start, list(succ[start]))]

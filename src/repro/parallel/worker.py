@@ -58,8 +58,10 @@ def _memo(spec: str) -> Any:
     memo = _MEMOS.get(spec)
     if memo is None:
         from ..daig.memo import MemoTable
-        # thread_safe: the table is process-global, and a serial pool runs
-        # jobs on whichever thread submits them.
+        # thread_safe: no two threads use this table at once, but it is
+        # process-global and outlives the thread that created it (a serial
+        # pool runs jobs inline on whichever thread submits them), so it
+        # must not assert MemoTable's single-owner-thread rule.
         memo = _MEMOS[spec] = MemoTable(capacity=_MEMO_CAPACITY,
                                         thread_safe=True)
     return memo

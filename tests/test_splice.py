@@ -111,15 +111,16 @@ class TestSpliceLocality:
         assert_results_match(engine, domain)
 
     def test_whole_program_splice_updates_the_live_snapshot(self):
-        """An edit whose region covers most of the program forces the
-        structure rebuild; the whole-program splice re-signs the live
-        snapshot in place rather than swapping in a new capture."""
+        """Raw edge surgery forces the structure rebuild; the
+        whole-program splice re-signs the live snapshot in place rather
+        than swapping in a new capture."""
         domain = IntervalDomain()
         engine = grown_engine(domain)
         snapshot = engine._snapshot
         captures = engine.edit_stats.snapshot_full_captures
-        engine.insert_statement_after(engine.cfg.entry,
-                                      A.AssignStmt("v2", A.IntLit(4)))
+        engine.cfg.add_edge(engine.cfg.entry,
+                            A.AssignStmt("v2", A.IntLit(4)), engine.cfg.exit)
+        engine.resync()
         assert engine.edit_stats.snapshot_full_captures == captures + 1
         assert engine.edit_stats.last_report.full_capture
         assert engine._snapshot is snapshot
