@@ -44,11 +44,13 @@ def dirty_forward(daig: Daig, builder: DaigBuilder, seeds: Iterable[Name]) -> Se
         daig.clear_value(name)
     # E-Loop: any dirtied fix cell (equivalently, any dirtied iterate) means
     # the demanded unrollings of that loop are stale; roll the loop back.
-    rolled: Set[Name] = set()
-    for name in list(dirtied):
-        if name.kind == FIX_KIND and name not in rolled:
-            rolled.add(name)
-            builder.roll(daig, name.loc, dict(name.iters))
+    # Outer loops roll first, so an inner loop's copy inside a discarded
+    # outer iteration is already gone when its turn comes (a fixed order:
+    # set order follows object addresses, and would vary the work done).
+    fixes = sorted((name for name in dirtied if name.kind == FIX_KIND),
+                   key=lambda name: (len(name.iters), name.loc, name.iters))
+    for name in fixes:
+        builder.roll(daig, name.loc, dict(name.iters))
     # Rolling may have removed cells from the dirty set; that is fine — the
     # remaining cells stay empty until demanded.
     return dirtied

@@ -23,7 +23,7 @@ structured-name algebra with the same roles:
 All name equality is structural, exactly as in the paper — and, because
 names are hash-consed through :mod:`repro.intern`, structural equality *is*
 pointer equality: constructing the same name twice yields the same object,
-so the DAIG's indices and the memo table hash each name exactly once.
+so the DAIG's indices and the memo table hash and compare names by identity.
 """
 
 from __future__ import annotations
@@ -61,11 +61,11 @@ class Name:
 
     Statement names additionally carry ``index`` for join disambiguation.
 
-    Names are interned: equal field tuples yield the *same* object, equality
-    is identity, and the hash is computed once at construction.
+    Names are interned: equal field tuples yield the *same* object, so
+    equality and hashing are both by identity.
     """
 
-    __slots__ = ("kind", "loc", "aux", "index", "iters", "_hash", "__weakref__")
+    __slots__ = ("kind", "loc", "aux", "index", "iters", "__weakref__")
 
     _intern = InternTable("daig.Name")
 
@@ -88,18 +88,16 @@ class Name:
         object.__setattr__(self, "aux", aux)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "iters", iters)
-        object.__setattr__(self, "_hash", hash(key))
         return table.insert(key, self)
 
     def __setattr__(self, attr: str, value: object) -> None:
         raise AttributeError("Name is immutable (interned)")
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    # object.__eq__ (identity) is exactly structural equality for interned
-    # names; __reduce__ re-interns on unpickle so the invariant survives
-    # serialization (needed for the planned parallel evaluation path).
+    # object.__eq__ and object.__hash__ (identity) are exactly structural
+    # equality and a hash consistent with it for interned names; __reduce__
+    # re-interns on unpickle so the invariant survives serialization, such
+    # as the process boundary of the parallel path's jobs
+    # (repro.parallel.worker).
     def __reduce__(self):
         return (Name, (self.kind, self.loc, self.aux, self.index, self.iters))
 

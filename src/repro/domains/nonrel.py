@@ -42,12 +42,10 @@ class ScalarValue:
     record address, a string, ...).
 
     Scalar values are interned (hash-consed): constructing an equal value
-    twice yields the same object, so equality is identity and the hash is
-    computed once.
+    twice yields the same object, so equality and hashing are by identity.
     """
 
-    __slots__ = ("num", "maybe_null", "maybe_other", "_hash", "_cbytes",
-                 "__weakref__")
+    __slots__ = ("num", "maybe_null", "maybe_other", "_cbytes", "__weakref__")
 
     _intern = InternTable("nonrel.ScalarValue")
 
@@ -66,14 +64,10 @@ class ScalarValue:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "maybe_null", maybe_null)
         object.__setattr__(self, "maybe_other", maybe_other)
-        object.__setattr__(self, "_hash", hash(key))
         return table.insert(key, self)
 
     def __setattr__(self, attr: str, value: object) -> None:
         raise AttributeError("ScalarValue is immutable (interned)")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return (ScalarValue, (self.num, self.maybe_null, self.maybe_other))
@@ -97,7 +91,7 @@ class ArraySummary:
     Interned like :class:`ScalarValue`.
     """
 
-    __slots__ = ("length", "element", "_hash", "_cbytes", "__weakref__")
+    __slots__ = ("length", "element", "_cbytes", "__weakref__")
 
     _intern = InternTable("nonrel.ArraySummary")
 
@@ -113,14 +107,10 @@ class ArraySummary:
         self = object.__new__(cls)
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "element", element)
-        object.__setattr__(self, "_hash", hash(key))
         return table.insert(key, self)
 
     def __setattr__(self, attr: str, value: object) -> None:
         raise AttributeError("ArraySummary is immutable (interned)")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return (ArraySummary, (self.length, self.element))
@@ -139,12 +129,13 @@ class EnvState:
     """An abstract environment: sorted variable bindings, or ⊥.
 
     Environments are interned, so two structurally equal states are the
-    *same* object: ``EnvState`` equality is identity and the domain's
-    ``equal`` check is O(1).  Each state also carries a name → position
-    index so :meth:`get` is a dict lookup instead of a linear scan.
+    *same* object: ``EnvState`` equality and hashing are by identity and
+    the domain's ``equal`` check is O(1).  Each state also carries a
+    name → position index so :meth:`get` is a dict lookup instead of a
+    linear scan.
     """
 
-    __slots__ = ("bindings", "bottom", "_index", "_keys", "_hash", "_cbytes",
+    __slots__ = ("bindings", "bottom", "_index", "_keys", "_cbytes",
                  "__weakref__")
 
     _intern = InternTable("nonrel.EnvState")
@@ -165,14 +156,10 @@ class EnvState:
         object.__setattr__(self, "_index",
                            {name: pos for pos, (name, _) in enumerate(bindings)})
         object.__setattr__(self, "_keys", tuple(name for name, _ in bindings))
-        object.__setattr__(self, "_hash", hash(key))
         return table.insert(key, self)
 
     def __setattr__(self, attr: str, value: object) -> None:
         raise AttributeError("EnvState is immutable (interned)")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return (EnvState, (self.bindings, self.bottom))

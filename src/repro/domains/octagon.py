@@ -37,9 +37,9 @@ class OctagonState:
     """An octagon: a variable tuple plus a DBM (or canonical ⊥).
 
     States are interned by ``(variables, matrix bytes)``, so structurally
-    equal octagons are the same object: equality is identity and the hash is
-    computed once at construction.  Matrices are frozen (non-writeable) on
-    interning; every mutation site works on a fresh copy.
+    equal octagons are the same object: equality and hashing are by
+    identity.  Matrices are frozen (non-writeable) on interning; every
+    mutation site works on a fresh copy.
 
     ``closed`` records whether the matrix is known to be strongly closed
     (the canonical form).  Most states are — transfer and join keep states
@@ -51,8 +51,8 @@ class OctagonState:
     how a state was built rather than on what it means.
     """
 
-    __slots__ = ("variables", "matrix", "is_bottom", "closed", "_hash",
-                 "_cbytes", "__weakref__")
+    __slots__ = ("variables", "matrix", "is_bottom", "closed", "_cbytes",
+                 "__weakref__")
 
     _intern = InternTable("octagon.OctagonState")
 
@@ -86,25 +86,15 @@ class OctagonState:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "is_bottom", is_bottom)
         object.__setattr__(self, "closed", closed)
-        object.__setattr__(self, "_hash", hash(key))
-        winner = table.insert(key, self)
-        if winner is not self and closed and not winner.closed:
-            # Lost an insertion race to an equal state: carry the monotone
-            # closure knowledge over to the surviving canonical object.
-            object.__setattr__(winner, "closed", True)
-        return winner
+        return table.insert(key, self)
 
     def __setattr__(self, attr: str, value: object) -> None:
         raise AttributeError("OctagonState is immutable (interned)")
 
-    # -- equality / hashing: interning makes both pointer-cheap -----------------
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    # object.__eq__ (identity) is structural equality for interned states;
-    # semantic equality of non-closed (widened) states still goes through
-    # OctagonDomain.equal, which falls back to a double ⊑ check.
+    # object.__eq__ and object.__hash__ (identity) are structural equality
+    # and a hash consistent with it for interned states; semantic equality
+    # of non-closed (widened) states still goes through OctagonDomain.equal,
+    # which falls back to a double ⊑ check.
 
     def __reduce__(self):
         if self.is_bottom:

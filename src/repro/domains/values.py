@@ -36,10 +36,10 @@ class Interval:
     is the canonical bottom element and is represented with ``empty=True``.
 
     Intervals are interned: equal bounds yield the same object, so interval
-    equality is identity and hashing is cached.
+    equality and hashing are by identity.
     """
 
-    __slots__ = ("lo", "hi", "empty", "_hash", "_cbytes", "__weakref__")
+    __slots__ = ("lo", "hi", "empty", "_cbytes", "__weakref__")
 
     _intern = InternTable("values.Interval")
 
@@ -58,14 +58,10 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "empty", empty)
-        object.__setattr__(self, "_hash", hash(key))
         return table.insert(key, self)
 
     def __setattr__(self, attr: str, value: object) -> None:
         raise AttributeError("Interval is immutable (interned)")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return (Interval, (self.lo, self.hi, self.empty))
@@ -498,10 +494,10 @@ class SignLattice(ValueLattice):
 class Constant:
     """A flat constant lattice element: ⊥, a single known integer, or ⊤.
 
-    Interned like :class:`Interval`: equality is identity, hashing cached.
+    Interned like :class:`Interval`: equality and hashing are by identity.
     """
 
-    __slots__ = ("kind", "value", "_hash", "_cbytes", "__weakref__")
+    __slots__ = ("kind", "value", "_cbytes", "__weakref__")
 
     _intern = InternTable("values.Constant")
 
@@ -517,14 +513,10 @@ class Constant:
         self = object.__new__(cls)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "value", value)
-        object.__setattr__(self, "_hash", hash(key))
         return table.insert(key, self)
 
     def __setattr__(self, attr: str, value: object) -> None:
         raise AttributeError("Constant is immutable (interned)")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return (Constant, (self.kind, self.value))

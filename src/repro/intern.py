@@ -7,15 +7,19 @@ per-type weak-value table.  The payoff is the classic hash-consing triple:
 
 * **equality is identity** — structurally equal values are the same object,
   so ``==`` is a pointer comparison and lattice ``equal`` checks are O(1),
-* **hashing is O(1) amortized** — each object hashes its fields once at
-  construction and caches the result in a slot,
+* **hashing is identity** — interned types keep ``object.__hash__``, which
+  agrees with structural equality precisely because of interning, so every
+  dict, set and memo key over them hashes in C without reading a field,
 * **memoization keys are cheap** — the DAIG memo table and the octagon /
   environment join paths compare and hash states without walking them.
 
-Tables hold values through :class:`weakref.WeakValueDictionary`, so interned
-objects are garbage-collected as soon as the analysis drops them: tearing
-down an engine releases its states, and nothing leaks across engine
-lifetimes (property-tested in ``tests/test_intern.py``).
+Each table is a plain dict from a structural key to a
+:class:`weakref.KeyedRef` of the canonical object, so interned objects are
+garbage-collected as soon as the analysis drops them: tearing down an engine
+releases its states, and nothing leaks across engine lifetimes
+(property-tested in ``tests/test_intern.py``).  Only the thread that runs the
+analysis interns: the tables take no lock, and the parallel coordinator
+unpickles worker results (which re-interns them) on its own thread.
 
 Each table counts hits (an equal value was already interned) and misses
 (a fresh value was inserted); ``intern_stats()`` aggregates the counters
@@ -24,8 +28,8 @@ Each table counts hits (an equal value was already interned) and misses
 
 from __future__ import annotations
 
-import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from typing import Any, Dict, Hashable, List, Optional
 
 __all__ = ["InternTable", "all_tables", "intern_stats", "reset_intern_stats"]
@@ -37,13 +41,16 @@ _REGISTRY: "List[InternTable]" = []
 class InternTable:
     """One per-type hash-consing table: structural key → canonical object.
 
-    The table maps a *key* (a hashable tuple of the type's fields) to the
-    canonical instance for that key.  Values are held weakly, so the table
-    never keeps an object alive by itself.
+    The table maps a *key* (a hashable tuple of the type's fields) to a weak
+    reference to the canonical instance for that key, so the table never
+    keeps an object alive by itself.  A reference's callback drops its key
+    when the object dies, unless the key already maps to a live newer
+    reference (the removal is one atomic C call, so a collection that runs
+    the callback on another thread cannot drop a fresh entry).
     """
 
     __slots__ = ("name", "hits", "misses", "encode_hits", "encode_misses",
-                 "_table", "_lock", "__weakref__")
+                 "_table", "_remove", "__weakref__")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -54,48 +61,34 @@ class InternTable:
         #: repeated digests/store keys over the same states are O(1).
         self.encode_hits = 0
         self.encode_misses = 0
-        self._table: "weakref.WeakValueDictionary[Hashable, Any]" = (
-            weakref.WeakValueDictionary())
-        #: Serializes insertions so that concurrent construction of the same
-        #: value yields a single canonical object.  The analysis itself is
-        #: single-threaded; the one other thread that interns is a process
-        #: pool's result handler, which re-interns worker results as it
-        #: unpickles them while the coordinator may still be submitting.
-        #: The ``get`` fast path stays lock-free: a miss there only costs an
-        #: extra trip through ``insert``, which re-checks under the lock.
-        self._lock = threading.Lock()
+        table: Dict[Hashable, weakref.KeyedRef] = {}
+
+        def remove(ref: weakref.KeyedRef,
+                   remove_dead=_remove_dead_weakref) -> None:
+            remove_dead(table, ref.key)
+
+        self._table = table
+        self._remove = remove
         _REGISTRY.append(self)
 
     def get(self, key: Hashable) -> Optional[Any]:
         """The canonical object for ``key``, or ``None`` (counts a hit/miss)."""
-        found = self._table.get(key)
-        if found is not None:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return found
+        ref = self._table.get(key)
+        if ref is not None:
+            found = ref()
+            if found is not None:
+                self.hits += 1
+                return found
+        self.misses += 1
+        return None
 
     def insert(self, key: Hashable, value: Any) -> Any:
-        """Record ``value`` as canonical for ``key``, or return the winner.
-
-        Atomic get-or-insert: if another thread interned an equal value
-        between the caller's ``get`` miss and this call, the already-interned
-        canonical object is returned and ``value`` is discarded — so equality
-        remains identity even under concurrent construction.
-        """
-        with self._lock:
-            existing = self._table.get(key)
-            if existing is not None:
-                return existing
-            self._table[key] = value
-            return value
+        """Record ``value`` as canonical for ``key`` (after a ``get`` miss)."""
+        self._table[key] = weakref.KeyedRef(value, self._remove, key)
+        return value
 
     def __len__(self) -> int:
         return len(self._table)
-
-    def clear(self) -> None:
-        """Drop every entry (always sound: the next use re-interns)."""
-        self._table.clear()
 
     def stats(self) -> Dict[str, int]:
         return {"entries": len(self._table),

@@ -50,13 +50,14 @@ convergence the sequential engine owns.
 
 from __future__ import annotations
 
+import pickle
 import time
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..ai.interpreter import analyze_cfg
 from ..interproc.engine import InterproceduralEngine
 from .pool import PersistentWorkerPool
-from .worker import JobPayload, JobResult, run_summary_job
+from .worker import JobPayload, JobResult, run_summary_job_pickled
 
 SummaryKey = Tuple[str, Any]
 
@@ -227,11 +228,14 @@ class ParallelCoordinator:
                     callee_params=callee_params,
                     summaries=summaries,
                 )
-                futures.append((key, self.pool.submit(run_summary_job, payload)))
-            # Wave barrier: later waves consume these exits.
+                futures.append((key, self.pool.submit(run_summary_job_pickled,
+                                                      payload)))
+            # Wave barrier: later waves consume these exits.  Unpickling
+            # here re-interns the states on this thread, the only one that
+            # interns.
             for key, future in futures:
                 try:
-                    results[key] = future.result()
+                    results[key] = pickle.loads(future.result())
                 except Exception as exc:  # a worker died mid-job
                     results[key] = JobResult(key=key, error=repr(exc))
         return results, wave_jobs

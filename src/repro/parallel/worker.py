@@ -19,12 +19,16 @@ was not shipped falls back to havoc and marks the job ``incomplete``
 only reader is the engine.
 
 Interned abstract states cross the process boundary through their
-``__reduce__`` hooks, so every state in the result re-interns on receipt
-and pointer-equality keeps holding in the coordinator process.
+``__reduce__`` hooks.  A pool runs :func:`run_summary_job_pickled`, which
+returns the result as pickled bytes; the coordinator unpickles them on its
+own thread, so every state in the result re-interns there (never on the
+executor's result-handling thread) and pointer-equality keeps holding in
+the coordinator process.
 """
 
 from __future__ import annotations
 
+import pickle
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -85,7 +89,11 @@ class JobPayload:
 
 @dataclass
 class JobResult:
-    """What a worker reports back; all states re-intern on unpickle."""
+    """What a worker reports back.
+
+    All states re-intern when the coordinator unpickles the job's bytes on
+    its own thread.
+    """
 
     key: SummaryKey
     exit_state: Any = None
@@ -185,3 +193,9 @@ def run_summary_job(payload: JobPayload) -> JobResult:
         result.error = traceback.format_exc(limit=8)
     result.cpu_seconds = time.process_time() - cpu_started
     return result
+
+
+def run_summary_job_pickled(payload: JobPayload) -> bytes:
+    """:func:`run_summary_job` with its result pickled, as a pool runs it:
+    the caller, not the executor's result thread, unpickles (re-interns)."""
+    return pickle.dumps(run_summary_job(payload))

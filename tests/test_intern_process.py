@@ -7,10 +7,11 @@ so that a state that crossed two process boundaries is *pointer-equal* to
 the coordinator's canonical object (``summary_digest`` and the O(1)
 equality fast paths rely on ``is``).
 
-Each test round-trips instances through a real child interpreter: the
-parent pickles states to the child, the child unpickles them (re-interning
-into *its* tables), checks in-child canonicalization, re-pickles, and the
-parent asserts the returned objects ARE the originals.
+Each round-trip test sends instances through a real child interpreter:
+the parent pickles states to the child, the child unpickles them
+(re-interning into *its* tables), checks in-child canonicalization,
+re-pickles, and the parent asserts the returned objects ARE the originals.
+Identity also backs hashing: every interned type keeps ``object.__hash__``.
 """
 
 from __future__ import annotations
@@ -68,6 +69,17 @@ def _sample_states():
                                                    True, False)))),
         OctagonDomain().initial(["x", "y"]),
     ]
+
+
+def test_every_interned_type_hashes_and_compares_by_identity():
+    """Interning makes ``object.__eq__`` structural equality, so
+    ``object.__hash__`` agrees with it and every dict, set and memo probe
+    hashes in C; a Python-level ``__hash__`` or ``__eq__`` on an interned
+    type would be a silent slowdown."""
+    for state in _sample_states():
+        name = type(state).__name__
+        assert type(state).__hash__ is object.__hash__, name
+        assert type(state).__eq__ is object.__eq__, name
 
 
 def test_every_interned_type_round_trips_to_the_same_object():

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.daig.memo import MemoTable
 from repro.domains import ConstantDomain, IntervalDomain
 from repro.interproc import InterproceduralEngine, policy_by_name
+from repro.intern import InternTable
 from repro.lang import build_program_cfgs, parse_program
 from repro.lang.programs import wide_call_graph_source
 from repro.parallel import (
@@ -310,6 +311,29 @@ class TestCoordinator:
         finally:
             pool.close()
         pool.close()  # idempotent
+
+    def test_process_pool_results_intern_on_the_calling_thread(
+            self, monkeypatch):
+        """Jobs return pickled bytes that the coordinator unpickles itself,
+        so the executor's result-handling thread never interns: every intern
+        lookup of a run happens on the thread that called ``run()``."""
+        threads = set()
+        lookup = InternTable.get
+
+        def recording_get(table, key):
+            threads.add(threading.get_ident())
+            return lookup(table, key)
+
+        engine = InterproceduralEngine(
+            cfgs_of(wide_call_graph_source(4, inner_loops=1)),
+            IntervalDomain(), policy_by_name("context-insensitive"))
+        with PersistentWorkerPool(workers=2, kind="process") as pool:
+            monkeypatch.setattr(InternTable, "get", recording_get)
+            report = ParallelCoordinator(engine, pool).run()
+            monkeypatch.undo()
+        assert not report["errors"]
+        assert report["certified"] > 0
+        assert threads == {threading.get_ident()}
 
 
 # ---------------------------------------------------------------------------
