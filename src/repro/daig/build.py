@@ -61,20 +61,24 @@ class DaigBuilder:
         return N.prewiden_name(head, step, self.cfg.containing_loop_heads(head),
                                overrides)
 
-    def prejoin_name(self, loc: Loc, index: int, overrides: Dict[Loc, int]) -> N.Name:
-        return N.prejoin_name(loc, index, self.cfg.containing_loop_heads(loc),
-                              overrides)
-
-    def source_name(self, src: Loc, dst: Loc, overrides: Dict[Loc, int]) -> N.Name:
+    def source_name(self, src: Loc, dst: Loc, overrides: Dict[Loc, int],
+                    dst_heads: Optional[Tuple[Loc, ...]] = None,
+                    dst_iters: N.Iterations = ()) -> N.Name:
         """The cell a transfer over ``src → dst`` reads its input state from.
 
         Following footnote 5 of the paper: when the source is a loop head and
         the edge leaves the loop, the input is the loop's fixed point;
         otherwise it is the source's (possibly iteration-indexed) state cell.
+        A source in the destination's loops (``dst_heads``) reuses the
+        destination's ``dst_iters``.
         """
-        if self.cfg.is_loop_head(src) and dst not in self.cfg.natural_loop(src):
-            return self.fix_name(src, overrides)
-        return self.state_name(src, overrides)
+        cfg = self.cfg
+        heads = cfg.containing_loop_heads(src)
+        if cfg.is_loop_head(src) and dst not in cfg.natural_loop(src):
+            return N.fix_name(src, heads, overrides)
+        if heads == dst_heads:
+            return N.Name(N.STATE, src, iters=dst_iters)
+        return N.state_name(src, heads, overrides)
 
     # -- initial construction ---------------------------------------------------------
 
@@ -120,33 +124,37 @@ class DaigBuilder:
 
     def encode_incoming(self, daig: Daig, loc: Loc, overrides: Dict[Loc, int]) -> None:
         """Encode all incoming *forward* edges of ``loc`` (Fig. 7, cases 1-2)."""
-        edges = self.cfg.fwd_edges_to(loc)
+        cfg = self.cfg
+        edges = cfg.fwd_edges_to(loc)
         if not edges:
             return
-        dest = self.state_name(loc, overrides)
-        daig.add_ref(dest)
+        # The destination's loops index its state cell, its pre-join cells
+        # and the state cells of sources at the same nesting.
+        heads = cfg.containing_loop_heads(loc)
+        iters = N.iterations(heads, overrides)
+        dest = N.Name(N.STATE, loc, iters=iters)
         if len(edges) == 1:
-            index, edge = edges[0]
-            stmt_cell = self._stmt_cell(daig, edge, 0)
-            source = self.source_name(edge.src, loc, overrides)
-            daig.add_ref(source)
-            daig.add_computation(dest, TRANSFER, (stmt_cell, source))
+            edge = edges[0][1]
+            daig.add_computation(dest, TRANSFER, (
+                self._stmt_cell(daig, edge, 0),
+                self.source_name(edge.src, loc, overrides, heads, iters)))
             return
         prejoins = []
         for index, edge in edges:
-            stmt_cell = self._stmt_cell(daig, edge, index)
-            source = self.source_name(edge.src, loc, overrides)
-            daig.add_ref(source)
-            prejoin = self.prejoin_name(loc, index, overrides)
-            daig.add_ref(prejoin)
-            daig.add_computation(prejoin, TRANSFER, (stmt_cell, source))
+            prejoin = N.Name(N.PREJOIN, loc, index, iters=iters)
+            daig.add_computation(prejoin, TRANSFER, (
+                self._stmt_cell(daig, edge, index),
+                self.source_name(edge.src, loc, overrides, heads, iters)))
             prejoins.append(prejoin)
         daig.add_computation(dest, JOIN, tuple(prejoins))
 
     def _stmt_cell(self, daig: Daig, edge: CfgEdge, index: int) -> N.Name:
         name = N.stmt_name(edge.src, edge.dst, index)
-        daig.add_ref(name)
-        daig.set_value(name, edge.stmt)
+        # Re-encoding (an unrolling, a splice) mostly finds the statement in
+        # place already.
+        if daig.values.get(name) is not edge.stmt:
+            daig.add_ref(name)
+            daig.set_value(name, edge.stmt)
         return name
 
     def build_loop_structures(
@@ -165,11 +173,8 @@ class DaigBuilder:
         iterate1 = self.state_name(head, {**overrides, head: 1})
         prewiden1 = self.prewiden_name(head, 1, overrides)
         fix_cell = self.fix_name(head, overrides)
-        for name in (iterate0, iterate1, prewiden1, fix_cell):
-            daig.add_ref(name)
         stmt_cell = self._stmt_cell(daig, back, 0)
         source = self.source_name(back.src, head, body_overrides)
-        daig.add_ref(source)
         daig.add_computation(prewiden1, TRANSFER, (stmt_cell, source))
         daig.add_computation(iterate1, WIDEN, (iterate0, prewiden1))
         daig.add_computation(fix_cell, FIX, (iterate0, iterate1))
@@ -205,21 +210,17 @@ class DaigBuilder:
             self.encode_incoming(daig, loc, body_overrides)
         for inner in self.cfg.loop_heads():
             if inner != head and inner in loop:
-                # Only rebuild inner loops immediately nested in `head` here;
-                # deeper nests are handled recursively when those inner loops
-                # are themselves unrolled.
-                inner_containing = self.cfg.containing_loop_heads(inner)
-                if head in inner_containing:
-                    self.build_loop_structures(daig, inner, body_overrides)
+                # Every loop nested in `head` gets its initial two-iterate
+                # chain inside the new iteration (loops between it and
+                # `head` at iteration 0); deeper iterations are unrolled on
+                # demand.
+                self.build_loop_structures(daig, inner, body_overrides)
         back = self.cfg.back_edges_to(head)[0]
         stmt_cell = N.stmt_name(back.src, back.dst, 0)
         prewiden_next = self.prewiden_name(head, k + 1, overrides)
         iterate_k = self.state_name(head, {**overrides, head: k})
         iterate_next = self.state_name(head, {**overrides, head: k + 1})
         source = self.source_name(back.src, head, body_overrides)
-        daig.add_ref(prewiden_next)
-        daig.add_ref(iterate_next)
-        daig.add_ref(source)
         daig.add_computation(prewiden_next, TRANSFER, (stmt_cell, source))
         daig.add_computation(iterate_next, WIDEN, (iterate_k, prewiden_next))
         daig.replace_computation(fix_cell, FIX, (iterate_k, iterate_next))

@@ -16,11 +16,14 @@ instead of O(graph):
 * ``dependents`` — the reverse-dependency index (src name → destinations of
   computations reading it), used by forward dirtying;
 * ``anchored`` — state-typed cells grouped by the program location they
-  encode, used by structural splicing to find the sub-region belonging to a
-  re-encoded location without scanning all of ``refs``;
+  encode (their name's ``loc``: state, pre-join, fix and pre-widening cells
+  belong to the encoding of that location), used by structural splicing to
+  find the sub-region belonging to a re-encoded location without scanning
+  all of ``refs``;
 * ``iterated`` — cells grouped by the loop heads for which they carry a
-  nonzero unrolling iteration, used by loop roll-back (rule E-Loop) and by
-  splicing to discard a loop's demanded unrollings in one sweep.
+  nonzero unrolling iteration (their name's ``heads``), used by loop
+  roll-back (rule E-Loop) and by splicing to discard a loop's demanded
+  unrollings in one sweep.
 
 A fourth group of side tables supports change propagation with early
 cutoff: when an edit dirties a cell, its prior value is retained as a
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from .names import Name, TYPE_STATE, TYPE_STMT
+from .names import Name, STMT, TYPE_STATE, TYPE_STMT
 
 #: Function symbols labelling computations (the ``f`` of Fig. 6).
 TRANSFER = "transfer"  # ⟦·⟧♯
@@ -125,14 +128,14 @@ class Daig:
         if name in self.refs:
             return
         self.refs.add(name)
-        if name.cell_type() != TYPE_STMT:
-            self.anchored.setdefault(name.anchor(), set()).add(name)
-        for head in name.iteration_heads():
+        if name.kind != STMT:
+            self.anchored.setdefault(name.loc, set()).add(name)
+        for head in name.heads:
             self.iterated.setdefault(head, set()).add(name)
 
     def add_computation(self, dest: Name, func: str, srcs: Tuple[Name, ...]) -> None:
-        if dest in self.computations:
-            existing = self.computations[dest]
+        existing = self.computations.get(dest)
+        if existing is not None:
             if existing.func == func and existing.srcs == srcs:
                 return
             raise IllFormedDaigError(
@@ -169,13 +172,13 @@ class Daig:
         self.shadow_caps.pop(name, None)
         self.stamps.pop(name, None)
         self.baseline_only.discard(name)
-        if name.cell_type() != TYPE_STMT:
-            anchored = self.anchored.get(name.anchor())
+        if name.kind != STMT:
+            anchored = self.anchored.get(name.loc)
             if anchored is not None:
                 anchored.discard(name)
                 if not anchored:
-                    del self.anchored[name.anchor()]
-        for head in name.iteration_heads():
+                    del self.anchored[name.loc]
+        for head in name.heads:
             iterated = self.iterated.get(head)
             if iterated is not None:
                 iterated.discard(name)

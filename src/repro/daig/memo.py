@@ -22,6 +22,10 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 
+#: Sentinel distinguishing "no entry" from any memoized value.
+_ABSENT = object()
+
+
 class MemoTable:
     """A finite map from ``f·(v1···vk)`` names to previously computed results.
 
@@ -74,20 +78,20 @@ class MemoTable:
         if not self.enabled:
             self.misses += 1
             return False, None
-        # One dict probe: the key tuple is hashed exactly once (and interned
-        # states/names inside it carry cached hashes), where a key() +
-        # containment + access sequence would hash it three times.
+        # One dict probe, and a miss raises nothing.  Interned states hash
+        # by identity and a statement caches its structural hash
+        # (repro.lang.ast), so hashing the key costs no expression walk.
+        key = (func,) + args
         try:
-            value = self._table[(func,) + args]
-        except KeyError:
-            self.misses += 1
-            return False, None
+            value = self._table.get(key, _ABSENT)
         except TypeError:  # an unhashable input cannot be memoized
+            value = _ABSENT
+        if value is _ABSENT:
             self.misses += 1
             return False, None
         self.hits += 1
         if self.capacity is not None:
-            self._table.move_to_end((func,) + args)
+            self._table.move_to_end(key)
         return True, value
 
     def store(self, func: str, args: Tuple[Any, ...], value: Any) -> None:

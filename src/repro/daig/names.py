@@ -28,7 +28,7 @@ so the DAIG's indices and the memo table hash and compare names by identity.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..intern import InternTable
 
@@ -61,11 +61,18 @@ class Name:
 
     Statement names additionally carry ``index`` for join disambiguation.
 
+    ``heads`` is derived, not part of the name: the loop heads for which
+    the cell carries a nonzero iteration (a pre-widening cell always
+    belongs to an iterate of its own head, since its ``aux`` is the 1-based
+    widening step).  It is computed once, when the name is interned, and
+    files the cell under those heads in the DAIG's ``iterated`` index.
+
     Names are interned: equal field tuples yield the *same* object, so
     equality and hashing are both by identity.
     """
 
-    __slots__ = ("kind", "loc", "aux", "index", "iters", "__weakref__")
+    __slots__ = ("kind", "loc", "aux", "index", "iters", "heads",
+                 "__weakref__")
 
     _intern = InternTable("daig.Name")
 
@@ -74,6 +81,7 @@ class Name:
     aux: int
     index: int
     iters: Iterations
+    heads: Tuple[int, ...]
 
     def __new__(cls, kind: str, loc: int, aux: int = 0, index: int = 0,
                 iters: Iterations = ()) -> "Name":
@@ -82,12 +90,16 @@ class Name:
         canonical = table.get(key)
         if canonical is not None:
             return canonical
+        heads = tuple([head for head, count in iters if count >= 1])
+        if kind == PREWIDEN and aux >= 1:
+            heads += (loc,)
         self = object.__new__(cls)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "loc", loc)
         object.__setattr__(self, "aux", aux)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "iters", iters)
+        object.__setattr__(self, "heads", heads)
         return table.insert(key, self)
 
     def __setattr__(self, attr: str, value: object) -> None:
@@ -117,31 +129,10 @@ class Name:
             return self.aux
         return 0
 
-    def anchor(self) -> int:
-        """The program location this cell's region is anchored at.
-
-        State, pre-join, fix, and pre-widening cells belong to the encoding
-        of their ``loc`` (statement cells belong to an *edge* and are indexed
-        separately by the splicer).
-        """
-        return self.loc
-
     def is_base_copy(self) -> bool:
         """Whether this cell belongs to the initial (all-zero-iteration)
         encoding rather than to a demanded unrolling of some loop."""
         return all(count == 0 for _, count in self.iters)
-
-    def iteration_heads(self) -> Tuple[int, ...]:
-        """Loop heads for which this cell carries a nonzero iteration.
-
-        Pre-widening cells always belong to an iterate of their own head
-        (their ``aux`` is the 1-based widening step), mirroring
-        :meth:`mentions_head_iteration`.
-        """
-        heads = tuple(key for key, value in self.iters if value >= 1)
-        if self.kind == PREWIDEN and self.aux >= 1:
-            heads += (self.loc,)
-        return heads
 
     def mentions_head_iteration(self, head: int, minimum: int) -> bool:
         """Whether this name belongs to iteration >= ``minimum`` of ``head``."""
@@ -167,27 +158,38 @@ class Name:
         return "ℓ%d(%d-1)·ℓ%d(%d)%s" % (self.loc, self.aux, self.loc, self.aux, iters)
 
 
-def _sorted_iters(mapping: Dict[int, int]) -> Iterations:
-    return tuple(sorted(mapping.items()))
+def iterations(heads: Sequence[int], overrides: Dict[int, int]) -> Iterations:
+    """The ``iters`` of a cell inside the loops headed at ``heads``.
+
+    Each head gets its count from ``overrides`` (defaulting to 0); the
+    pairs are sorted by head.  Most cells sit in at most one loop, which
+    needs no sort.
+    """
+    if not heads:
+        return ()
+    if len(heads) == 1:
+        head = heads[0]
+        return ((head, overrides.get(head, 0)),)
+    return tuple(sorted([(head, overrides.get(head, 0)) for head in heads]))
 
 
-def state_name(loc: int, heads: Iterable[int], overrides: Dict[int, int]) -> Name:
+def state_name(loc: int, heads: Sequence[int], overrides: Dict[int, int]) -> Name:
     """The abstract-state cell at ``loc`` under the given loop iterations.
 
     ``heads`` lists every loop head whose natural loop contains ``loc``;
     each gets the iteration count from ``overrides`` (defaulting to 0).
     """
-    return Name(STATE, loc, iters=_sorted_iters(
-        {head: overrides.get(head, 0) for head in heads}))
+    return Name(STATE, loc, iters=iterations(heads, overrides))
 
 
-def fix_name(head: int, outer_heads: Iterable[int], overrides: Dict[int, int]) -> Name:
+def fix_name(head: int, outer_heads: Sequence[int], overrides: Dict[int, int]) -> Name:
     """The fixed-point cell of the loop headed at ``head``.
 
-    ``outer_heads`` lists the loop heads strictly enclosing ``head``.
+    ``outer_heads`` lists the loop heads strictly enclosing ``head`` (a
+    listed ``head`` itself is skipped).
     """
-    return Name(FIX, head, iters=_sorted_iters(
-        {h: overrides.get(h, 0) for h in outer_heads if h != head}))
+    return Name(FIX, head, iters=iterations(
+        [h for h in outer_heads if h != head], overrides))
 
 
 def stmt_name(src: int, dst: int, index: int = 0) -> Name:
@@ -195,15 +197,14 @@ def stmt_name(src: int, dst: int, index: int = 0) -> Name:
     return Name(STMT, src, dst, index)
 
 
-def prejoin_name(loc: int, index: int, heads: Iterable[int],
+def prejoin_name(loc: int, index: int, heads: Sequence[int],
                  overrides: Dict[int, int]) -> Name:
     """The pre-join cell ``index·n_loc``."""
-    return Name(PREJOIN, loc, index, iters=_sorted_iters(
-        {head: overrides.get(head, 0) for head in heads}))
+    return Name(PREJOIN, loc, index, iters=iterations(heads, overrides))
 
 
-def prewiden_name(head: int, step: int, outer_heads: Iterable[int],
+def prewiden_name(head: int, step: int, outer_heads: Sequence[int],
                   overrides: Dict[int, int]) -> Name:
     """The pre-widening cell feeding the ``step``-th iterate of ``head``."""
-    return Name(PREWIDEN, head, step, iters=_sorted_iters(
-        {h: overrides.get(h, 0) for h in outer_heads if h != head}))
+    return Name(PREWIDEN, head, step, iters=iterations(
+        [h for h in outer_heads if h != head], overrides))

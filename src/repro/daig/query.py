@@ -122,9 +122,14 @@ class QueryEvaluator:
         that led there.
         """
         daig = self.daig
-        if daig.has_value(name):
-            self.stats.cells_reused += 1
-            return daig.value(name)
+        # The walk reads the DAIG's dicts directly: every step probes them.
+        values = daig.values
+        computations = daig.computations
+        refs = daig.refs
+        stats = self.stats
+        if name in values:
+            stats.cells_reused += 1
+            return values[name]
         unrollings: Dict[Name, int] = {}
         stack: List[Name] = [name]
         on_path: Set[Name] = {name}
@@ -135,17 +140,17 @@ class QueryEvaluator:
         pushed_by: Dict[Name, Name] = {}
         while stack:
             current = stack[-1]
-            if daig.has_value(current):
+            if current in values:
                 # Computed while pending (shared input of an earlier sibling).
                 stack.pop()
                 on_path.discard(current)
                 continue
-            comp = daig.defining(current)
+            comp = computations.get(current)
             if comp is None:
-                if current != name and current not in daig.refs:
+                if current is not name and current not in refs:
                     # Removed mid-flight by a reentrant call transfer (loop
                     # rollback); restart the walk from the root.
-                    if name not in daig.refs:
+                    if name not in refs:
                         raise StaleDemandError(
                             "root cell %s vanished during evaluation" % (name,))
                     stack = [name]
@@ -154,8 +159,12 @@ class QueryEvaluator:
                     continue
                 raise IllFormedDaigError(
                     "query for undefined empty cell %s" % (current,))
-            pending = next(
-                (src for src in comp.srcs if not daig.has_value(src)), None)
+            srcs = comp.srcs
+            pending = None
+            for src in srcs:
+                if src not in values:
+                    pending = src
+                    break
             if pending is not None:
                 if pending in on_path:
                     raise IllFormedDaigError(
@@ -164,15 +173,22 @@ class QueryEvaluator:
                 on_path.add(pending)
                 pushed_by[pending] = current
                 continue
-            self._count_input_reuse(current, comp, pushed_by)
+            # Q-Reuse for the input reads: an input read is a reuse unless
+            # `current` itself pushed it (then it was just counted as
+            # computed; the attribution is consumed so later fix re-reads
+            # count as reuse).
+            for src in srcs:
+                if pushed_by.get(src) is current:
+                    del pushed_by[src]
+                else:
+                    stats.cells_reused += 1
             if comp.func == FIX:
                 self._step_fix(current, comp, unrollings)
                 continue  # either converged (valued) or unrolled (new inputs)
-            args = tuple(daig.value(src) for src in comp.srcs)
-            value = self._evaluate(comp, args)
-            if (current not in daig.refs
-                    or daig.defining(current) != comp
-                    or not all(daig.has_value(src) for src in comp.srcs)):
+            value = self._evaluate(comp, tuple(map(values.__getitem__, srcs)))
+            live = computations.get(current)
+            if ((live is not comp and live != comp) or current not in refs
+                    or not all(map(values.__contains__, srcs))):
                 # A call transfer may re-enter the interprocedural engine,
                 # which can dirty cells of *this* DAIG (a callee summary
                 # changed) while the transfer was evaluating — possibly
@@ -180,7 +196,7 @@ class QueryEvaluator:
                 # just computed is stale; discard it and restart the walk
                 # from the root (everything already committed keeps its
                 # value, so only the invalidated suffix is re-derived).
-                if name not in daig.refs:
+                if name not in refs:
                     raise StaleDemandError(
                         "root cell %s vanished during evaluation" % (name,))
                 stack = [name]
@@ -190,7 +206,7 @@ class QueryEvaluator:
             self._commit_cell(current, value)
             stack.pop()
             on_path.discard(current)
-        return daig.value(name)
+        return values[name]
 
     def _commit_cell(self, name: Name, value: Any) -> None:
         """Write a recomputed value into its cell — the one place values are
@@ -227,52 +243,37 @@ class QueryEvaluator:
         also depends on the callee's summary, which their inputs cannot
         witness."""
         daig = self.daig
+        values = daig.values
+        computations = daig.computations
+        dependents = daig.dependents
         shadows = daig.shadows
+        shadow_caps = daig.shadow_caps
+        baseline_only = daig.baseline_only
         stamps = daig.stamps
+        hooked = self.call_transfer is not None
         frontier = [source]
         while frontier:
-            for dep in daig.dependents_of(frontier.pop()):
-                if dep not in shadows or dep in daig.values \
-                        or dep in daig.baseline_only:
+            for dep in dependents.get(frontier.pop(), ()):
+                if dep not in shadows or dep in values or dep in baseline_only:
                     continue
-                comp = daig.defining(dep)
+                comp = computations.get(dep)
                 if comp is None or comp.func == FIX:
                     continue
-                if (comp.func == TRANSFER and self.call_transfer is not None
-                        and daig.has_value(comp.srcs[0])
-                        and isinstance(daig.value(comp.srcs[0]), A.CallStmt)):
+                srcs = comp.srcs
+                if (hooked and comp.func == TRANSFER
+                        and isinstance(values.get(srcs[0]), A.CallStmt)):
                     continue
-                cap = daig.shadow_caps.get(dep, 0)
-                restorable = True
-                for src in comp.srcs:
-                    if src not in daig.values or stamps.get(src, 0) >= cap:
-                        restorable = False
+                cap = shadow_caps.get(dep, 0)
+                for src in srcs:
+                    if src not in values or stamps.get(src, 0) >= cap:
                         break
-                if not restorable:
-                    continue
-                # set_value before popping: the previous known value is the
-                # shadow itself, so the restore does not bump the stamp.
-                daig.set_value(dep, shadows[dep])
-                shadows.pop(dep, None)
-                daig.shadow_caps.pop(dep, None)
-                self.stats.cells_restored += 1
-                frontier.append(dep)
-
-    def _count_input_reuse(self, current: Name, comp: Computation,
-                           pushed_by: Dict[Name, Name]) -> None:
-        """Count Q-Reuse for ``current``'s input reads.
-
-        An input read is a reuse when the cell already held a value before
-        ``current`` demanded it — i.e. it was filled by an earlier query, or
-        computed during this walk on behalf of a *different* demander.  An
-        input ``current`` itself pushed was just counted as computed, so the
-        attribution is consumed to keep later fix re-reads counting as reuse.
-        """
-        for src in comp.srcs:
-            if pushed_by.get(src) is current:
-                del pushed_by[src]
-            else:
-                self.stats.cells_reused += 1
+                else:
+                    # The cell gets back the value it last held, so its
+                    # change stamp stays (what `set_value` would conclude).
+                    values[dep] = shadows.pop(dep)
+                    shadow_caps.pop(dep, None)
+                    self.stats.cells_restored += 1
+                    frontier.append(dep)
 
     def _step_fix(self, name: Name, comp: Computation,
                   unrollings: Dict[Name, int]) -> None:
@@ -283,8 +284,9 @@ class QueryEvaluator:
         (Q-Loop-Unroll), replacing the cell's defining computation so the
         caller's next look at the cell demands the new greatest iterate.
         """
-        first = self.daig.value(comp.srcs[0])
-        second = self.daig.value(comp.srcs[1])
+        values = self.daig.values
+        first = values[comp.srcs[0]]
+        second = values[comp.srcs[1]]
         # Interned states make the common converged case a pointer check.
         if first is second or self.domain.equal(first, second):
             self._commit_cell(name, second)
@@ -300,39 +302,39 @@ class QueryEvaluator:
         unrollings[name] = count
         self.stats.unrollings += 1
         self.builder.unroll(self.daig, name.loc, dict(name.iters))
-        if self.daig.defining(name) is None:
+        if name not in self.daig.computations:
             raise IllFormedDaigError("fix cell lost its computation: %s" % (name,))
 
     def _evaluate(self, comp: Computation, args: Tuple[Any, ...]) -> Any:
-        is_call = comp.func == TRANSFER and isinstance(args[0], A.CallStmt)
-        if not is_call:
-            found, cached = self.memo.lookup(comp.func, args)
-            if found:
-                return cached
-        value = self._apply(comp.func, args,
-                            site=comp.srcs[0] if is_call else None)
-        if not is_call:
-            self.memo.store(comp.func, args, value)
-        return value
-
-    def _apply(self, func: str, args: Tuple[Any, ...],
-               site: Optional[Name] = None) -> Any:
-        if func == TRANSFER:
-            stmt, state = args
+        """Q-Match or Q-Miss for a computation whose inputs hold ``args``."""
+        func = comp.func
+        if func == TRANSFER and isinstance(args[0], A.CallStmt):
+            # Never memoized location-independently (Section 7.1).
             self.stats.transfers += 1
-            if isinstance(stmt, A.CallStmt) and self.call_transfer is not None:
+            if self.call_transfer is not None:
                 # The hook also receives the statement *cell* naming the call
                 # site, so the interprocedural engine can index entry-state
                 # contributions per call site.
-                return self.call_transfer(stmt, state, site)
-            return self.domain.transfer(stmt, state)
-        if func == JOIN:
+                return self.call_transfer(args[0], args[1], comp.srcs[0])
+            return self.domain.transfer(args[0], args[1])
+        memo = self.memo
+        found, value = memo.lookup(func, args)
+        if found:
+            return value
+        # The domain's methods are looked up at call time: a traced session
+        # wraps them on the class.
+        if func == TRANSFER:
+            self.stats.transfers += 1
+            value = self.domain.transfer(args[0], args[1])
+        elif func == JOIN:
             self.stats.joins += 1
-            result = args[0]
-            for value in args[1:]:
-                result = self.domain.join(result, value)
-            return result
-        if func == WIDEN:
+            value = args[0]
+            for other in args[1:]:
+                value = self.domain.join(value, other)
+        elif func == WIDEN:
             self.stats.widens += 1
-            return self.domain.widen(args[0], args[1])
-        raise IllFormedDaigError("cannot apply function %r" % (func,))
+            value = self.domain.widen(args[0], args[1])
+        else:
+            raise IllFormedDaigError("cannot apply function %r" % (func,))
+        memo.store(func, args, value)
+        return value

@@ -205,6 +205,22 @@ class ValueEnvDomain(AbstractDomain[EnvState]):
         self._bottom_scalar = ScalarValue(lattice.bottom(), False, False)
         self._bottom_state = EnvState(bottom=True)
         self._empty_state = EnvState()
+        self._arithmetic = {
+            "+": lattice.add,
+            "-": lattice.sub,
+            "*": lattice.mul,
+            "/": lattice.div,
+            "%": lattice.mod,
+        }
+        #: ``op -> (refine the left operand, refine the right operand)``.
+        self._refinements = {
+            "==": (lattice.refine_eq, lattice.refine_eq),
+            "!=": (lattice.refine_ne, lattice.refine_ne),
+            "<": (lattice.refine_lt, lattice.refine_gt),
+            "<=": (lattice.refine_le, lattice.refine_ge),
+            ">": (lattice.refine_gt, lattice.refine_lt),
+            ">=": (lattice.refine_ge, lattice.refine_le),
+        }
 
     # -- scalar helpers ----------------------------------------------------------
 
@@ -417,15 +433,8 @@ class ValueEnvDomain(AbstractDomain[EnvState]):
             if verdict is False:
                 return self._num_scalar(self.lattice.from_const(0))
             return self._bool_scalar()
-        left_num, right_num = self._numeric(left), self._numeric(right)
-        operations = {
-            "+": self.lattice.add,
-            "-": self.lattice.sub,
-            "*": self.lattice.mul,
-            "/": self.lattice.div,
-            "%": self.lattice.mod,
-        }
-        return self._num_scalar(operations[expr.op](left_num, right_num))
+        return self._num_scalar(self._arithmetic[expr.op](
+            self._numeric(left), self._numeric(right)))
 
     def _eval_array_literal(self, expr: A.ArrayLit, state: EnvState) -> ArraySummary:
         element = self._bottom_scalar
@@ -550,29 +559,20 @@ class ValueEnvDomain(AbstractDomain[EnvState]):
                         or right.maybe_null or right.maybe_other):
                     return self.bottom()
 
-        refinements = {
-            "==": (self.lattice.refine_eq, self.lattice.refine_eq),
-            "!=": (self.lattice.refine_ne, self.lattice.refine_ne),
-            "<": (self.lattice.refine_lt, self.lattice.refine_gt),
-            "<=": (self.lattice.refine_le, self.lattice.refine_ge),
-            ">": (self.lattice.refine_gt, self.lattice.refine_lt),
-            ">=": (self.lattice.refine_ge, self.lattice.refine_le),
-        }
-        refine_left, refine_right = refinements[cond.op]
+        refine_left, refine_right = self._refinements[cond.op]
+        # An ordering holds only between numbers: it clears the null and
+        # reference flags, which == and != keep.
+        keep_flags = cond.op in ("==", "!=")
         out = state
         if isinstance(cond.left, A.Var) and isinstance(left, ScalarValue):
             refined = ScalarValue(refine_left(left.num, right_num),
-                                  left.maybe_null and cond.op in ("==", "!="),
-                                  left.maybe_other and cond.op in ("==", "!="))
-            if cond.op in ("<", "<=", ">", ">="):
-                refined = ScalarValue(refine_left(left.num, right_num), False, False)
+                                  keep_flags and left.maybe_null,
+                                  keep_flags and left.maybe_other)
             out = self._rebind_checked(out, cond.left.name, refined)
         if isinstance(cond.right, A.Var) and isinstance(right, ScalarValue) and not out.bottom:
             refined = ScalarValue(refine_right(right.num, left_num),
-                                  right.maybe_null and cond.op in ("==", "!="),
-                                  right.maybe_other and cond.op in ("==", "!="))
-            if cond.op in ("<", "<=", ">", ">="):
-                refined = ScalarValue(refine_right(right.num, left_num), False, False)
+                                  keep_flags and right.maybe_null,
+                                  keep_flags and right.maybe_other)
             out = self._rebind_checked(out, cond.right.name, refined)
         return out
 

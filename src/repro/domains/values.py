@@ -122,6 +122,36 @@ def _max_bound(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return max(a, b)
 
 
+def _refine_below(value: Interval, bound: Interval, strict: int) -> Interval:
+    """``value`` under ``value <= bound - strict``: the meet with
+    ``[−∞, bound.hi − strict]``, computed on raw bounds so that only the
+    result is interned (``value`` itself when the bound does not cut it)."""
+    if value.empty or bound.empty:
+        return Interval.bottom()
+    if bound.hi is None:
+        return value
+    hi = bound.hi - strict
+    if value.hi is not None and value.hi <= hi:
+        return value
+    if value.lo is not None and value.lo > hi:
+        return Interval.bottom()
+    return Interval(value.lo, hi)
+
+
+def _refine_above(value: Interval, bound: Interval, strict: int) -> Interval:
+    """``value`` under ``value >= bound + strict`` (see :func:`_refine_below`)."""
+    if value.empty or bound.empty:
+        return Interval.bottom()
+    if bound.lo is None:
+        return value
+    lo = bound.lo + strict
+    if value.lo is not None and value.lo >= lo:
+        return value
+    if value.hi is not None and value.hi < lo:
+        return Interval.bottom()
+    return Interval(lo, value.hi)
+
+
 class ValueLattice(ABC):
     """Interface shared by all value abstractions."""
 
@@ -337,18 +367,16 @@ class IntervalLattice(ValueLattice):
     # refinement --------------------------------------------------------------------
 
     def refine_le(self, value: Interval, bound: Interval) -> Interval:
-        if value.empty or bound.empty:
-            return Interval.bottom()
-        if bound.hi is None:
-            return value
-        return self.meet(value, Interval(None, bound.hi))
+        return _refine_below(value, bound, 0)
+
+    def refine_lt(self, value: Interval, bound: Interval) -> Interval:
+        return _refine_below(value, bound, 1)
 
     def refine_ge(self, value: Interval, bound: Interval) -> Interval:
-        if value.empty or bound.empty:
-            return Interval.bottom()
-        if bound.lo is None:
-            return value
-        return self.meet(value, Interval(bound.lo, None))
+        return _refine_above(value, bound, 0)
+
+    def refine_gt(self, value: Interval, bound: Interval) -> Interval:
+        return _refine_above(value, bound, 1)
 
     def refine_ne(self, value: Interval, other: Interval) -> Interval:
         if value.empty:

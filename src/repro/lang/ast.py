@@ -401,8 +401,35 @@ class AtomicStmt:
         """Variable names read by this statement."""
         return frozenset()
 
+    def __getstate__(self) -> dict:
+        # Pickles leave out the cached hash (see `_atomic`): string hashes
+        # differ between interpreters.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
-@dataclass(frozen=True)
+
+def _atomic(cls: type) -> type:
+    """``@dataclass(frozen=True)``, with the structural hash computed once.
+
+    The memo table keys every transfer by its statement (rule Q-Match),
+    and the generated ``__hash__`` re-walks the expression tree on each
+    call; a statement caches its hash on first use instead.
+    """
+    cls = dataclass(frozen=True)(cls)
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = structural(self)
+        return cached
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_atomic
 class AssignStmt(AtomicStmt):
     """``x = e``."""
 
@@ -422,7 +449,7 @@ class AssignStmt(AtomicStmt):
         return "%s = %s" % (self.target, self.value)
 
 
-@dataclass(frozen=True)
+@_atomic
 class AssumeStmt(AtomicStmt):
     """``assume e`` — the residue of branch conditions after lowering."""
 
@@ -438,7 +465,7 @@ class AssumeStmt(AtomicStmt):
         return "assume %s" % (self.cond,)
 
 
-@dataclass(frozen=True)
+@_atomic
 class ArrayWriteStmt(AtomicStmt):
     """``a[i] = e``."""
 
@@ -459,7 +486,7 @@ class ArrayWriteStmt(AtomicStmt):
         return "%s[%s] = %s" % (self.array, self.index, self.value)
 
 
-@dataclass(frozen=True)
+@_atomic
 class FieldWriteStmt(AtomicStmt):
     """``x.f = e``."""
 
@@ -477,7 +504,7 @@ class FieldWriteStmt(AtomicStmt):
         return "%s.%s = %s" % (self.base, self.fieldname, self.value)
 
 
-@dataclass(frozen=True)
+@_atomic
 class CallStmt(AtomicStmt):
     """``x = f(e1, ..., en)``; interpreted by the interprocedural engine."""
 
@@ -506,7 +533,7 @@ class CallStmt(AtomicStmt):
         return "%s = %s" % (self.target, call)
 
 
-@dataclass(frozen=True)
+@_atomic
 class SkipStmt(AtomicStmt):
     """A no-op edge label."""
 
@@ -517,7 +544,7 @@ class SkipStmt(AtomicStmt):
         return "skip"
 
 
-@dataclass(frozen=True)
+@_atomic
 class PrintStmt(AtomicStmt):
     """``print(e)`` — has no effect on any abstract state."""
 

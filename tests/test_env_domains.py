@@ -95,6 +95,23 @@ class TestTransfers:
         ])
         assert interval_domain.numeric_bounds(A.Var("x"), state) == (7, 7)
 
+    @pytest.mark.parametrize("op, keeps_flags", [
+        ("<", False), ("<=", False), (">", False), (">=", False),
+        ("==", True), ("!=", True)])
+    def test_assume_ordering_clears_null_and_reference_flags(
+            self, interval_domain, op, keeps_flags):
+        # Unbound variables are top: maybe null and maybe a reference.  Only
+        # numbers are ordered, so an ordering assume clears both flags on
+        # both operands; == and != keep them.
+        state = transfer_sequence(interval_domain, [
+            A.AssumeStmt(parse_expression("x %s y" % op)),
+        ])
+        for name in ("x", "y"):
+            value = state.get(name)
+            assert isinstance(value, ScalarValue)
+            assert value.maybe_null == keeps_flags
+            assert value.maybe_other == keeps_flags
+
     def test_assume_null_tests(self, interval_domain):
         state = transfer_sequence(interval_domain, [
             A.AssignStmt("p", A.NullLit()),

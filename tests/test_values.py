@@ -171,6 +171,50 @@ class TestIntervalSpecifics:
         assert lattice.is_bottom(
             lattice.refine_ne(Interval.const(3), Interval.const(3)))
 
+    @staticmethod
+    def _all_small_intervals():
+        # Bounds in {-inf, -2, 0, 3, +inf} on both ends, plus bottom.
+        finite = (-2, 0, 3)
+        out = [Interval.bottom()]
+        for lo in (None,) + finite:
+            for hi in finite + (None,):
+                if lo is None or hi is None or lo <= hi:
+                    out.append(Interval.make(lo, hi))
+        return out
+
+    def test_ordering_refinements_equal_their_definitions(self):
+        # refine_le is the meet with [-inf, bound.hi] (bottom if either side
+        # is bottom, the value itself if bound.hi is unbounded); refine_lt
+        # lowers the bound by one first.  ge and gt are symmetric.
+        lattice = IntervalLattice()
+        one_less = Interval.const(-1)
+        one_more = Interval.const(1)
+
+        def le(value, bound):
+            if value.empty or bound.empty:
+                return Interval.bottom()
+            if bound.hi is None:
+                return value
+            return lattice.meet(value, Interval(None, bound.hi))
+
+        def ge(value, bound):
+            if value.empty or bound.empty:
+                return Interval.bottom()
+            if bound.lo is None:
+                return value
+            return lattice.meet(value, Interval(bound.lo, None))
+
+        intervals = self._all_small_intervals()
+        assert len(intervals) == 14
+        for value in intervals:
+            for bound in intervals:
+                assert lattice.refine_le(value, bound) is le(value, bound)
+                assert lattice.refine_ge(value, bound) is ge(value, bound)
+                assert lattice.refine_lt(value, bound) is le(
+                    value, lattice.add(bound, one_less))
+                assert lattice.refine_gt(value, bound) is ge(
+                    value, lattice.add(bound, one_more))
+
     def test_division_and_modulo(self):
         lattice = IntervalLattice()
         assert lattice.div(Interval.make(0, 10), Interval.const(2)) == Interval.make(0, 5)

@@ -1,0 +1,103 @@
+"""Exact work counts of three fixed sessions.
+
+An optimization of the evaluation path may change latency, never a work
+count: cells computed, reused, restored and cut off; transfers, joins,
+widens and unrollings; memo hits, misses and stores; cells dirtied and
+locations re-signed.  Each test below replays one deterministic session
+and compares every counter the engines expose with the values recorded
+before the evaluation path was last optimized.  The sessions run under
+whatever ``PYTHONHASHSEED`` the suite runs under, so a count that follows
+set or dict order over identity-hashed names shows up here as a flaky
+mismatch.
+"""
+
+from repro.analysis.config import (
+    IncrementalDemandConfiguration,
+    InterprocIncrementalDemandConfiguration,
+)
+from repro.daig import DaigEngine, MemoTable
+from repro.domains import IntervalDomain
+from repro.interproc import policy_by_name
+from repro.lang import ast as A
+from repro.lang import build_cfg, parse_program
+from repro.lang.programs import wide_call_graph_source
+from repro.workload.generator import WorkloadGenerator
+
+
+def _query_counts(**overrides):
+    counts = {"transfers": 0, "joins": 0, "widens": 0, "unrollings": 0,
+              "cells_computed": 0, "cells_reused": 0, "cells_cutoff": 0,
+              "cells_restored": 0, "parallel_batches": 0}
+    counts.update(overrides)
+    return counts
+
+
+#: The interprocedural counters the multi-procedure stream leaves at zero.
+_ZERO_INTERPROC_COUNTERS = (
+    "interproc_callsite_dirties", "interproc_callsite_scans",
+    "interproc_entry_syncs", "interproc_entry_updates",
+    "interproc_entry_widenings", "interproc_fixpoint_rounds",
+    "interproc_parallel_cutoff_avoided", "interproc_parallel_jobs",
+    "interproc_parallel_waves", "interproc_store_errors",
+    "interproc_store_expired", "interproc_store_hits",
+    "interproc_store_misses", "interproc_store_rekeys",
+    "interproc_store_writes", "interproc_summary_cutoffs",
+    "interproc_summary_hits", "interproc_summary_reentries",
+)
+
+
+def test_fresh_evaluation_of_a_triple_nested_worker():
+    # One session-restart step: a fresh evaluation of a wide-call-graph
+    # worker (three nested loop triples) at the literal entry n = 0.
+    domain = IntervalDomain()
+    program = parse_program(wide_call_graph_source(1, inner_loops=3))
+    entry = domain.call_entry(domain.initial(), ("n",), (A.IntLit(0),))
+    engine = DaigEngine(build_cfg(program.procedure("work0")), domain,
+                        memo=MemoTable(), entry_state=entry)
+    engine.query_exit()
+    assert engine.stats.as_dict() == _query_counts(
+        transfers=369, joins=25, widens=43, unrollings=22,
+        cells_computed=458, cells_reused=503)
+    assert engine.size() == (536, 458)
+    memo = engine.memo.stats()
+    assert (memo["hits"], memo["misses"], memo["stores"]) == (0, 437, 437)
+
+
+def test_fig10_edit_stream_through_the_incremental_demanded_engine():
+    config = IncrementalDemandConfiguration(IntervalDomain())
+    for step in WorkloadGenerator(seed=2021).generate(60):
+        config.step(step.edit, step.query_locations)
+    engine = config.engine
+    assert engine.stats.as_dict() == _query_counts(
+        transfers=438, joins=37, widens=6, unrollings=3,
+        cells_computed=505, cells_reused=815, cells_cutoff=62,
+        cells_restored=799)
+    assert engine.edit_stats.as_dict() == {
+        "edits": 60, "splices": 59, "snapshot_full_captures": 0,
+        "snapshot_locs_resigned": 140, "spliced_cells_added": 317,
+        "spliced_cells_removed": 154, "spliced_cells_dirtied": 1355,
+        "cells_shadowed": 18, "structure_full_builds": 1,
+        "structure_locs_reanalyzed": 81, "structure_refreshes": 60,
+        "structure_stmt_patches": 0}
+    assert engine.memo.stats() == {
+        "entries": 440, "hits": 18, "misses": 440, "stores": 440,
+        "evictions": 0, "capacity": -1}
+    assert engine.size() == (185, 97)
+
+
+def test_multiprocedure_edit_stream_under_one_call_site_sensitivity():
+    workload = WorkloadGenerator(seed=2021).generate_multiprocedure(20)
+    config = InterprocIncrementalDemandConfiguration(
+        workload.initial_cfgs, IntervalDomain(), policy_by_name("1-call-site"))
+    for step in workload.steps:
+        config.step(step)
+    assert config.engine.total_stats() == dict(
+        _query_counts(transfers=64, joins=4, widens=3, unrollings=1,
+                      cells_computed=79, cells_reused=188),
+        edits=20, splices=20, snapshot_full_captures=0,
+        snapshot_locs_resigned=49, spliced_cells_added=104,
+        spliced_cells_removed=34, spliced_cells_dirtied=56, cells_shadowed=13,
+        structure_full_builds=5, structure_locs_reanalyzed=30,
+        structure_refreshes=16, structure_stmt_patches=3, daigs=6,
+        interproc_engines_built=6, interproc_summary_misses=1,
+        **dict.fromkeys(_ZERO_INTERPROC_COUNTERS, 0))
