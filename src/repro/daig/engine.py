@@ -35,7 +35,9 @@ E-Propagate / E-Loop) for lazy recomputation.  Before the DAIG is built an
 edit only changes (and validates) the CFG.  End to end, edit latency is
 proportional to the edit's impacted region; the one term that grows with
 the code downstream of an insertion is the structure layer's dominator
-set union.
+set union.  The CFG stays the record of the program's statements: a
+client that needs them (the interprocedural call graph) reads the CFG,
+not the DAIG.
 """
 
 from __future__ import annotations
@@ -152,14 +154,6 @@ class DaigEngine:
         self._batch_depth = 0
         self._cfg_dirty = False
         self._phase = {"snapshot": 0.0, "splice": 0.0, "query": 0.0}
-        #: Optional consumer of statement-cell deltas: called with
-        #: ``(removed_keys, present_key_to_stmt)`` when the DAIG is built
-        #: (every statement cell), after every splice and after every
-        #: direct statement write, so clients indexing statements (the
-        #: interprocedural call-site index) stay in sync at O(affected
-        #: region) cost.  Keys are ``(src, dst, index)`` triples.
-        self.stmt_change_listener: Optional[
-            Callable[[Any, Any], None]] = None
 
     def materialize(self) -> None:
         """Build the DAIG, its evaluator and the live snapshot, if not yet
@@ -167,8 +161,7 @@ class DaigEngine:
 
         Queries and cell writes call this on first demand.  The build runs
         the same validity checks as an edit (a rejected CFG leaves the
-        engine unbuilt) and reports every statement cell to
-        ``stmt_change_listener``.
+        engine unbuilt).
         """
         if self._daig is not None:
             return
@@ -181,8 +174,6 @@ class DaigEngine:
         self._daig = daig
         # The build encoded the current CFG: no edit is left to splice.
         self._cfg_dirty = False
-        if self.stmt_change_listener is not None:
-            self.stmt_change_listener(set(), dict(self._snapshot.stmt_cells))
 
     def _values_equal(self, first: Any, second: Any) -> bool:
         # Interned states make the common case a pointer comparison.
@@ -337,8 +328,6 @@ class DaigEngine:
         # not spuriously re-dirty the already-written cell.
         self._snapshot.set_stmt((edge.src, edge.dst, index), stmt)
         self.edit_stats.edits += 1
-        if self.stmt_change_listener is not None:
-            self.stmt_change_listener(set(), {(edge.src, edge.dst, index): stmt})
         return new_edge
 
     # -- structural edits -------------------------------------------------------------------
@@ -484,9 +473,6 @@ class DaigEngine:
         self.edit_stats.record(report)
         self._phase["snapshot"] += report.snapshot_seconds
         self._phase["splice"] += report.splice_seconds
-        if self.stmt_change_listener is not None and (
-                report.stmt_removed or report.stmt_present):
-            self.stmt_change_listener(report.stmt_removed, report.stmt_present)
 
     # -- convenience -------------------------------------------------------------------------
 

@@ -28,7 +28,10 @@ downstream of every seed through the reverse-dependency index
 rebuilding the DAIG from scratch and copying over unchanged values, with
 *all* per-edit work — structure refresh, snapshot re-signing, cell removal,
 re-encoding, dirtying, and the abstract recomputation a later query
-performs — proportional to the edit's impacted region.
+performs — proportional to the edit's impacted region.  A splice reports
+only its work counts: a client that needs a procedure's statement cells
+(the interprocedural call graph's call cells) derives them from the CFG
+with the same keying rule, :func:`stmt_cells_at`.
 """
 
 from __future__ import annotations
@@ -89,9 +92,10 @@ def _loop_signature(cfg: Cfg, head: int) -> LoopSig:
     )
 
 
-def _stmt_cells_at(cfg: Cfg, loc: int) -> Dict[StmtKey, Any]:
+def stmt_cells_at(cfg: Cfg, loc: int) -> Dict[StmtKey, Any]:
     """The statement cells anchored at ``loc`` (incoming forward edges plus,
-    when ``loc`` is a loop head, its back edges)."""
+    when ``loc`` is a loop head, its back edges), keyed as the DAIG names
+    them: the pre-join index at a join point, else 0; back edges take 0."""
     cells: Dict[StmtKey, Any] = {}
     edges = cfg.fwd_edges_to(loc)
     for index, edge in edges:
@@ -127,7 +131,7 @@ class StructureSnapshot:
         stmt_cells: Dict[StmtKey, Any] = {}
         stmt_keys_by_loc: Dict[int, Set[StmtKey]] = {}
         for loc in reachable:
-            cells = _stmt_cells_at(cfg, loc)
+            cells = stmt_cells_at(cfg, loc)
             if cells:
                 stmt_cells.update(cells)
                 stmt_keys_by_loc[loc] = set(cells)
@@ -162,13 +166,6 @@ class SpliceReport:
     #: Snapshot entries re-signed by this splice (the suspect region; every
     #: old and new location for a whole-program splice).
     locs_resigned: int = 0
-    #: Statement cells deleted by this splice, and the statement cells in the
-    #: re-signed region that now exist (new, relabelled, or re-anchored),
-    #: keyed by ``(src, dst, index)``.  Consumers that index statements —
-    #: e.g. the interprocedural call-site index — patch themselves from
-    #: these deltas instead of rescanning the DAIG's ref set.
-    stmt_removed: Set[StmtKey] = field(default_factory=set)
-    stmt_present: Dict[StmtKey, Any] = field(default_factory=dict)
     #: True when this splice re-signed the whole program (:func:`splice`).
     full_capture: bool = False
     #: Wall-clock split: signature/snapshot maintenance vs. DAIG surgery.
@@ -271,7 +268,7 @@ def splice_delta(daig: Daig, builder: DaigBuilder, snapshot: StructureSnapshot,
     relabelled_stmts: List[StmtKey] = []
     for loc in suspects:
         old_keys = snapshot.stmt_keys_by_loc.get(loc, set())
-        new_cells = _stmt_cells_at(cfg, loc) if loc in reachable else {}
+        new_cells = stmt_cells_at(cfg, loc) if loc in reachable else {}
         for key in old_keys - set(new_cells):
             stale_stmts.add(key)
             snapshot.stmt_cells.pop(key, None)
@@ -279,12 +276,10 @@ def splice_delta(daig: Daig, builder: DaigBuilder, snapshot: StructureSnapshot,
             if key in old_keys and snapshot.stmt_cells.get(key) != stmt:
                 relabelled_stmts.append(key)
             snapshot.stmt_cells[key] = stmt
-            report.stmt_present[key] = stmt
         if new_cells:
             snapshot.stmt_keys_by_loc[loc] = set(new_cells)
         else:
             snapshot.stmt_keys_by_loc.pop(loc, None)
-    report.stmt_removed = stale_stmts
     report.snapshot_seconds = time.perf_counter() - started
     return _apply_splice(
         daig, builder, report,

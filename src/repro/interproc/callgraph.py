@@ -5,7 +5,9 @@ as in the paper's prototype).  This module builds the call graph from the
 CFGs and maintains it *incrementally*: :meth:`CallGraph.update_procedure`
 re-derives one procedure's edges after an edit, patching both the forward
 edge set and the reverse-edge index, so :meth:`callers` is a dictionary
-lookup instead of an O(all-procedures) scan.
+lookup instead of an O(all-procedures) scan.  :meth:`call_cells` names the
+DAIG cells of a caller's calls to one callee, which is what an edit to the
+callee dirties.
 
 The paper's implementation restricts itself to non-recursive programs;
 the engine now analyzes (mutually) recursive programs through a summary
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..daig.splice import StmtKey, stmt_cells_at
 from ..lang import ast as A
 from ..lang.cfg import Cfg
 
@@ -37,6 +40,10 @@ class CallGraph:
         #: :meth:`update_procedure` so ``callers()`` never scans the program.
         self.rev_edges: Dict[str, Set[str]] = {name: set() for name in cfgs}
         self.call_sites: Dict[str, List[Tuple[int, A.CallStmt]]] = {}
+        #: Per caller, its call cells grouped by callee (see
+        #: :meth:`call_cells`): derived on first demand, dropped by
+        #: :meth:`update_procedure`.
+        self._call_cells: Dict[str, Dict[str, Tuple[StmtKey, ...]]] = {}
         self._sccs: Optional[List[FrozenSet[str]]] = None
         self._scc_index: Dict[str, FrozenSet[str]] = {}
         for name, cfg in cfgs.items():
@@ -68,6 +75,7 @@ class CallGraph:
         """
         self.cfgs[name] = cfg
         self.rev_edges.setdefault(name, set())
+        self._call_cells.pop(name, None)
         before = self.edges.get(name, set())
         self._scan_procedure(name, cfg)
         if self.edges[name] != before:
@@ -80,6 +88,31 @@ class CallGraph:
         """Procedures with a call site targeting ``name`` (O(1) via the
         reverse-edge index, not a scan over every procedure)."""
         return set(self.rev_edges.get(name, set()))
+
+    def call_cells(self, caller: str, callee: str) -> Tuple[StmtKey, ...]:
+        """The statement cells of ``caller``'s reachable calls to
+        ``callee``, in key order.
+
+        Keyed as the caller's DAIG names them (:func:`stmt_cells_at`): the
+        pre-join index at a join point, else 0; back edges take 0.  Derived
+        from the caller's CFG structure on first demand and cached until
+        :meth:`update_procedure` re-scans the caller.  Nothing derives them
+        at construction: a procedure whose summaries are all served from
+        the memo or the store never builds its structure.
+        """
+        cells = self._call_cells.get(caller)
+        if cells is None:
+            cfg = self.cfgs[caller]
+            grouped: Dict[str, List[StmtKey]] = {}
+            for dst in {edge.dst for edge in cfg.edges
+                        if isinstance(edge.stmt, A.CallStmt)}:
+                for key, stmt in stmt_cells_at(cfg, dst).items():
+                    if isinstance(stmt, A.CallStmt):
+                        grouped.setdefault(stmt.function, []).append(key)
+            cells = {function: tuple(sorted(keys))
+                     for function, keys in grouped.items()}
+            self._call_cells[caller] = cells
+        return cells.get(callee, ())
 
     def transitive_callers(self, name: str) -> Set[str]:
         """Procedures from which ``name`` is reachable (excluding ``name``

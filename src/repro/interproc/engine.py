@@ -10,13 +10,13 @@ across procedure boundaries:
   immutable-by-convention CFG** (and hence one
   :class:`~repro.lang.structure.CfgStructure` cache and one structure
   analysis) per *procedure*, regardless of how many contexts analyze it.
-* A **call-site dependency index** — ``callee name → {(caller engine, call
-  cells)}`` — maintained from the engines' statement-cell deltas (every
-  statement cell when an engine builds its DAIG, patched per splice), so an
-  edit to a callee dirties exactly the dependent call cells: no per-edit
-  scan over any engine's full DAIG ref set (``interproc_callsite_scans``
-  stays 0).  An engine without a DAIG has no call cells to dirty and has
-  recorded no contributions to retract.
+* **Caller dirtying through the call graph**: an edit to a callee walks
+  the call graph's reverse edges, and each caller engine with a built DAIG
+  dirties exactly its cells that call the callee
+  (:meth:`~repro.interproc.callgraph.CallGraph.call_cells`, derived per
+  procedure on first demand): no per-edit scan over any engine's DAIG ref
+  set.  A caller without a DAIG has no call cells to dirty, so the walk
+  passes through it to the callers its served summaries reached.
 * **Procedure summaries** keyed by ``(procedure, context, deep code
   digest, entry state)`` in the shared :class:`~repro.daig.memo.MemoTable`:
   repeated calls at a previously seen entry state reuse the memoized exit
@@ -42,18 +42,21 @@ across procedure boundaries:
   dependent call cells, until the computed exit is covered by the
   assumption.
 
-Entry states are maintained as the join of per-call-site *contributions*;
-when a call site disappears (edit) its contribution is retracted, and when
-a callee's entry target or exit summary changes, the dependent call cells
-are dirtied (the interprocedural analogue of E-Propagate), which makes the
-demanded results order-independent: every evaluated call site ends up
-consistent with the callee's final entry/exit summary.
+Entry states are maintained as the join of per-call-site *contributions*,
+each also filed in a ledger under the caller that recorded it.  An edit
+retracts every contribution its edited and dirtied engines recorded
+(a removed call site included), in sorted key order, and re-demand
+re-records the live ones; when a callee's entry target or exit summary
+changes, the dependent call cells are dirtied (the interprocedural
+analogue of E-Propagate), so every evaluated call site ends up consistent
+with the callee's final entry/exit summary.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Set, Tuple,
+                    Union)
 
 from ..daig.edit import dirty_forward
 from ..daig.engine import DaigEngine
@@ -91,6 +94,12 @@ class SummaryDivergenceError(Exception):
     """An SCC summary fixpoint failed to converge within the round bound."""
 
 
+def _key_order(key: ProcedureKey) -> Tuple[str, str]:
+    # Contexts are opaque hashables (a custom policy may use unorderable
+    # values), so determinism comes from sorting on (name, repr(context)).
+    return (key[0], repr(key[1]))
+
+
 class InterproceduralEngine:
     """One DAIG per (procedure, context), with demanded summaries."""
 
@@ -124,14 +133,16 @@ class InterproceduralEngine:
         #: summaries alike.
         self.memo = MemoTable(capacity=memo_capacity)
         self.engines: Dict[ProcedureKey, DaigEngine] = {}
-        #: The entry state each engine's DAIG currently holds.
-        self.entry_states: Dict[ProcedureKey, Any] = {}
         #: The entry state each engine *should* hold: the join of its call
         #: sites' contributions (plus a root entry for explicitly queried
         #: procedures).  Synchronized into the DAIG lazily, on summary miss.
         self._entry_target: Dict[ProcedureKey, Any] = {}
         self._root_entries: Dict[ProcedureKey, Any] = {}
         self._contribs: Dict[ProcedureKey, Dict[SiteId, Any]] = {}
+        #: The same contributions filed under the caller that recorded them
+        #: (caller key -> callee key -> site keys), so retraction drops
+        #: exactly what a caller recorded.
+        self._recorded: Dict[ProcedureKey, Dict[ProcedureKey, Set[SiteKey]]] = {}
         #: How often each call site has grown its callee's entry target —
         #: the delayed-widening trigger (see :meth:`_refresh_entry_target`).
         self._entry_growths: Dict[Tuple[ProcedureKey, SiteId], int] = {}
@@ -139,11 +150,6 @@ class InterproceduralEngine:
         #: stale upper bound and the next recorded contribution replaces it
         #: exactly instead of joining into it.
         self._entry_stale: Set[ProcedureKey] = set()
-        #: Call-site dependency index (the tentpole): per caller engine, the
-        #: call cells and their callees; and the reverse map from callee
-        #: name to every dependent call cell.
-        self._site_callee: Dict[ProcedureKey, Dict[SiteKey, str]] = {}
-        self._dependent_sites: Dict[str, Dict[ProcedureKey, Set[SiteKey]]] = {}
         self._proc_keys: Dict[str, List[ProcedureKey]] = {}
         #: Content digests: per-procedure CFG hash, and the *deep* digest
         #: covering the procedure and its transitive callees (shared per
@@ -169,7 +175,6 @@ class InterproceduralEngine:
         #: exhaustive evaluation; drained by :meth:`analyze_everything`.
         self._dirty_keys: Set[ProcedureKey] = set()
         self.counters: Dict[str, int] = {
-            "interproc_callsite_scans": 0,
             "interproc_callsite_dirties": 0,
             "interproc_engines_built": 0,
             "interproc_summary_hits": 0,
@@ -233,15 +238,9 @@ class InterproceduralEngine:
             cutoff=self.cutoff,
         )
         self.engines[key] = engine
-        self.entry_states[key] = entry_state
         self._entry_target[key] = entry_state
         self._proc_keys.setdefault(name, []).append(key)
-        self._site_callee[key] = {}
         self.counters["interproc_engines_built"] += 1
-        # The engine indexes its call cells when it builds its DAIG
-        # (O(procedure), once), then patches the index from the
-        # statement-cell deltas of every splice.
-        engine.stmt_change_listener = self._make_stmt_listener(key)
         return engine
 
     def _make_call_transfer(
@@ -249,11 +248,6 @@ class InterproceduralEngine:
         def call_transfer(stmt: A.CallStmt, state: Any, site: Name) -> Any:
             return self._analyze_call(caller_key, stmt, state, site)
         return call_transfer
-
-    def _make_stmt_listener(self, caller_key: ProcedureKey) -> Callable[[Any, Any], None]:
-        def on_stmt_cells(removed, present) -> None:
-            self._update_site_index(caller_key, removed, present)
-        return on_stmt_cells
 
     # -- content-addressed code digests ----------------------------------------------
 
@@ -311,54 +305,6 @@ class InterproceduralEngine:
             for member in component:
                 self._deep_digest[member] = digest
         return self._deep_digest[name]
-
-    # -- call-site dependency index --------------------------------------------------
-
-    def _update_site_index(self, caller_key: ProcedureKey,
-                           removed, present) -> None:
-        """Patch the call-site index from one engine's statement deltas."""
-        sites = self._site_callee.setdefault(caller_key, {})
-        for skey in removed:
-            old = sites.pop(skey, None)
-            if old is not None:
-                self._drop_site(old, caller_key, skey)
-        for skey, stmt in present.items():
-            callee = (stmt.function
-                      if isinstance(stmt, A.CallStmt)
-                      and stmt.function in self.cfgs else None)
-            old = sites.get(skey)
-            if old == callee:
-                continue
-            if old is not None:
-                self._drop_site(old, caller_key, skey)
-            if callee is None:
-                sites.pop(skey, None)
-            else:
-                sites[skey] = callee
-                self._dependent_sites.setdefault(callee, {}).setdefault(
-                    caller_key, set()).add(skey)
-
-    def _drop_site(self, callee: str, caller_key: ProcedureKey,
-                   skey: SiteKey) -> None:
-        """A call cell vanished (or retargeted): unindex it and retract its
-        entry-state contribution from every context of its old callee
-        (cascading to the callee's own contributions when its entry moved)."""
-        dependents = self._dependent_sites.get(callee)
-        if dependents is not None:
-            cells = dependents.get(caller_key)
-            if cells is not None:
-                cells.discard(skey)
-                if not cells:
-                    del dependents[caller_key]
-            if not dependents:
-                self._dependent_sites.pop(callee, None)
-        site_id: SiteId = (caller_key, skey)
-        affected: Set[ProcedureKey] = set()
-        for callee_key in list(self._proc_keys.get(callee, ())):
-            if self._retract_site(callee_key, site_id):
-                affected.add(callee_key)
-        if affected:
-            self._retract_contributions_from(affected)
 
     # -- entry-state maintenance -------------------------------------------------------
 
@@ -473,11 +419,11 @@ class InterproceduralEngine:
         target = self._entry_target.get(key)
         if target is None:
             return
-        current = self.entry_states[key]
+        engine = self.engines[key]
+        current = engine.builder.entry_state
         if current is target or self.domain.equal(current, target):
             return
-        self.engines[key].set_entry_state(target)
-        self.entry_states[key] = target
+        engine.set_entry_state(target)
         self._dirty_keys.add(key)
         self.counters["interproc_entry_syncs"] += 1
 
@@ -691,10 +637,10 @@ class InterproceduralEngine:
         DAIG built (structure only — no evaluation).
 
         The parallel coordinator installs certified summary jobs through
-        this before replaying their workers' call contributions: those
-        contributions are retracted through the call-site index, which
-        covers only built engines, so later edits retract them exactly as
-        if the engines had been evaluated on demand.
+        this before replaying their workers' call contributions.  The
+        replayed contributions need no DAIG (the ledger files them under
+        their caller key), but building here keeps the first edit after a
+        cold open from paying for the build in its own latency.
         """
         engine = self._engine_for(name, context, entry_state)
         engine.materialize()
@@ -717,6 +663,9 @@ class InterproceduralEngine:
         site_id: SiteId = (caller_key, skey)
         contribs = self._contribs.setdefault(callee_key, {})
         previous = contribs.get(site_id)
+        if previous is None:
+            self._recorded.setdefault(caller_key, {}).setdefault(
+                callee_key, set()).add(skey)
         # A site's contribution grows monotonically *within* a program
         # version (caller loop iterates re-evaluate the same site with
         # growing states; replacing rather than joining would make entry
@@ -780,7 +729,7 @@ class InterproceduralEngine:
         digest = hashlib.sha256()
         live = self.live_keys()
         keys = [key for key in self.engines if key in live]
-        for key in sorted(keys, key=lambda k: (k[0], repr(k[1]))):
+        for key in sorted(keys, key=_key_order):
             name, context = key
             exit_state = self.query(name, self.cfgs[name].exit, context)
             # Contexts are opaque hashables (a custom policy may ship
@@ -831,19 +780,14 @@ class InterproceduralEngine:
         them); the loop runs until everything is stable, so the returned
         results are consistent with every procedure's final summary.
         """
-        # Contexts are opaque hashables (a custom policy may use unorderable
-        # values), so determinism comes from sorting on (name, repr(ctx)).
-        def order(key: ProcedureKey) -> Tuple[str, str]:
-            return (key[0], repr(key[1]))
-
         results: Dict[ProcedureKey, Dict[Loc, Any]] = {}
         for _round in range(MAX_SUMMARY_ROUNDS):
-            todo = [key for key in sorted(self.engines, key=order)
+            todo = [key for key in sorted(self.engines, key=_key_order)
                     if key not in results]
             if self._dirty_keys:
                 dirty = sorted((key for key in self._dirty_keys
                                 if key in self.engines and key not in todo),
-                               key=order)
+                               key=_key_order)
                 self._dirty_keys.clear()
                 todo.extend(dirty)
             if not todo:
@@ -904,10 +848,8 @@ class InterproceduralEngine:
             for store_key in sorted(self._store_keys.pop(key, ())):
                 if self.store is not None and self.store.delete(store_key):
                     self.counters["interproc_store_expired"] += 1
-            engine.stmt_change_listener = None
             self.cfgs[key[0]].remove_structure_listener(engine._listener)
             self._proc_keys[key[0]].remove(key)
-            self.entry_states.pop(key, None)
             self._entry_target.pop(key, None)
             self._root_entries.pop(key, None)
             self._contribs.pop(key, None)
@@ -924,10 +866,7 @@ class InterproceduralEngine:
                 in self._entry_growths.items()
                 if ckey not in dead_set and caller_key not in dead_set}
         # Retract dead engines' contributions from surviving callees.
-        for key in dead:
-            sites = self._site_callee.pop(key, {})
-            for skey, callee in sites.items():
-                self._drop_site(callee, key, skey)
+        self._retract_contributions_from(dead)
         return len(dead)
 
     # -- edits -----------------------------------------------------------------------
@@ -944,11 +883,14 @@ class InterproceduralEngine:
         :meth:`~repro.daig.engine.DaigEngine.batch_edits` block); the
         remaining contexts splice their DAIGs over the same reported region
         (:meth:`~repro.daig.engine.DaigEngine.resync`).  Cross-procedure
-        propagation dirties exactly the dependent call cells from the
-        call-site index — there is no scan over any DAIG's ref set — and
-        drops the deep code digests of the procedure and its transitive
-        callers, so their summaries are looked up under new content keys
-        and the stale memo entries are purged.
+        propagation dirties exactly the dependent call cells, found through
+        the call graph (there is no scan over any DAIG's ref set), retracts
+        the contributions the edited and dirtied engines recorded, and drops
+        the deep code digests of the procedure and its transitive callers,
+        so their summaries are looked up under new content keys and the
+        stale memo entries are purged.  Every path retracts the edited
+        engines' contributions, so a call site the edit removed leaves
+        nothing behind.
         """
         if procedure not in self.cfgs:
             raise KeyError("no procedure named %r" % (procedure,))
@@ -994,10 +936,10 @@ class InterproceduralEngine:
                 pass  # exits unchanged: no caller is dirtied at all
             else:
                 touched = self._dirty_callers_of(procedure)
-                # Retract the contributions of every dirtied engine's call
-                # sites: the states they feed their callees may have
-                # changed, and re-demanding re-records exactly the live
-                # ones.
+                # Retract the contributions of every edited or dirtied
+                # engine's call sites: the states they feed their callees
+                # may have changed (or the sites are gone), and re-demanding
+                # re-records exactly the live ones.
                 self._retract_contributions_from(set(keys) | touched)
 
     def _cutoff_applicable(self, procedure: str) -> bool:
@@ -1126,91 +1068,73 @@ class InterproceduralEngine:
     def _dirty_callers_of(self, procedure: str) -> Set[ProcedureKey]:
         """Dirty the call cells dependent on ``procedure``, transitively.
 
-        Driven by the call-site index, plus the call graph's reverse edges
-        for callers with no built DAIG: the work is proportional to
-        the number of dependent call sites (plus their downstream cells),
-        never to the size of any DAIG or of the program.  Returns the caller
-        engine keys whose cells were dirtied (or that have no DAIG yet).
+        Walks the call graph's reverse edges.  A caller engine with a built
+        DAIG dirties exactly its cells that call the procedure
+        (:meth:`CallGraph.call_cells`), so the work is proportional to the
+        number of dependent call sites (plus their downstream cells), never
+        to the size of any DAIG or of the program.  A caller without a
+        built DAIG, or without any engine, has no call cells to dirty, but
+        the exit summaries it was served from the memo or the store depend
+        on ``procedure`` and reached its own callers, so the walk goes on
+        through it.  Returns the caller engine keys whose cells were
+        dirtied (or that have no DAIG yet).
         """
         touched: Set[ProcedureKey] = set()
         seen: Set[str] = set()
-        # Tripwire: every engine built through `_engine_for` is indexed; an
-        # engine missing from the index would silently miss dirtying, so it
-        # falls back to the legacy full ref-set scan — and the scan counter
-        # (asserted == 0 in the tier-1 tests) exposes it.
-        unindexed = [key for key in self.engines
-                     if key not in self._site_callee]
         stack = [procedure]
         while stack:
             proc = stack.pop()
             if proc in seen:
                 continue
             seen.add(proc)
-            for caller_key, skeys in list(
-                    self._dependent_sites.get(proc, {}).items()):
-                engine = self.engines.get(caller_key)
-                if engine is None:
-                    continue
-                names = [name for name in (stmt_name(*skey) for skey in skeys)
-                         if name in engine.daig.refs]
-                if not names:
-                    continue
-                dirty_forward(engine.daig, engine.builder, names)
-                self.counters["interproc_callsite_dirties"] += len(names)
-                self._dirty_keys.add(caller_key)
-                touched.add(caller_key)
-                stack.append(caller_key[0])
-            # A caller without a built DAIG, or without any engine, has no
-            # call cells to dirty (and is not in the index), but the exit
-            # summaries it was served from the memo or the store depend on
-            # ``proc`` and reached its own callers, so the walk goes on
-            # through it.
-            for caller in self.callgraph.callers(proc):
-                keys = self._proc_keys.get(caller, ())
-                unbuilt = [key for key in keys if not self.engines[key].built]
-                self._dirty_keys.update(unbuilt)
-                touched.update(unbuilt)
-                if len(unbuilt) == len(keys):
+            for caller in sorted(self.callgraph.callers(proc)):
+                any_built = False
+                for key in self._proc_keys.get(caller, ()):
+                    engine = self.engines[key]
+                    if not engine.built:
+                        self._dirty_keys.add(key)
+                        touched.add(key)
+                        continue
+                    any_built = True
+                    daig = engine.daig
+                    names = [name for name in (
+                        stmt_name(*cell)
+                        for cell in self.callgraph.call_cells(caller, proc))
+                        if name in daig.refs]
+                    if not names:
+                        continue
+                    dirty_forward(daig, engine.builder, names)
+                    self.counters["interproc_callsite_dirties"] += len(names)
+                    self._dirty_keys.add(key)
+                    touched.add(key)
                     stack.append(caller)
-            for caller_key in unindexed:
-                engine = self.engines[caller_key]
-                self.counters["interproc_callsite_scans"] += 1
-                names = [
-                    name for name in engine.daig.refs
-                    if name.kind == "stmt" and engine.daig.has_value(name)
-                    and isinstance(engine.daig.value(name), A.CallStmt)
-                    and engine.daig.value(name).function == proc
-                ]
-                if not names:
-                    continue
-                dirty_forward(engine.daig, engine.builder, names)
-                self.counters["interproc_callsite_dirties"] += len(names)
-                self._dirty_keys.add(caller_key)
-                touched.add(caller_key)
-                stack.append(caller_key[0])
+                if not any_built:
+                    stack.append(caller)
         return touched
 
-    def _retract_contributions_from(self, keys: Set[ProcedureKey]) -> None:
+    def _retract_contributions_from(self, keys: Iterable[ProcedureKey]) -> None:
         """Drop the entry-state contributions recorded by the given engines'
         call sites, cascading through entry-target changes.
 
-        Called on the edit path for every engine whose cells the edit
-        dirtied: the states those sites feed their callees may have changed,
-        so their old contributions are retracted and re-recorded on demand —
-        exactly the contributions a from-scratch analysis would see.  When a
-        retraction moves a callee's entry target, that callee's own results
-        may change too, so *its* contributions are retracted as well; the
-        cascade is bounded by the transitively affected engines' call
-        sites (each engine is processed at most once per edit event)."""
-        pending = list(keys)
-        seen: Set[ProcedureKey] = set(keys)
+        Called on the edit path for every engine the edit changed or whose
+        cells it dirtied: the states those sites feed their callees may have
+        changed (or the sites are gone), so their old contributions are
+        retracted and re-recorded on demand — exactly the contributions a
+        from-scratch analysis would see.  When a retraction moves a callee's
+        entry target, that callee's own results may change too, so *its*
+        contributions are retracted as well; each engine is processed at
+        most once per edit event.  Callers are taken in sorted key order
+        (cascaded ones after them) and each caller's sites in key order, so
+        the result depends on neither when a DAIG was built nor hash order.
+        """
+        pending = sorted(keys, key=_key_order)
+        seen: Set[ProcedureKey] = set(pending)
         while pending:
-            caller_key = pending.pop()
-            for skey, callee in list(
-                    self._site_callee.get(caller_key, {}).items()):
-                site_id: SiteId = (caller_key, skey)
-                for callee_key in list(self._proc_keys.get(callee, ())):
-                    if (self._retract_site(callee_key, site_id)
+            caller_key = pending.pop(0)
+            recorded = self._recorded.pop(caller_key, {})
+            for callee_key in sorted(recorded, key=_key_order):
+                for skey in sorted(recorded[callee_key]):
+                    if (self._retract_site(callee_key, (caller_key, skey))
                             and callee_key not in seen):
                         seen.add(callee_key)
                         pending.append(callee_key)

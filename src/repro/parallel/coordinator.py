@@ -335,11 +335,11 @@ class ParallelCoordinator:
             certified = surviving
 
         # Install: build the certified engines' DAIGs (structure only, no
-        # evaluation) so their call sites are indexed, replay the
-        # worker-derived contributions through that index (a seeded caller
-        # is never evaluated in-process, so its callees would otherwise miss
-        # its entry contributions, and later edits retract them exactly),
-        # then seed exits.
+        # evaluation), replay the worker-derived contributions (a seeded
+        # caller is never evaluated in-process, so its callees would
+        # otherwise miss its entry contributions; the engine files them
+        # under the caller, so later edits retract them exactly), then seed
+        # exits.
         proc_rank = {proc: rank
                      for rank, proc in enumerate(spec["callers_first"])}
 

@@ -56,6 +56,19 @@ function main() {
 }
 """
 
+#: ``c`` shared by two callers.  Once ``p`` stops calling ``c(100)``,
+#: ``q``'s ``c(1)`` is the only call left and ``a`` is 0 at main's exit.
+SHARED_CALLEE_SOURCE = """
+function c(x) { var r = 0; if (x > 10) { r = 1; } return r; }
+function p() { var y = c(100); return 0; }
+function q() { var z = c(1); return z; }
+function main() { var b = p(); var a = q(); return a; }
+"""
+
+#: ``SHARED_CALLEE_SOURCE`` after ``p``'s ``y = c(100)`` became ``y = 1``.
+SHARED_CALLEE_EDITED_SOURCE = SHARED_CALLEE_SOURCE.replace(
+    "var y = c(100);", "var y = 1;")
+
 
 def random_cfg(seed: int, edits: int):
     """A random CFG produced by applying `edits` workload edits from `seed`."""

@@ -301,15 +301,14 @@ class TestInterproceduralEdits:
                 target, A.AssignStmt("r", A.BinOp("*", A.Var("x"), A.IntLit(3))))
 
         engine.edit_procedure("double", edit)
-        # The edit itself dirties exactly main's two call cells, via the
-        # index; the follow-up query adds per-context exit-change dirtying,
-        # still bounded by the dependent sites.
+        # The edit itself dirties exactly main's two call cells, found
+        # through the call graph; the follow-up query adds per-context
+        # exit-change dirtying, still bounded by the dependent sites.
         assert engine.counters["interproc_callsite_dirties"] == 2
         engine.query_entry_exit()
-        assert engine.counters["interproc_callsite_scans"] == 0
         assert engine.counters["interproc_callsite_dirties"] <= 8
 
-    def test_repeated_entry_states_hit_memoized_summaries(self):
+    def test_unchanged_entries_hit_memoized_summaries(self):
         domain = IntervalDomain()
         engine = InterproceduralEngine(cfgs_of(CHAIN_PROGRAM), domain,
                                        CallStringSensitive(2))

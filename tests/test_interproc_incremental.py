@@ -2,10 +2,16 @@
 equality under edit streams, recursion via the SCC summary fixpoint,
 call-string context maintenance, and cross-procedure edit locality."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
+from helpers import SHARED_CALLEE_EDITED_SOURCE, SHARED_CALLEE_SOURCE
 from repro.concrete.interp import ConcreteError, ProgramInterpreter
 from repro.domains import IntervalDomain
 from repro.interproc import (
@@ -66,6 +72,24 @@ function main() { var z = even(6); return z; }
 
 RECURSIVE_PROGRAMS = {"fact": FACT_PROGRAM, "even_odd": EVEN_ODD_PROGRAM}
 
+#: Replays one multi-procedure edit stream on a storeless context-insensitive
+#: engine and prints the canonical bytes of every answer, one per line.
+REPLAY_SCRIPT = r"""
+from repro.domains import IntervalDomain
+from repro.interproc import InterproceduralEngine, policy_by_name
+from repro.store import canonical_bytes
+from repro.workload import WorkloadGenerator
+
+workload = WorkloadGenerator(seed=2045, queries_per_edit=2).generate_multiprocedure(
+    edits=12, procedures=4, call_probability=0.4)
+engine = InterproceduralEngine(workload.fresh_cfgs(), IntervalDomain(),
+                               policy_by_name("insensitive"))
+for step in workload.steps:
+    engine.edit_procedure(step.procedure, step.edit.apply_to_engine)
+    for procedure, loc in step.query_sites:
+        print(canonical_bytes(engine.query(procedure, loc)).hex())
+"""
+
 
 def cfgs_of(source):
     return build_program_cfgs(parse_program(source))
@@ -121,7 +145,6 @@ def test_demanded_equals_from_scratch_after_interproc_edits(seed, policy_name):
         fresh_engine.query(procedure, fresh_engine.cfgs[procedure].entry)
     fresh = fresh_engine.analyze_everything()
     _assert_results_equal(domain, incremental, fresh)
-    assert engine.counters["interproc_callsite_scans"] == 0
 
 
 @settings(**COMMON_SETTINGS)
@@ -142,7 +165,6 @@ def test_recursive_streams_stay_sound_and_stable(seed, policy_name):
     first = engine.analyze_everything()
     second = engine.analyze_everything()  # stability: a fixed point
     _assert_results_equal(domain, first, second)
-    assert engine.counters["interproc_callsite_scans"] == 0
     # Soundness against the concrete interpreter on terminating runs.
     exit_state = engine.query_entry_exit()
     try:
@@ -206,6 +228,57 @@ class TestContributionRetraction:
             pe.cfg.entry, A.AssignStmt("noise", A.IntLit(1))))
         bounds = domain.numeric_bounds(A.Var("a"), engine.query_entry_exit())
         assert bounds == (7, 7)
+
+    def test_answers_do_not_depend_on_the_hash_seed(self):
+        """Retraction takes callers and their sites in key order, so an
+        edit stream answers alike under every ``PYTHONHASHSEED``.  This
+        stream answered differently under hash seeds 0 and 2 while
+        retraction walked a set of keys in hash order."""
+        env = dict(os.environ)
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (src_dir, env.get("PYTHONPATH")) if part)
+        answers = []
+        for hash_seed in ("0", "2"):
+            completed = subprocess.run(
+                [sys.executable, "-c", REPLAY_SCRIPT],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=dict(env, PYTHONHASHSEED=hash_seed), check=False)
+            assert completed.returncode == 0, completed.stderr.decode()
+            answers.append(completed.stdout.splitlines())
+        assert answers[0] and answers[0] == answers[1]
+
+    @pytest.mark.parametrize("policy_name", [
+        pytest.param("insensitive", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="a summary is not keyed by the callee entries it consumed")),
+        "1-call-site", "2-call-site"])
+    def test_dropping_one_caller_of_a_shared_callee(self, policy_name):
+        """Once ``p`` stops calling ``c``, main's ``a`` is 0 as in a fresh
+        engine, with cutoff on or off.  Known gap under the insensitive
+        policy: ``q``'s memoized summary was computed at ``c``'s joined
+        entry [1, 100], and its key (``q``, (), deep digest, ``q``'s entry)
+        does not change when ``p`` drops its call, so the edited engine
+        answers ``a`` in [0, 1] (ROADMAP item 3)."""
+        domain = IntervalDomain()
+        policy = policy_by_name(policy_name)
+        fresh = InterproceduralEngine(cfgs_of(SHARED_CALLEE_EDITED_SOURCE),
+                                      domain, policy).query_entry_exit()
+
+        def drop_call(procedure_engine):
+            edge = next(e for e in procedure_engine.cfg.edges
+                        if isinstance(e.stmt, A.CallStmt))
+            procedure_engine.replace_statement(
+                edge, A.AssignStmt("y", A.IntLit(1)))
+
+        answers = []
+        for cutoff in (True, False):
+            engine = InterproceduralEngine(cfgs_of(SHARED_CALLEE_SOURCE),
+                                           domain, policy, cutoff=cutoff)
+            engine.query_entry_exit()
+            engine.edit_procedure("p", drop_call)
+            answers.append(engine.query_entry_exit())
+        assert all(domain.equal(answer, fresh) for answer in answers)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +533,6 @@ class TestEditLocality:
             engine.edit_procedure("leaf", relabel_assignment(
                 "r", A.BinOp("+", A.Var("x"), A.IntLit(step))))
             engine.query_entry_exit()
-        assert engine.counters["interproc_callsite_scans"] == 0
         return (engine.counters["interproc_callsite_dirties"] - before) / edits
 
     def test_caller_dirtying_is_independent_of_program_size(self):
