@@ -3,8 +3,8 @@
 * :class:`InMemorySummaryStore` — a dict; per-process, mostly for tests
   and for bounding the memo table (evicted entries stay recoverable).
 * :class:`SqliteSummaryStore` — one stdlib ``sqlite3`` table; the
-  persistent backend (single file, transactional, safe under concurrent
-  readers).
+  persistent backend, journaled through a write-ahead log: every put is
+  one committed, fsynced log append that other connections see at once.
 
 :func:`open_store` parses the ``"memory"`` / ``"sqlite:<path>"`` specs and
 is the one way to open a store by name.
@@ -50,11 +50,20 @@ class InMemorySummaryStore(SummaryStore):
 class SqliteSummaryStore(SummaryStore):
     """One ``summaries(key TEXT PRIMARY KEY, blob BLOB)`` table.
 
-    Autocommit mode (``isolation_level=None``) so every put is immediately
-    visible to other connections — a restarted engine opens its own
-    connection on the same path.  ``check_same_thread=False`` lets a handle
-    opened on one thread serve another (the base class serializes access
-    under one lock).
+    The database journals through a write-ahead log (``journal_mode=WAL``,
+    set before anything else) and keeps sqlite's default
+    ``synchronous=FULL``; with autocommit (``isolation_level=None``) every
+    put is its own transaction, committed and fsynced as one log append
+    before it returns, and visible at once to every other connection on
+    the path — a restarted engine opens its own.  While a handle is open,
+    ``<path>-wal`` and ``<path>-shm`` sit beside the file; the last clean
+    ``close()`` merges the log into it and removes both, and the next
+    open recovers a log that a killed process left.  WAL needs a local
+    filesystem with shared memory: where sqlite cannot switch to it, the
+    store keeps working in the journal mode that ``PRAGMA journal_mode``
+    reports.  ``check_same_thread=False`` lets a handle opened on one
+    thread serve another (the base class serializes access under one
+    lock).
     """
 
     kind = "sqlite"
@@ -66,6 +75,7 @@ class SqliteSummaryStore(SummaryStore):
         os.makedirs(parent, exist_ok=True)
         self._conn = sqlite3.connect(self.path, check_same_thread=False,
                                      isolation_level=None)
+        self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute(
             "CREATE TABLE IF NOT EXISTS summaries ("
             "key TEXT PRIMARY KEY, blob BLOB NOT NULL)")

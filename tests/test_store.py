@@ -14,6 +14,7 @@ Three layers:
 
 import os
 import pickle
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -120,6 +121,21 @@ def _make_store(kind, tmp_path, tag=""):
     return SqliteSummaryStore(str(tmp_path / ("s%s.db" % tag)))
 
 
+def _run_child(script, *args):
+    """Run ``script`` in a fresh interpreter on this checkout's ``repro``,
+    with ``CHAIN_PROGRAM`` on its stdin; return its standard output."""
+    env = dict(os.environ)
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src_dir, env.get("PYTHONPATH")) if part)
+    completed = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        input=CHAIN_PROGRAM.encode(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=env, check=False)
+    assert completed.returncode == 0, completed.stderr.decode()
+    return completed.stdout.decode()
+
+
 # ---------------------------------------------------------------------------
 # Backends
 # ---------------------------------------------------------------------------
@@ -183,6 +199,73 @@ class TestBackends:
         assert stats["errors"] == 0
         assert stats["puts"] == stats["gets"] == stats["hits"] == 100
         store.close()
+
+
+class TestSqliteJournal:
+    """The sqlite store journals through a write-ahead log and keeps
+    sqlite's FULL synchronous level, so a put is durable when it returns."""
+
+    @staticmethod
+    def _journal(store):
+        conn = store._conn
+        return (conn.execute("PRAGMA journal_mode").fetchone()[0],
+                conn.execute("PRAGMA synchronous").fetchone()[0])
+
+    def test_puts_are_fsynced_log_appends_that_other_handles_see(
+            self, tmp_path):
+        path = str(tmp_path / "s.db")
+        fresh = SqliteSummaryStore(path)
+        assert self._journal(fresh) == ("wal", 2)
+        fresh.put("k1", b"abc")
+        fresh.close()
+        reopened = SqliteSummaryStore(path)
+        second = open_store("sqlite:%s" % path)
+        for store in (reopened, second):
+            assert self._journal(store) == ("wal", 2)
+        reopened.put("k2", b"def")
+        assert second.get("k2") == b"def"
+        assert second.get("k1") == b"abc"
+        reopened.close()
+        second.close()
+        assert os.listdir(tmp_path) == ["s.db"]
+
+    def test_a_log_left_by_a_killed_process_serves_the_next_warm_start(
+            self, tmp_path):
+        """A child interpreter fills a store and exits without closing it,
+        leaving its log unmerged; the next warm start reads every summary
+        it committed."""
+        path = str(tmp_path / "killed.db")
+        child_script = (
+            "import os, sys\n"
+            "from repro.domains import IntervalDomain\n"
+            "from repro.interproc import InterproceduralEngine\n"
+            "from repro.lang import build_program_cfgs, parse_program\n"
+            "engine = InterproceduralEngine(\n"
+            "    build_program_cfgs(parse_program(sys.stdin.read())),\n"
+            "    IntervalDomain(), store='sqlite:' + sys.argv[1])\n"
+            "engine.query_entry_exit()\n"
+            "os._exit(0)\n"
+        )
+        _run_child(child_script, path)
+        assert os.path.exists(path + "-wal")
+
+        # While this connection is open no close can merge the child's
+        # log, so the warm start below reads through it.
+        conn = sqlite3.connect(path)
+        try:
+            assert conn.execute("PRAGMA integrity_check").fetchall() == [
+                ("ok",)]
+            domain = IntervalDomain()
+            warm = InterproceduralEngine(cfgs_of(CHAIN_PROGRAM), domain,
+                                         store="sqlite:%s" % path)
+            warm.query_entry_exit()
+            assert warm.counters["interproc_summary_misses"] == 0
+            oracle = InterproceduralEngine(cfgs_of(CHAIN_PROGRAM), domain)
+            assert warm.summary_digest() == oracle.summary_digest()
+            warm.store.close()
+        finally:
+            conn.close()
+        assert os.listdir(tmp_path) == ["killed.db"]
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +393,8 @@ class TestDigests:
             "for name in sorted(engine.cfgs):\n"
             "    print(name, engine.deep_digest(name))\n"
         )
-        env = dict(os.environ)
-        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(
-            part for part in (src_dir, env.get("PYTHONPATH")) if part)
-        completed = subprocess.run(
-            [sys.executable, "-c", child_script],
-            input=CHAIN_PROGRAM.encode(), stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, env=env, check=False)
-        assert completed.returncode == 0, completed.stderr.decode()
-        child = dict(line.split() for line in
-                     completed.stdout.decode().splitlines())
+        child = dict(line.split()
+                     for line in _run_child(child_script).splitlines())
         engine = InterproceduralEngine(cfgs_of(CHAIN_PROGRAM),
                                        IntervalDomain())
         assert child == {name: engine.deep_digest(name)

@@ -1,14 +1,17 @@
-"""Exact work counts of three fixed sessions.
+"""Exact work counts of four fixed sessions.
 
 An optimization of the evaluation path may change latency, never a work
 count: cells computed, reused, restored and cut off; transfers, joins,
 widens and unrollings; memo hits, misses and stores; cells dirtied and
 locations re-signed.  Each test below replays one deterministic session
 and compares every counter the engines expose with the values recorded
-before the evaluation path was last optimized.  CI runs this module again
-under ``PYTHONHASHSEED=1`` and ``2``, so a count that follows the order of
-a set of strings fails there on every run; one that follows set order over
-identity-hashed names shows up as a flaky mismatch.
+before the evaluation path was last optimized.  The fourth, a cold open,
+edits and a warm restart on a sqlite store, also pins the store's gets,
+hits and puts, which a change to how the store writes must not move.  CI
+runs this module again under ``PYTHONHASHSEED=1`` and ``2``, so a count
+that follows the order of a set of strings fails there on every run; one
+that follows set order over identity-hashed names shows up as a flaky
+mismatch.
 """
 
 from repro.analysis.config import (
@@ -17,10 +20,13 @@ from repro.analysis.config import (
 )
 from repro.daig import DaigEngine, MemoTable
 from repro.domains import IntervalDomain
-from repro.interproc import policy_by_name
+from repro.interproc import InterproceduralEngine, policy_by_name
 from repro.lang import ast as A
-from repro.lang import build_cfg, parse_program
+from repro.lang import (build_cfg, build_program_cfgs, parse_expression,
+                        parse_program)
 from repro.lang.programs import wide_call_graph_source
+from repro.parallel import ParallelCoordinator, PersistentWorkerPool
+from repro.workload.edits import relabel_assignment
 from repro.workload.generator import WorkloadGenerator
 
 
@@ -101,3 +107,64 @@ def test_multiprocedure_edit_stream_under_one_call_site_sensitivity():
         structure_refreshes=16, structure_stmt_patches=3, daigs=6,
         interproc_engines_built=6, interproc_summary_misses=1,
         **dict.fromkeys(_ZERO_INTERPROC_COUNTERS, 0))
+
+
+def _set_noise(value):
+    """Set ``noise = value`` at a worker's entry: its summary changes (a
+    new initial value of ``acc`` would not: widening loses it)."""
+    def edit(daig):
+        stmt = A.AssignStmt("noise", A.IntLit(value))
+        for edge in daig.cfg.edges:
+            if (isinstance(edge.stmt, A.AssignStmt)
+                    and edge.stmt.target == "noise"):
+                daig.replace_statement(edge, stmt)
+                return
+        daig.insert_statement_after(daig.cfg.entry, stmt)
+    return edit
+
+
+def test_cold_open_edits_and_warm_restart_on_a_sqlite_store(tmp_path):
+    # A session-restart cycle in small: a coordinator cold open, two
+    # value-preserving operand swaps (cutoff, re-keyed writes) and two
+    # semantic edits, then a restart on the same file that replays the
+    # first edit from the store.
+    source = wide_call_graph_source(3, inner_loops=1)
+    domain = IntervalDomain()
+    policy = policy_by_name("insensitive")
+    spec = "sqlite:%s" % (tmp_path / "session.db")
+    swap = relabel_assignment("t0", parse_expression("m0 + acc"))
+    edits = [("work1", swap), ("work0", _set_noise(3)),
+             ("work2", swap), ("work1", _set_noise(5))]
+
+    cold = InterproceduralEngine(build_program_cfgs(parse_program(source)),
+                                 domain, policy, store=spec)
+    with PersistentWorkerPool(workers=2, kind="serial") as pool:
+        ParallelCoordinator(cold, pool).run()
+    cold.query_entry_exit()
+    for procedure, edit in edits:
+        cold.edit_procedure(procedure, edit)
+        cold.query_entry_exit()
+    cold_store = cold.store.stats()
+    cold.store.close()
+
+    warm = InterproceduralEngine(build_program_cfgs(parse_program(source)),
+                                 domain, policy, store=spec)
+    warm.query_entry_exit()
+    warm.edit_procedure(*edits[0])
+    warm.query_entry_exit()
+    warm_store = warm.store.stats()
+    warm.store.close()
+
+    assert cold_store == {"kind": "sqlite", "entries": 9, "gets": 8,
+                          "hits": 0, "puts": 9, "deletes": 0, "errors": 0}
+    assert warm_store == {"kind": "sqlite", "entries": 9, "gets": 4,
+                          "hits": 4, "puts": 0, "deletes": 0, "errors": 0}
+    assert {k: v for k, v in cold.counters.items() if v} == {
+        "interproc_callsite_dirties": 2, "interproc_engines_built": 4,
+        "interproc_parallel_jobs": 4, "interproc_parallel_waves": 2,
+        "interproc_store_misses": 8, "interproc_store_rekeys": 1,
+        "interproc_store_writes": 9, "interproc_summary_cutoffs": 2,
+        "interproc_summary_hits": 8, "interproc_summary_misses": 4}
+    assert {k: v for k, v in warm.counters.items() if v} == {
+        "interproc_engines_built": 4, "interproc_store_hits": 4,
+        "interproc_summary_cutoffs": 1}
