@@ -55,6 +55,7 @@ with the callee's final entry/exit summary.
 from __future__ import annotations
 
 import sys
+import weakref
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Set, Tuple,
                     Union)
 
@@ -245,8 +246,14 @@ class InterproceduralEngine:
 
     def _make_call_transfer(
             self, caller_key: ProcedureKey) -> Callable[[A.CallStmt, Any, Name], Any]:
+        # The DAIG engines this one owns hold the hook, so it refers back
+        # weakly: a dropped engine is freed at once by reference counting
+        # instead of waiting, with every DAIG it built, for a full cyclic
+        # collection that then pauses whatever step it lands in.
+        owner = weakref.proxy(self)
+
         def call_transfer(stmt: A.CallStmt, state: Any, site: Name) -> Any:
-            return self._analyze_call(caller_key, stmt, state, site)
+            return owner._analyze_call(caller_key, stmt, state, site)
         return call_transfer
 
     # -- content-addressed code digests ----------------------------------------------

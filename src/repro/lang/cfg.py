@@ -133,6 +133,14 @@ class Cfg:
         dup._rebuild_indices()
         return dup
 
+    def __getstate__(self) -> Dict[str, object]:
+        # The derived structure reaches its graph through a weak proxy,
+        # which would pickle as a second copy of the graph; an unpickled
+        # graph rebuilds its own structure on first demand.
+        state = dict(self.__dict__)
+        state["_analysis"] = None
+        return state
+
     def _invalidate(self) -> None:
         """Discard all derived structure (raw or wholesale mutation)."""
         self._analysis = None

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import bisect
 import time
+import weakref
 from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -103,7 +104,9 @@ class CfgStructure:
     """
 
     def __init__(self, cfg: "Cfg") -> None:
-        self.cfg = cfg
+        # The CFG owns its structure, so the structure refers back weakly
+        # and a dropped CFG is freed by reference counting.
+        self.cfg = weakref.proxy(cfg)
         # Work counters and time live on the CFG so they survive the
         # rebuild after raw edge surgery (a new object) and report
         # cumulatively per program, not per cache.

@@ -1,5 +1,9 @@
 """Unit tests for CFG construction, structural analyses, and edits."""
 
+import gc
+import pickle
+import weakref
+
 import pytest
 
 from repro.lang import ast as A
@@ -8,6 +12,7 @@ from repro.lang.cfg import Cfg, IrreducibleCfgError
 from repro.lang.programs import append_program
 
 from helpers import BRANCH_SOURCE, LOOP_SOURCE, NESTED_SOURCE, random_cfg
+from test_structure_incremental import assert_analysis_matches_scratch
 
 
 class TestLowering:
@@ -111,6 +116,27 @@ class TestStructuralAnalyses:
     def test_variables_include_params_and_ret(self, append_cfg):
         names = append_cfg.variables()
         assert {"p", "q", "r", "ret"} <= names
+
+    def test_structure_does_not_keep_its_graph_alive(self):
+        # The graph owns its structure and the structure refers back
+        # weakly, so reference counting alone frees a dropped graph.
+        cfg = build_cfg(parse_program(LOOP_SOURCE).procedure("main"))
+        cfg.back_edges()
+        graph = weakref.ref(cfg)
+        gc.disable()
+        try:
+            del cfg
+            assert graph() is None
+        finally:
+            gc.enable()
+
+    def test_a_graph_pickles_after_a_structural_query(self, loop_cfg):
+        dominators = loop_cfg.dominators()
+        clone = pickle.loads(pickle.dumps(loop_cfg))
+        assert clone.edges == loop_cfg.edges
+        assert clone.dominators() == dominators
+        clone.insert_statement_after(clone.entry, A.SkipStmt())
+        assert_analysis_matches_scratch(clone)
 
     def test_copy_is_independent(self, loop_cfg):
         clone = loop_cfg.copy()

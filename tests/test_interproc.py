@@ -1,5 +1,8 @@
 """Tests for the interprocedural engine, call graphs, and context policies."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.domains import IntervalDomain, OctagonDomain
@@ -12,7 +15,10 @@ from repro.interproc import (
     policy_by_name,
 )
 from repro.lang import ast as A
-from repro.lang import build_program_cfgs, parse_program
+from repro.lang import build_program_cfgs, parse_expression, parse_program
+from repro.lang.programs import wide_call_graph_source
+from repro.parallel import ParallelCoordinator, PersistentWorkerPool
+from repro.workload.edits import relabel_assignment
 
 CALL_PROGRAM = """
 function double(x) {
@@ -334,3 +340,37 @@ class TestInterproceduralEdits:
         exit_state = engine.query_entry_exit()
         assert domain.numeric_bounds(A.Var("bonus"), exit_state) == (1, 1)
         assert domain.numeric_bounds(A.Var("c"), exit_state) == (26, 26)
+
+
+class TestTeardown:
+    """Nothing an engine builds refers back to it strongly, so dropping an
+    engine frees it and every DAIG it built by reference counting.  A
+    process that opens engine after engine (an editor restarting on its
+    store) then leaves no cyclic garbage for a full collection to trace
+    in the middle of a later edit."""
+
+    def test_a_dropped_engine_leaves_no_cyclic_garbage(self, tmp_path):
+        cfgs = build_program_cfgs(parse_program(
+            wide_call_graph_source(3, inner_loops=1)))
+        gc.collect()
+        gc.disable()
+        try:
+            engine = InterproceduralEngine(
+                cfgs, IntervalDomain(), policy_by_name("insensitive"),
+                store="sqlite:%s" % (tmp_path / "summaries.db"))
+            with PersistentWorkerPool(workers=2, kind="serial") as pool:
+                ParallelCoordinator(engine, pool).run()
+            engine.query_entry_exit()
+            engine.edit_procedure(
+                "work1", relabel_assignment("t0", parse_expression("m0 + acc")))
+            engine.query_entry_exit()
+            engine.store.close()
+            assert len(engine.engines) > 1
+            dropped = [weakref.ref(engine)] + [
+                weakref.ref(daig) for daig in engine.engines.values()]
+            del engine
+            assert [ref() for ref in dropped] == [None] * len(dropped)
+            del cfgs
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
