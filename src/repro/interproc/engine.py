@@ -640,18 +640,19 @@ class InterproceduralEngine:
 
     def ensure_engine(self, name: str, context: Context,
                       entry_state: Any) -> DaigEngine:
-        """The engine for ``(name, context)``, created if absent, with its
-        DAIG built (structure only — no evaluation).
+        """The engine for ``(name, context)``, created if absent.  Creating
+        it never builds its DAIG; that happens on first demand, or through
+        :meth:`DaigEngine.materialize`.
 
         The parallel coordinator installs certified summary jobs through
         this before replaying their workers' call contributions.  The
         replayed contributions need no DAIG (the ledger files them under
-        their caller key), but building here keeps the first edit after a
-        cold open from paying for the build in its own latency.
+        their caller key).  The coordinator builds the DAIGs of the keys a
+        worker computed, so the first edit after a cold open does not pay
+        for the build in its own latency, and leaves a memo- or
+        store-served key's engine unbuilt, as a warm restart does.
         """
-        engine = self._engine_for(name, context, entry_state)
-        engine.materialize()
-        return engine
+        return self._engine_for(name, context, entry_state)
 
     def record_call_contribution(self, caller_key: ProcedureKey, skey: SiteKey,
                                  callee: str, context: Context,

@@ -34,8 +34,9 @@ breaks that serialization in three phases:
    sources (sequential demand order decides which intermediate exits such
    a callee's consumers capture), and the join of the certified callers'
    *reported* contributions equals the dispatched entry exactly.  Certified results are installed into the
-   live engine — DAIGs built so their call sites are indexed,
-   contributions replayed, exit summaries seeded into the shared memo table
+   live engine — the DAIGs of worker-computed keys built (a served key's
+   engine is created unbuilt, as on a warm restart), contributions
+   replayed, exit summaries seeded into the shared memo table
    under the same ``(procedure, context, deep code digest, entry)`` keys
    sequential evaluation derives — so subsequent demand hits them without
    ever evaluating the callee DAIGs in-process.
@@ -334,12 +335,13 @@ class ParallelCoordinator:
                 break
             certified = surviving
 
-        # Install: build the certified engines' DAIGs (structure only, no
-        # evaluation), replay the worker-derived contributions (a seeded
-        # caller is never evaluated in-process, so its callees would
-        # otherwise miss its entry contributions; the engine files them
-        # under the caller, so later edits retract them exactly), then seed
-        # exits.
+        # Install: create the certified engines, building the DAIGs
+        # (structure only, no evaluation) of the keys a worker computed but
+        # not of memo- or store-served ones; replay the worker-derived
+        # contributions (a seeded caller is never evaluated in-process, so
+        # its callees would otherwise miss its entry contributions; the
+        # engine files them under the caller, so later edits retract them
+        # exactly), then seed exits.
         proc_rank = {proc: rank
                      for rank, proc in enumerate(spec["callers_first"])}
 
@@ -348,7 +350,9 @@ class ParallelCoordinator:
 
         installed = sorted(certified, key=order)
         for key in installed:
-            engine.ensure_engine(key[0], key[1], spec_entries[key])
+            daig = engine.ensure_engine(key[0], key[1], spec_entries[key])
+            if results[key].served_by is None:
+                daig.materialize()
         for key in installed:
             for callee_key, sites in sorted(results[key].contribs.items(),
                                             key=lambda item: repr(item[0])):

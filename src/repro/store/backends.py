@@ -5,6 +5,9 @@
 * :class:`SqliteSummaryStore` — one stdlib ``sqlite3`` table; the
   persistent backend, journaled through a write-ahead log: every put is
   one committed, fsynced log append that other connections see at once.
+  A new store file is hard-linked into place complete and fsynced,
+  without the rollback-journal round trip that sqlite makes to switch an
+  empty file to WAL (:func:`_create_store_file`).
 
 :func:`open_store` parses the ``"memory"`` / ``"sqlite:<path>"`` specs and
 is the one way to open a store by name.
@@ -12,7 +15,9 @@ is the one way to open a store by name.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import secrets
 import sqlite3
 from typing import Dict, List, Optional
 
@@ -64,6 +69,17 @@ class SqliteSummaryStore(SummaryStore):
     reports.  ``check_same_thread=False`` lets a handle opened on one
     thread serve another (the base class serializes access under one
     lock).
+
+    A path that does not exist yet is first made an empty store by
+    :func:`_create_store_file`: built under a temp name at
+    ``synchronous=OFF``, fsynced and hard-linked into place, which skips
+    the rollback journal that sqlite would create, fsync and delete to
+    switch an empty file to WAL.  So a store is complete and durable when
+    its constructor returns.  A path that exists, an empty file included,
+    is opened as it is.  A path sqlite cannot open (not a database, a
+    directory, no permission) gives a store that misses every get and
+    drops every put, counting each in ``errors``, and never writes or
+    removes the file.
     """
 
     kind = "sqlite"
@@ -71,14 +87,19 @@ class SqliteSummaryStore(SummaryStore):
     def __init__(self, path: str) -> None:
         super().__init__()
         self.path = os.fspath(path)
-        parent = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(parent, exist_ok=True)
-        self._conn = sqlite3.connect(self.path, check_same_thread=False,
-                                     isolation_level=None)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS summaries ("
-            "key TEXT PRIMARY KEY, blob BLOB NOT NULL)")
+        try:
+            os.makedirs(os.path.dirname(os.path.abspath(self.path)),
+                        exist_ok=True)
+            if not os.path.lexists(self.path):
+                _create_store_file(self.path)
+            self._conn = _connect(self.path)
+        except (OSError, sqlite3.Error):
+            # Every statement on a closed connection raises
+            # sqlite3.ProgrammingError, which the base class counts as a
+            # miss or a dropped put.
+            self.errors += 1
+            self._conn = sqlite3.connect(":memory:", check_same_thread=False)
+            self._conn.close()
 
     def _get(self, key: str) -> Optional[bytes]:
         row = self._conn.execute(
@@ -121,6 +142,74 @@ class SqliteSummaryStore(SummaryStore):
             self._conn.close()
         except sqlite3.Error:
             pass
+
+
+_SCHEMA = ("CREATE TABLE IF NOT EXISTS summaries ("
+           "key TEXT PRIMARY KEY, blob BLOB NOT NULL)")
+
+
+def _connect(path: str) -> sqlite3.Connection:
+    """An autocommit handle on ``path`` in WAL mode, at sqlite's default
+    ``synchronous=FULL``, with the ``summaries`` table."""
+    conn = sqlite3.connect(path, check_same_thread=False,
+                           isolation_level=None)
+    try:
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute(_SCHEMA)
+    except sqlite3.Error:
+        conn.close()
+        raise
+    return conn
+
+
+def _fsync_path(path: str) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _create_store_file(path: str) -> None:
+    """Make the absent ``path`` an empty WAL store, complete and durable.
+
+    Switching an empty file to WAL writes its first page through a
+    rollback journal that sqlite creates, fsyncs and deletes, and on a
+    filesystem that discards freed blocks (ext4 mounted with
+    ``discard``) deleting a file whose blocks an fsync allocated costs
+    tens of milliseconds.  So the database is built under a temp name
+    that no other creator shares, at ``synchronous=OFF``: its journal and
+    log are never synced, and deleting them is free.  The finished file
+    is then fsynced, hard-linked to ``path`` and its temp name removed
+    (the file lives on at ``path``, so no block is freed), and the
+    directory is fsynced.
+
+    A creator killed before the link leaves only its temp file, never a
+    partial store at ``path``.  ``os.link`` never replaces: a store that
+    another creator made at ``path`` meanwhile keeps its rows, where
+    ``os.replace`` could pair that store's live ``-wal`` with a different
+    database.  When a step fails (``path`` appeared, or the filesystem
+    has no hard links) the caller opens ``path`` as it finds it, and
+    sqlite creates it if it is still absent.
+    """
+    temp = "%s.%d-%s.new" % (path, os.getpid(), secrets.token_hex(8))
+    try:
+        try:
+            conn = sqlite3.connect(temp, isolation_level=None)
+            try:
+                conn.execute("PRAGMA synchronous=OFF")
+                conn.execute("PRAGMA journal_mode=WAL")
+                conn.execute(_SCHEMA)
+            finally:
+                conn.close()
+            _fsync_path(temp)
+            os.link(temp, path)
+        finally:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+        _fsync_path(os.path.dirname(os.path.abspath(path)))
+    except (OSError, sqlite3.Error):
+        pass
 
 
 def open_store(spec: str) -> SummaryStore:

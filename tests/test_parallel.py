@@ -369,6 +369,33 @@ class TestCoordinatorStore:
         warm.query_entry_exit()
         assert warm.summary_digest() == cold_digest
 
+    def test_store_served_keys_build_no_daig(self, tmp_path):
+        """A summary served from the store never builds its callee's DAIG,
+        through the coordinator too: on a store a first coordinated open
+        filled, a second one serves every key, builds no DAIG before its
+        query and main's alone at it, as a plain restart does."""
+        domain = IntervalDomain()
+        source = wide_call_graph_source(4, inner_loops=1)
+        spec = "sqlite:%s" % (tmp_path / "served.db")
+        with PersistentWorkerPool(workers=2, kind="serial") as pool:
+            cold = InterproceduralEngine(cfgs_of(source), domain, store=spec)
+            ParallelCoordinator(cold, pool).run()
+            # Worker-computed keys are built at install.
+            assert cold.total_stats()["daigs"] == 5
+            cold.query_entry_exit()
+            cold_digest = cold.summary_digest()
+            cold.store.close()
+
+            warm = InterproceduralEngine(cfgs_of(source), domain, store=spec)
+            report = ParallelCoordinator(warm, pool).run()
+        assert report["jobs"] == 0
+        assert report["store_served"] == report["certified"] == 5
+        assert warm.total_stats()["daigs"] == 0
+        warm.query_entry_exit()
+        assert warm.total_stats()["daigs"] == 1
+        assert warm.summary_digest() == cold_digest
+        warm.store.close()
+
     def test_store_results_survive_a_real_process_pool(self, tmp_path):
         """End to end across process boundaries: store-served keys plus
         process-pool jobs, and the warmed engine digests equal."""

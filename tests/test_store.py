@@ -267,6 +267,109 @@ class TestSqliteJournal:
             conn.close()
         assert os.listdir(tmp_path) == ["killed.db"]
 
+    def test_a_new_store_is_complete_when_its_constructor_returns(
+            self, tmp_path):
+        path = str(tmp_path / "new.db")
+        store = SqliteSummaryStore(path)
+        conn = sqlite3.connect(path)
+        try:
+            assert conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+            assert conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            ).fetchall() == [("summaries",)]
+        finally:
+            conn.close()
+        # No temp file and no rollback journal: only the open handle's
+        # log and index sit beside the store.
+        assert sorted(os.listdir(tmp_path)) == [
+            "new.db", "new.db-shm", "new.db-wal"]
+        assert self._journal(store) == ("wal", 2)
+        store.close()
+
+    def test_a_store_made_at_the_path_meanwhile_keeps_its_rows(
+            self, tmp_path, monkeypatch):
+        """Another creator makes the store between this one's existence
+        check and its link: the link fails, and this creator opens that
+        store, live log included, instead of replacing it."""
+        path = str(tmp_path / "raced.db")
+        # Rows on more pages than the live log holds, so a different
+        # database file under that log would lose some of them.
+        merged = {"m%02d" % index: bytes((index,)) * 1024
+                  for index in range(20)}
+        rival = SqliteSummaryStore(path)
+        for key, blob in merged.items():
+            rival.put(key, blob)
+        rival.close()  # the last close merges the log into the file
+        rival = SqliteSummaryStore(path)
+        rival.put("logged", b"log")
+        checked = []
+        lexists = os.path.lexists
+
+        def absent_at_the_check(name):
+            if name == path:
+                checked.append(name)
+                return False
+            return lexists(name)
+
+        monkeypatch.setattr(os.path, "lexists", absent_at_the_check)
+        late = SqliteSummaryStore(path)
+        monkeypatch.undo()
+        assert checked == [path]
+        assert self._journal(late) == ("wal", 2)
+        assert {key: late.get(key) for key in merged} == merged
+        assert late.get("logged") == b"log"
+        late.put("late", b"late")
+        assert rival.get("late") == b"late"
+        assert late.stats()["errors"] == rival.stats()["errors"] == 0
+        late.close()
+        rival.close()
+        assert os.listdir(tmp_path) == ["raced.db"]
+
+    def test_an_empty_file_opens_in_wal_at_full(self, tmp_path):
+        path = tmp_path / "empty.db"
+        path.write_bytes(b"")
+        store = SqliteSummaryStore(str(path))
+        assert self._journal(store) == ("wal", 2)
+        store.put("k1", b"abc")
+        assert store.get("k1") == b"abc"
+        store.close()
+        assert os.listdir(tmp_path) == ["empty.db"]
+
+
+class TestUnopenableSqlitePath:
+    """A path sqlite cannot open degrades to a store that always misses:
+    the engine answers as without a store, and the path is left as it
+    was."""
+
+    @staticmethod
+    def _answers_as_storeless(path):
+        domain = IntervalDomain()
+        engine = InterproceduralEngine(cfgs_of(CHAIN_PROGRAM), domain,
+                                       store="sqlite:%s" % path)
+        oracle = InterproceduralEngine(cfgs_of(CHAIN_PROGRAM), domain)
+        assert domain.equal(engine.query_entry_exit(),
+                            oracle.query_entry_exit())
+        assert engine.summary_digest() == oracle.summary_digest()
+        stats = engine.store.stats()
+        assert stats["errors"] > 0
+        assert stats["hits"] == stats["entries"] == 0
+        engine.store.close()
+
+    def test_a_file_that_is_not_a_database(self, tmp_path):
+        path = tmp_path / "junk.db"
+        junk = bytes(range(256)) * 16
+        path.write_bytes(junk)
+        self._answers_as_storeless(path)
+        assert path.read_bytes() == junk
+        assert os.listdir(tmp_path) == ["junk.db"]
+
+    def test_a_directory(self, tmp_path):
+        path = tmp_path / "dir.db"
+        path.mkdir()
+        self._answers_as_storeless(path)
+        assert os.listdir(tmp_path) == ["dir.db"]
+        assert os.listdir(path) == []
+
 
 # ---------------------------------------------------------------------------
 # Wire format
