@@ -484,12 +484,12 @@ class InterproceduralEngine:
         if self.store is not None:
             stored = self._store_lookup(memo_args)
             if stored is not None:
-                (exit_state,) = stored
+                exit_state, store_key = stored
                 # Install through the same path memoization uses — the
                 # callee's DAIG is never touched — but do not write the
                 # blob back (it came from the store).
                 self._install_summary(key, memo_args, exit_state,
-                                      write_store=False)
+                                      write_store=False, store_key=store_key)
                 self._note_exit(key, exit_state)
                 return exit_state
         self.counters["interproc_summary_misses"] += 1
@@ -518,34 +518,40 @@ class InterproceduralEngine:
     # -- the persistent summary tier ---------------------------------------------------
 
     def _install_summary(self, key: ProcedureKey, memo_args: Tuple,
-                         exit_state: Any, write_store: bool) -> None:
+                         exit_state: Any, write_store: bool,
+                         store_key: Optional[str] = None) -> None:
         """Install one exit summary: memo table, per-procedure key index,
         and (write-through) the persistent store.  Every install — normal
         memoization, a coordinator seed, a store hit — goes through here,
-        so the tiers can never disagree about what a key means."""
+        so the tiers can never disagree about what a key means.  A store
+        hit passes the ``store_key`` its lookup already computed."""
         self.memo.store("summary", memo_args, exit_state)
         self._summary_keys.setdefault(key[0], set()).add(memo_args)
         if self.store is None:
             return
-        name, context, digest, entry_state = memo_args
-        store_key = summary_store_key(
-            self.domain.name, name, context, digest, entry_state)
+        if store_key is None:
+            store_key = self._store_key(memo_args)
         self._store_keys.setdefault(key, set()).add(store_key)
         if write_store:
             self.store.put(store_key, encode_summary(exit_state))
             self.counters["interproc_store_writes"] += 1
 
-    def _store_lookup(self, memo_args: Tuple) -> Optional[Tuple[Any]]:
-        """Second-tier fetch; returns ``(exit_state,)`` or None on miss.
+    def _store_key(self, memo_args: Tuple) -> str:
+        """The persistent store key of one summary's ``memo_args``."""
+        name, context, digest, entry_state = memo_args
+        return summary_store_key(
+            self.domain.name, name, context, digest, entry_state)
+
+    def _store_lookup(self, memo_args: Tuple) -> Optional[Tuple[Any, str]]:
+        """Second-tier fetch; returns ``(exit_state, store_key)`` or None
+        on miss.
 
         Every failure mode — absent key, backend error, corrupt or
         version-incompatible blob — is a miss; corrupt blobs are deleted
         so they are rewritten rather than re-fetched forever.
         """
         assert self.store is not None
-        name, context, digest, entry_state = memo_args
-        store_key = summary_store_key(
-            self.domain.name, name, context, digest, entry_state)
+        store_key = self._store_key(memo_args)
         blob = self.store.get(store_key)
         if blob is None:
             self.counters["interproc_store_misses"] += 1
@@ -558,7 +564,7 @@ class InterproceduralEngine:
             self.store.delete(store_key)
             return None
         self.counters["interproc_store_hits"] += 1
-        return (exit_state,)
+        return exit_state, store_key
 
     def probe_summary(self, name: str, context: Context,
                       entry_state: Any) -> Tuple[Optional[str], Any]:

@@ -46,7 +46,12 @@ Loc = int
 
 @dataclass(frozen=True)
 class CfgEdge:
-    """A directed control-flow edge ``src --[stmt]--> dst``."""
+    """A directed control-flow edge ``src --[stmt]--> dst``.
+
+    Immutable, and shared by every :meth:`Cfg.copy` of its graph, so
+    :func:`repro.store.canonical.cfg_digest` caches the edge's canonical
+    encoding in its ``__dict__`` (under ``_fragment``).
+    """
 
     src: Loc
     stmt: A.AtomicStmt
@@ -54,6 +59,13 @@ class CfgEdge:
 
     def __str__(self) -> str:
         return "%d --[%s]--> %d" % (self.src, self.stmt, self.dst)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Pickles leave out the cached encoding: a graph shipped to a
+        # worker keeps its size, and the receiver re-derives it on demand.
+        state = dict(self.__dict__)
+        state.pop("_fragment", None)
+        return state
 
 
 class IrreducibleCfgError(Exception):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import struct
-from typing import Any, List
+from typing import Any, List, Tuple
 
 try:  # numpy backs the octagon domain; degrade gracefully without it.
     import numpy as _np
@@ -183,11 +183,39 @@ def cfg_digest(cfg: Any) -> str:
     any in-memory artifacts (listeners, structure caches, analyses).
     Statements print deterministically, which makes this stable across
     processes and across reparses of the same source.
+
+    The bytes are exactly ``canonical_bytes`` of the tuple
+    ``("cfg", name, params, entry, exit, edges)``, but each edge's part is
+    formatted once by :func:`_edge_fragment` and cached on the edge.
+    Edges are immutable and every copy of a graph shares them, so a
+    restarted engine over copies of the same code only sorts, joins and
+    hashes.
     """
-    edges = tuple(sorted((edge.src, edge.dst, str(edge.stmt))
-                         for edge in cfg.edges))
-    return canonical_digest(("cfg", cfg.name, tuple(cfg.params),
-                             cfg.entry, cfg.exit, edges))
+    out: List[bytes] = [b"("]
+    for item in ("cfg", cfg.name, tuple(cfg.params), cfg.entry, cfg.exit):
+        _encode(item, out)
+    out.append(b"(")
+    out.extend([fragment for _src, _dst, _text, fragment
+                in sorted(map(_edge_fragment, cfg.edges))])
+    out.append(b"))")
+    return hashlib.sha256(b"".join(out)).hexdigest()
+
+
+def _edge_fragment(edge: Any) -> Tuple[int, int, str, bytes]:
+    """``(src, dst, text, canonical_bytes((src, dst, text)))`` for one CFG
+    edge, where ``text`` is ``str(edge.stmt)``; the leading triple is the
+    edge's sort key in :func:`cfg_digest`.  Cached in the frozen edge's
+    ``__dict__`` (``CfgEdge.__getstate__`` keeps it out of pickles)."""
+    cached = edge.__dict__.get("_fragment")
+    if cached is None:
+        src, dst, text = edge.src, edge.dst, str(edge.stmt)
+        src_body, dst_body = b"%d" % src, b"%d" % dst
+        text_body = text.encode("utf-8")
+        encoded = b"(i%d:%si%d:%ss%d:%s)" % (
+            len(src_body), src_body, len(dst_body), dst_body,
+            len(text_body), text_body)
+        cached = edge.__dict__["_fragment"] = (src, dst, text, encoded)
+    return cached
 
 
 def component_digest(members: Any, callee_digests: Any) -> str:

@@ -29,6 +29,7 @@ from repro.domains import IntervalDomain
 from repro.interproc import InterproceduralEngine, policy_by_name
 from repro.lang import ast as A
 from repro.lang import build_program_cfgs, parse_expression, parse_program
+from repro.lang.cfg import Cfg
 from repro.lang.programs import wide_call_graph_source
 from repro.store import (
     STORE_FORMAT_VERSION,
@@ -37,6 +38,7 @@ from repro.store import (
     SqliteSummaryStore,
     StoreDecodeError,
     canonical_bytes,
+    canonical_digest,
     cfg_digest,
     decode_summary,
     encode_summary,
@@ -99,6 +101,14 @@ def cfgs_of(source):
 
 def _fresh_copy(cfgs):
     return {name: cfg.copy() for name, cfg in cfgs.items()}
+
+
+def _generic_cfg_digest(cfg):
+    """``cfg_digest`` through the generic encoder: the formula the
+    per-edge fragments must reproduce byte for byte."""
+    return canonical_digest((
+        "cfg", cfg.name, tuple(cfg.params), cfg.entry, cfg.exit,
+        tuple(sorted((e.src, e.dst, str(e.stmt)) for e in cfg.edges))))
 
 
 def _noise(pe):
@@ -517,6 +527,77 @@ class TestDigests:
         # And is reproducible.
         assert base == summary_store_key("interval", "f", (), "d1", entry)
 
+    def test_digests_and_store_keys_keep_their_bytes(self):
+        """Stores written by earlier versions keep hitting only while
+        every digest, and so every store key, keeps its exact bytes."""
+        cfgs = cfgs_of(wide_call_graph_source(2, inner_loops=1))
+        assert {name: cfg_digest(cfgs[name])
+                for name in ("main", "work0", "work1")} == {
+            "main": "7c2141861135de1beb4f663f07d432cc"
+                    "2ec5f279445b454b6c0a76b45774fed8",
+            "work0": "c8ae94a1ffb6b65b5d264041a8cd0d49"
+                     "6efd7e2701a2f2d9dc37789331223a1e",
+            "work1": "6c66043674b536a619f6c2a4e5c2aa28"
+                     "96fee8ec61603060e28ec76d4966da0f",
+        }
+        engine = InterproceduralEngine(
+            cfgs, IntervalDomain(), policy_by_name("context-insensitive"))
+        deep = engine.deep_digest("main")
+        assert deep == ("c3a006b434c61ace134c77a1b2a59e75"
+                        "7ec92ee5afbdeb8b286b61141fb5ae3e")
+        assert summary_store_key(
+            "interval", "main", (), deep, IntervalDomain().initial([])) == (
+            "a930a31415d4eeeafd1eeb1082b901c6"
+            "7a1f813e2f3cbab6751a912938a3dc7e")
+
+    @pytest.mark.parametrize("seed", [3, 185, 2045])
+    def test_cached_fragments_equal_the_generic_encoding_after_every_edit(
+            self, seed):
+        """Each edge caches its own encoding; edits replace edges, so the
+        digest of a graph edited in place must never go stale."""
+        cfg = Cfg("main")
+        cfg.add_edge(cfg.entry, A.SkipStmt(), cfg.exit)
+        for step in WorkloadGenerator(seed).generate(60):
+            step.edit.apply_to_cfg(cfg)
+            assert cfg_digest(cfg) == _generic_cfg_digest(cfg)
+
+    def test_cached_fragments_equal_the_generic_encoding_on_a_program(self):
+        workload = WorkloadGenerator(seed=2045).generate_multiprocedure(
+            edits=30, procedures=4)
+        cfgs = workload.fresh_cfgs()
+        for step in workload.steps:
+            step.edit.apply_to_cfg(cfgs[step.procedure])
+            for cfg in cfgs.values():
+                assert cfg_digest(cfg) == _generic_cfg_digest(cfg)
+
+    def test_cached_fragments_follow_raw_edge_surgery(self):
+        """Parallel edges sort by statement text, not by the encoded bytes
+        (which order a shorter text first): ``x = 10`` precedes ``y = 1``."""
+        cfg = cfgs_of(CHAIN_PROGRAM)["main"]
+        before = cfg_digest(cfg)
+        loc = cfg.fresh_loc()
+        edges = [cfg.add_edge(cfg.entry, A.AssignStmt(name, A.IntLit(value)),
+                              loc)
+                 for name, value in (("y", 1), ("x", 10))]
+        assert cfg_digest(cfg) == _generic_cfg_digest(cfg) != before
+        for edge in edges:
+            cfg.remove_edge(edge)
+        assert cfg_digest(cfg) == _generic_cfg_digest(cfg) == before
+
+    def test_copies_pickles_and_reparses_digest_alike(self):
+        """A copy shares the digested edges and their cached fragments; a
+        pickle leaves the fragments out, so a graph pickles to the same
+        bytes before and after it is digested."""
+        source = wide_call_graph_source(2, inner_loops=1)
+        cfg = cfgs_of(source)["work1"]
+        pickled = pickle.dumps(cfg)
+        digest = cfg_digest(cfg)
+        assert digest == _generic_cfg_digest(cfg)
+        assert pickle.dumps(cfg) == pickled
+        for other in (cfg.copy(), pickle.loads(pickle.dumps(cfg)),
+                      cfgs_of(source)["work1"]):
+            assert cfg_digest(other) == _generic_cfg_digest(other) == digest
+
     def test_canonical_bytes_rejects_unknown_types(self):
         class Mystery:
             pass
@@ -593,6 +674,36 @@ class TestWarmStart:
         oracle.edit_procedure("work0", _noise)
         oracle.query_entry_exit()
         assert warm.summary_digest() == oracle.summary_digest()
+
+    def test_a_store_hit_computes_its_key_once(self, tmp_path, monkeypatch):
+        """A warm open of the wide program serves its eight workers from
+        the store and computes each one's store key once: the hit hands
+        the key its lookup computed on to the install."""
+        source = wide_call_graph_source(8, inner_loops=1)
+        domain = IntervalDomain()
+        policy = policy_by_name("context-insensitive")
+        spec = "sqlite:%s" % (tmp_path / "wide.db")
+        cold = InterproceduralEngine(cfgs_of(source), domain, policy,
+                                     store=spec)
+        cold.query_entry_exit()
+        cold_digest = cold.summary_digest()
+        cold.store.close()
+        computed = []
+
+        def counting_key(*args):
+            computed.append(args)
+            return summary_store_key(*args)
+
+        monkeypatch.setattr("repro.interproc.engine.summary_store_key",
+                            counting_key)
+        warm = InterproceduralEngine(cfgs_of(source), domain, policy,
+                                     store=spec)
+        warm.query_entry_exit()
+        assert warm.counters["interproc_store_hits"] == 8
+        assert warm.counters["interproc_store_misses"] == 0
+        assert len(computed) == 8
+        assert warm.summary_digest() == cold_digest
+        warm.store.close()
 
     @pytest.mark.parametrize("policy_name", POLICIES)
     @pytest.mark.parametrize("source", [CHAIN_PROGRAM, DEEP_CHAIN_PROGRAM],
