@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 
 #: Sentinel distinguishing "no entry" from any memoized value.
@@ -117,6 +117,43 @@ class MemoTable:
             while len(self._table) > self.capacity:
                 self._table.popitem(last=False)
                 self.evictions += 1
+
+    def install(self, facts: Iterable[Tuple[str, Tuple[Any, ...], Any]]) -> int:
+        """Add ``f·(v1···vk) → v`` facts computed elsewhere (a pool worker's
+        evaluated DAIG); returns how many were new.
+
+        A fact is a pure domain computation, so it serves any later lookup
+        with equal inputs (rule Q-Match).  A key already present keeps its
+        value and recency.  A disabled table installs nothing, and a bounded
+        one evicts its least recently used entries, as :meth:`store` does.
+        The hit, miss and store counters do not move: they count this
+        table's own queries.
+        """
+        if self._lock is not None:
+            with self._lock:
+                return self._install(facts)
+        assert threading.get_ident() == self._owner, (
+            "MemoTable install off the owning thread without thread_safe=True")
+        return self._install(facts)
+
+    def _install(self, facts: Iterable[Tuple[str, Tuple[Any, ...], Any]]) -> int:
+        if not self.enabled:
+            return 0
+        table = self._table
+        before = len(table)
+        for func, args, value in facts:
+            try:
+                table.setdefault((func,) + args, value)
+            except TypeError:  # an unhashable input cannot be memoized
+                continue
+        added = len(table) - before
+        if self.capacity is not None:
+            # New keys went in last, so evicting from the front now leaves
+            # exactly what evicting after every insert would.
+            while len(table) > self.capacity:
+                table.popitem(last=False)
+                self.evictions += 1
+        return added
 
     def peek(self, func: str, args: Tuple[Any, ...]) -> Tuple[bool, Any]:
         """Like :meth:`lookup`, but without touching the hit/miss counters

@@ -125,6 +125,17 @@ class ArraySummary:
 Binding = Union[ScalarValue, ArraySummary]
 
 
+#: The name → position index of each binding layout (its sorted variable
+#: names), shared by every state with that layout: the states of one
+#: procedure mostly bind the same variables, so a new state, such as one a
+#: worker's result re-interns, seldom builds an index of its own.  Cleared
+#: when full, so layouts of programs no longer analysed cost little memory
+#: (a generated multi-procedure stream meets thousands); sharing an index
+#: saves work, and no answer depends on it.
+_LAYOUTS: Dict[Tuple[str, ...], Tuple[Tuple[str, ...], Dict[str, int]]] = {}
+_LAYOUT_LIMIT = 1 << 8
+
+
 class EnvState:
     """An abstract environment: sorted variable bindings, or ⊥.
 
@@ -132,7 +143,8 @@ class EnvState:
     *same* object: ``EnvState`` equality and hashing are by identity and
     the domain's ``equal`` check is O(1).  Each state also carries a
     name → position index so :meth:`get` is a dict lookup instead of a
-    linear scan.
+    linear scan; states with the same variables share one (read-only)
+    index.
     """
 
     __slots__ = ("bindings", "bottom", "_index", "_keys", "_cbytes",
@@ -150,12 +162,18 @@ class EnvState:
         canonical = table.get(key)
         if canonical is not None:
             return canonical
+        names = next(zip(*bindings), ())
+        layout = _LAYOUTS.get(names)
+        if layout is None:
+            if len(_LAYOUTS) >= _LAYOUT_LIMIT:
+                _LAYOUTS.clear()
+            layout = _LAYOUTS[names] = (
+                names, {name: pos for pos, name in enumerate(names)})
         self = object.__new__(cls)
         object.__setattr__(self, "bindings", bindings)
         object.__setattr__(self, "bottom", bottom)
-        object.__setattr__(self, "_index",
-                           {name: pos for pos, (name, _) in enumerate(bindings)})
-        object.__setattr__(self, "_keys", tuple(name for name, _ in bindings))
+        object.__setattr__(self, "_keys", layout[0])
+        object.__setattr__(self, "_index", layout[1])
         return table.insert(key, self)
 
     def __setattr__(self, attr: str, value: object) -> None:

@@ -13,9 +13,9 @@ per-type weak-value table.  The payoff is the classic hash-consing triple:
 * **memoization keys are cheap** — the DAIG memo table and the octagon /
   environment join paths compare and hash states without walking them.
 
-Each table is a plain dict from a structural key to a
-:class:`weakref.KeyedRef` of the canonical object, so interned objects are
-garbage-collected as soon as the analysis drops them: tearing down an engine
+Each table is a plain dict from a structural key to a :func:`weakref.ref`
+of the canonical object, so interned objects are garbage-collected as soon
+as the analysis drops them: tearing down an engine
 releases its states, and nothing leaks across engine lifetimes
 (property-tested in ``tests/test_intern.py``).  Only the thread that runs the
 analysis interns: the tables take no lock, and the parallel coordinator
@@ -37,6 +37,9 @@ __all__ = ["InternTable", "all_tables", "intern_stats", "reset_intern_stats"]
 #: Global registry of every live intern table, in registration order.
 _REGISTRY: "List[InternTable]" = []
 
+#: Sentinel for "no key recorded" (a key may be any hashable, even None).
+_NO_KEY = object()
+
 
 class InternTable:
     """One per-type hash-consing table: structural key → canonical object.
@@ -47,10 +50,17 @@ class InternTable:
     when the object dies, unless the key already maps to a live newer
     reference (the removal is one atomic C call, so a collection that runs
     the callback on another thread cannot drop a fresh entry).
+
+    The callback finds the key in a side map keyed by the reference itself.
+    Interned types hash by identity, so a reference hashes (in C, cached
+    from its live referent) and, once dead, compares by identity; a plain
+    ``weakref.ref`` costs a fraction of a Python-level
+    :class:`weakref.KeyedRef` on every insert.  The callback never raises:
+    an exception there is unraisable and only printed.
     """
 
     __slots__ = ("name", "hits", "misses", "encode_hits", "encode_misses",
-                 "_table", "_remove", "__weakref__")
+                 "_table", "_keys", "_remove", "__weakref__")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -61,13 +71,17 @@ class InternTable:
         #: repeated digests/store keys over the same states are O(1).
         self.encode_hits = 0
         self.encode_misses = 0
-        table: Dict[Hashable, weakref.KeyedRef] = {}
+        table: Dict[Hashable, "weakref.ref[Any]"] = {}
+        keys: Dict["weakref.ref[Any]", Hashable] = {}
 
-        def remove(ref: weakref.KeyedRef,
+        def remove(ref: "weakref.ref[Any]", pop=keys.pop,
                    remove_dead=_remove_dead_weakref) -> None:
-            remove_dead(table, ref.key)
+            key = pop(ref, _NO_KEY)
+            if key is not _NO_KEY:
+                remove_dead(table, key)
 
         self._table = table
+        self._keys = keys
         self._remove = remove
         _REGISTRY.append(self)
 
@@ -84,7 +98,9 @@ class InternTable:
 
     def insert(self, key: Hashable, value: Any) -> Any:
         """Record ``value`` as canonical for ``key`` (after a ``get`` miss)."""
-        self._table[key] = weakref.KeyedRef(value, self._remove, key)
+        ref = weakref.ref(value, self._remove)
+        self._keys[ref] = key
+        self._table[key] = ref
         return value
 
     def __len__(self) -> int:

@@ -481,10 +481,10 @@ class InterproceduralEngine:
             self.counters["interproc_summary_hits"] += 1
             self._note_exit(key, cached)
             return cached
+        store_key: Optional[str] = None
         if self.store is not None:
-            stored = self._store_lookup(memo_args)
-            if stored is not None:
-                exit_state, store_key = stored
+            exit_state, store_key = self._store_lookup(memo_args)
+            if exit_state is not None:
                 # Install through the same path memoization uses — the
                 # callee's DAIG is never touched — but do not write the
                 # blob back (it came from the store).
@@ -508,10 +508,13 @@ class InterproceduralEngine:
             # then.  The entry target is re-read: evaluation (a recursive
             # fixpoint, or feedback through a caller) may have grown it, and
             # the computed exit belongs to the *final* entry, not the one
-            # this call demanded.
-            memo_args = (name, context, digest, self._entry_target[key])
+            # this call demanded (whose store key the miss computed).
+            final = self._entry_target[key]
+            if final is not target:
+                memo_args = (name, context, digest, final)
+                store_key = None
             self._install_summary(key, memo_args, exit_state,
-                                  write_store=True)
+                                  write_store=True, store_key=store_key)
         self._note_exit(key, exit_state)
         return exit_state
 
@@ -523,8 +526,9 @@ class InterproceduralEngine:
         """Install one exit summary: memo table, per-procedure key index,
         and (write-through) the persistent store.  Every install — normal
         memoization, a coordinator seed, a store hit — goes through here,
-        so the tiers can never disagree about what a key means.  A store
-        hit passes the ``store_key`` its lookup already computed."""
+        so the tiers can never disagree about what a key means.  A caller
+        whose store lookup already computed the key of ``memo_args``
+        passes it as ``store_key``."""
         self.memo.store("summary", memo_args, exit_state)
         self._summary_keys.setdefault(key[0], set()).add(memo_args)
         if self.store is None:
@@ -542,9 +546,10 @@ class InterproceduralEngine:
         return summary_store_key(
             self.domain.name, name, context, digest, entry_state)
 
-    def _store_lookup(self, memo_args: Tuple) -> Optional[Tuple[Any, str]]:
-        """Second-tier fetch; returns ``(exit_state, store_key)`` or None
-        on miss.
+    def _store_lookup(self, memo_args: Tuple) -> Tuple[Optional[Any], str]:
+        """Second-tier fetch; returns ``(exit_state, store_key)``, with
+        ``exit_state`` None on a miss (a write after the miss reuses the
+        key).
 
         Every failure mode — absent key, backend error, corrupt or
         version-incompatible blob — is a miss; corrupt blobs are deleted
@@ -555,37 +560,40 @@ class InterproceduralEngine:
         blob = self.store.get(store_key)
         if blob is None:
             self.counters["interproc_store_misses"] += 1
-            return None
+            return None, store_key
         try:
             exit_state = decode_summary(blob)
         except StoreDecodeError:
             self.counters["interproc_store_errors"] += 1
             self.counters["interproc_store_misses"] += 1
             self.store.delete(store_key)
-            return None
+            return None, store_key
         self.counters["interproc_store_hits"] += 1
         return exit_state, store_key
 
-    def probe_summary(self, name: str, context: Context,
-                      entry_state: Any) -> Tuple[Optional[str], Any]:
+    def probe_summary(self, name: str, context: Context, entry_state: Any
+                      ) -> Tuple[Optional[str], Any, Optional[str]]:
         """Look up a summary at an *explicit* entry state, installing nothing.
 
-        Returns ``("memo", exit)`` or ``("store", exit)`` for the tier that
-        holds the summary for this exact (code, context, entry), or
-        ``(None, None)``.  The parallel coordinator's dispatch hook: a hit
-        means no worker needs to run.  Neither the memo's hit/miss counts
-        nor the summary hit/miss counters move, and nothing is installed
-        (that is :meth:`seed_summary`'s job, after certification).
+        Returns ``(tier, exit, store_key)``: ``tier`` is ``"memo"`` or
+        ``"store"`` for the tier that holds the summary for this exact
+        (code, context, entry), with its ``exit``, or None for both.
+        ``store_key`` is the key the store lookup computed (None when the
+        store was not consulted), for :meth:`seed_summary` to reuse.  The
+        parallel coordinator's dispatch hook: a hit means no worker needs
+        to run.  Neither the memo's hit/miss counts nor the summary
+        hit/miss counters move, and nothing is installed (that is
+        :meth:`seed_summary`'s job, after certification).
         """
         memo_args = (name, context, self.deep_digest(name), entry_state)
         found, cached = self.memo.peek("summary", memo_args)
         if found:
-            return "memo", cached
-        if self.store is not None:
-            stored = self._store_lookup(memo_args)
-            if stored is not None:
-                return "store", stored[0]
-        return None, None
+            return "memo", cached, None
+        if self.store is None:
+            return None, None, None
+        exit_state, store_key = self._store_lookup(memo_args)
+        return ("store" if exit_state is not None else None,
+                exit_state, store_key)
 
     def _note_exit(self, key: ProcedureKey, exit_state: Any) -> None:
         """Record the summary consumers last saw; on change, dirty them."""
@@ -693,7 +701,8 @@ class InterproceduralEngine:
             self._refresh_entry_target(callee_key, cause=site_id)
 
     def seed_summary(self, name: str, context: Context,
-                     entry_state: Any, exit_state: Any) -> None:
+                     entry_state: Any, exit_state: Any,
+                     store_key: Optional[str] = None) -> None:
         """Install a precomputed exit summary for the *current* code.
 
         Keyed — like every summary — by the entry state, so a seed is only
@@ -703,6 +712,8 @@ class InterproceduralEngine:
         per-procedure key index so digest invalidation purges it like any
         other summary, and written through to the persistent store
         (certified results are exactly what warm starts want to find).
+        ``store_key`` is the key :meth:`probe_summary` computed at this
+        entry, if any.
         """
         key = (name, context)
         if key in self._entry_target:
@@ -713,7 +724,8 @@ class InterproceduralEngine:
                 # at this entry could not be consumed before going stale.
                 return
         memo_args = (name, context, self.deep_digest(name), entry_state)
-        self._install_summary(key, memo_args, exit_state, write_store=True)
+        self._install_summary(key, memo_args, exit_state, write_store=True,
+                              store_key=store_key)
 
     def summary_digest(self) -> str:
         """A digest of every live (procedure, context) exit summary.

@@ -541,11 +541,14 @@ def wide_call_graph_source(width: int, inner_loops: int = 3,
     certify.  Each worker carries ``inner_loops`` *nested* loop pairs
     with branching bodies (bounds staggered per worker): the inner fixed
     point re-converges once per outer iterate, so demanded evaluation
-    cost grows much faster than DAIG size — exactly the regime where
-    shipping evaluation to workers pays, because the coordinator's
-    serial per-procedure cost (structure + DAIG construction) stays
-    proportional to size.  Shared by the parallel and store tests and by
-    the ``session-restart`` benchmark workload.
+    cost grows much faster than DAIG size.  That is the regime the pool
+    is built for: the coordinator's serial per-procedure cost (structure,
+    DAIG construction and decoding the workers' memo facts) stays
+    proportional to size, and the facts let the first edit of a
+    worker-computed procedure replay its unchanged transfers.  Whether
+    that beats evaluating in process depends on the host's cores.  Shared
+    by the parallel and store tests and by the ``session-restart``
+    benchmark workload.
     """
     parts = []
     for i in range(width):

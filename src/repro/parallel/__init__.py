@@ -11,13 +11,15 @@ any coordination.  This package exploits that:
   analysis sessions;
 * :mod:`repro.parallel.worker` — the self-contained summary job a worker
   runs: one (procedure, context, entry state) DAIG evaluation against
-  shipped callee summaries;
+  shipped callee summaries, returning the exit and the DAIG's memo facts;
 * :mod:`repro.parallel.coordinator` — speculates entry states down the
   call graph, dispatches condensation waves to the pool, and *certifies*
   each speculated summary against the sequential semantics before seeding
-  it into the live engine.  Uncertified work is discarded; the sequential
-  engine recomputes it on demand, so parallelism never changes results —
-  only how fast the common case converges.
+  it into the live engine.  Uncertified exits are discarded; the
+  sequential engine recomputes them on demand, so parallelism never
+  changes results — only how fast the common case converges.  Every
+  job's memo facts are kept, certified or not, since a fact is a pure
+  domain computation.
 """
 
 from .coordinator import ParallelCoordinator

@@ -24,7 +24,14 @@ breaks that serialization in three phases:
    (the exit becomes a ``served_by`` result, certified unconditionally
    because entry-keyed seeds at underived entries are inert).  Served
    exits are not shipped to workers, so a job calling such a key comes back
-   ``incomplete`` and is recomputed on demand.
+   ``incomplete`` and is recomputed on demand.  Each result is unpickled
+   on the calling thread, and its job's memo facts (every non-call
+   transfer, join and widen the worker's DAIG computed) go into the
+   engine's memo table right there, certified or not: a fact is a pure
+   domain computation, valid wherever its inputs recur (rule Q-Match).  A
+   worker-computed procedure's DAIG is installed without values, so its
+   first demand after an edit replays the unchanged transfers from these
+   facts instead of recomputing them.
 
 3. **Certify** — a knock-out fixpoint over the workers' evidence: a key's
    result is certified only if its job completed, every summary it
@@ -58,7 +65,8 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..ai.interpreter import analyze_cfg
 from ..interproc.engine import InterproceduralEngine
 from .pool import PersistentWorkerPool
-from .worker import JobPayload, JobResult, run_summary_job_pickled
+from .worker import (JobPayload, JobResult, edge_statements,
+                     run_summary_job_pickled)
 
 SummaryKey = Tuple[str, Any]
 
@@ -74,6 +82,11 @@ class ParallelCoordinator:
         self.engine = engine
         self.pool = pool
         self.report: Dict[str, Any] = {}
+        #: Store keys the dispatch probes computed, reused when certified
+        #: results are seeded at the probed entries.
+        self._store_keys: Dict[SummaryKey, str] = {}
+        #: Memo facts from the workers' DAIGs that the dispatch installed.
+        self._facts_installed = 0
 
     # -- phase 1: speculation ----------------------------------------------------
 
@@ -190,8 +203,10 @@ class ParallelCoordinator:
                 # A summary for exactly this (code, context, entry) in the
                 # memo (e.g. re-keyed by a certified value-preserving edit)
                 # or the store (a prior run) means no worker needs to run.
-                tier, exit_state = engine.probe_summary(
+                tier, exit_state, store_key = engine.probe_summary(
                     key[0], key[1], spec_entries[key])
+                if store_key is not None:
+                    self._store_keys[key] = store_key
                 if tier is not None:
                     results[key] = JobResult(key=key, exit_state=exit_state,
                                              served_by=tier)
@@ -233,12 +248,19 @@ class ParallelCoordinator:
                                                       payload)))
             # Wave barrier: later waves consume these exits.  Unpickling
             # here re-interns the states on this thread, the only one that
-            # interns.
+            # interns.  Every job that did not raise leaves its memo facts
+            # behind, certified or not: a fact is a pure domain
+            # computation, valid wherever its inputs recur.
             for key, future in futures:
                 try:
-                    results[key] = pickle.loads(future.result())
+                    result = pickle.loads(future.result())
                 except Exception as exc:  # a worker died mid-job
-                    results[key] = JobResult(key=key, error=repr(exc))
+                    result = JobResult(key=key, error=repr(exc))
+                if result.error is None:
+                    self._facts_installed += engine.memo.install(
+                        edge_statements(result.facts, engine.cfgs[key[0]]))
+                result.facts = []  # the memo keeps what it needs
+                results[key] = result
         return results, wave_jobs
 
     # -- phase 3: certification + installation -----------------------------------
@@ -365,8 +387,10 @@ class ParallelCoordinator:
             target = engine._entry_target.get(key)
             if target is None:
                 continue
-            engine.seed_summary(key[0], key[1], target,
-                                results[key].exit_state)
+            engine.seed_summary(
+                key[0], key[1], target, results[key].exit_state,
+                store_key=(self._store_keys.get(key)
+                           if target is spec_entries[key] else None))
         return certified
 
     # -- driver -------------------------------------------------------------------
@@ -420,6 +444,9 @@ class ParallelCoordinator:
             "wave_jobs": [[repr(key) for key in wave] for wave in wave_jobs],
             "jobs_per_wave": (jobs / len(wave_sizes)) if wave_sizes else 0.0,
             "certified": len(certified),
+            # Memo facts the workers' DAIGs handed back that were new to
+            # the engine's memo table.
+            "memo_facts": self._facts_installed,
             "knocked_out": len(results) - len(certified),
             "incomplete": incomplete,
             # Keys answered straight from the persistent store (no worker

@@ -40,16 +40,30 @@ class _ImmediateFuture:
         return self._value
 
 
+#: Seconds a warmup task waits for its siblings at the start barrier: a
+#: worker that died or never booted makes :meth:`PersistentWorkerPool.warmup`
+#: fail after this long instead of hang.
+WARMUP_TIMEOUT = 60.0
+
+#: The start barrier a process worker received from its initializer.
+_barrier: Optional[Any] = None
+
+
+def _init_worker(barrier: Any) -> None:
+    """Process-worker initializer: keep the pool's start barrier."""
+    global _barrier
+    _barrier = barrier
+
+
 def _warmup_task(_index: int) -> int:
     """Force the analysis imports inside a worker; returns its pid.
 
-    The short sleep keeps this worker busy long enough for the remaining
-    warmup tasks to spread to its siblings (the executor hands queued
-    items to whichever worker is free, so back-to-back instant tasks can
-    all land on the first worker while the others boot cold)."""
-    import time
+    The task waits at the start barrier until every worker holds one, so
+    the executor cannot hand two of them to one worker while the others
+    boot cold (it gives queued tasks to whichever worker is free)."""
     import repro.parallel.worker  # noqa: F401  (the import is the point)
-    time.sleep(0.05)
+    if _barrier is not None:
+        _barrier.wait(WARMUP_TIMEOUT)
     return os.getpid()
 
 
@@ -78,8 +92,11 @@ class PersistentWorkerPool:
         if self.kind == "serial":
             return None
         if self._executor is None:
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_init_worker,
+                initargs=(multiprocessing.Barrier(self.workers),))
         return self._executor
 
     def warmup(self) -> List[int]:
@@ -88,9 +105,10 @@ class PersistentWorkerPool:
         Pays the whole cold-start cost here — outside any measured or
         latency-sensitive region — so the first real wave dispatches onto
         already-initialized workers.  Returns the pid observed by each
-        warmup task (informational; usually one per process worker, though
-        a busy host may serve several tasks from one worker while the rest
-        finish booting).
+        warmup task: one per process worker, because every task waits at
+        a barrier until all of them have started.  Raises
+        :class:`threading.BrokenBarrierError` when a worker does not reach
+        the barrier within :data:`WARMUP_TIMEOUT` seconds.
         """
         executor = self._ensure_executor()
         if executor is None:

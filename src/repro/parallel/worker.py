@@ -18,12 +18,21 @@ was not shipped falls back to havoc and marks the job ``incomplete``
 (never seeded): workers do not read the persistent summary store, whose
 only reader is the engine.
 
+Besides the exit and that evidence, a job hands back its evaluated DAIG's
+memo facts (:func:`memo_facts`): the results of every transfer, join and
+widen it computed, keyed by their inputs as the query evaluator memoizes
+them.  The coordinator installs them into the engine's memo table whether
+or not the job certifies, so the first edit of a worker-computed
+procedure finds them instead of recomputing them.
+
 Interned abstract states cross the process boundary through their
 ``__reduce__`` hooks.  A pool runs :func:`run_summary_job_pickled`, which
 returns the result as pickled bytes; the coordinator unpickles them on its
 own thread, so every state in the result re-interns there (never on the
 executor's result-handling thread) and pointer-equality keeps holding in
-the coordinator process.
+the coordinator process.  Statements do not cross: a fact names its
+statement by its CFG edge, and :func:`edge_statements` puts the receiving
+engine's own statement back.
 """
 
 from __future__ import annotations
@@ -32,10 +41,12 @@ import pickle
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (Any, Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Set, Tuple)
 
 SummaryKey = Tuple[str, Any]  # (procedure, context)
 SiteKey = Tuple[int, int, int]  # (src, dst, index) of the call cell
+Fact = Tuple[str, Tuple[Any, ...], Any]  # (func, input values, output)
 
 #: Module-level domain registry cache: resolved once per worker process.
 _DOMAINS: Optional[Dict[str, Any]] = None
@@ -117,6 +128,13 @@ class JobResult:
     #: entry-keyed seeds at underived entries are dead weight, never
     #: soundness hazards.
     served_by: Optional[str] = None
+    #: The evaluated DAIG's memo facts: one ``(func, input values,
+    #: output)`` triple per non-call ``transfer``, ``join`` or ``widen``
+    #: cell the evaluation filled, each transfer's statement named by its
+    #: edge (see :func:`memo_facts`).  They travel in the job's one result
+    #: pickle, so a state they share with the exit or the contributions is
+    #: encoded once.
+    facts: List[Fact] = field(default_factory=list)
     #: CPU seconds of the job, immune to worker-process time-slicing (on a
     #: host with fewer cores than workers, wall time would include time the
     #: worker spent descheduled while its siblings ran).
@@ -185,6 +203,7 @@ def run_summary_job(payload: JobPayload) -> JobResult:
             call_transfer=call_transfer,
         )
         result.exit_state = engine.query_exit()
+        result.facts = memo_facts(engine.daig, payload.cfg)
         result.contribs = contribs
         result.regrew = frozenset(regrew)
         result.used = frozenset(used)
@@ -193,6 +212,54 @@ def run_summary_job(payload: JobPayload) -> JobResult:
         result.error = traceback.format_exc(limit=8)
     result.cpu_seconds = time.process_time() - cpu_started
     return result
+
+
+def memo_facts(daig: Any, cfg: Any) -> List[Fact]:
+    """Every memoizable computation an evaluated DAIG holds.
+
+    These are exactly the keys the query evaluator memoizes: a valued
+    ``transfer``, ``join`` or ``widen`` cell, with the values of its
+    inputs.  ``fix`` cells and call transfers are left out; a call's
+    result depends on a callee summary, not on its inputs alone.  A
+    transfer's statement is named by the position of its edge in
+    ``cfg.edges`` (:func:`edge_statements` puts the receiver's own
+    statement back), so no statement crosses the process boundary.
+    """
+    from ..daig.graph import FIX, TRANSFER
+    from ..lang.ast import CallStmt
+
+    values = daig.values
+    valued = values.__contains__
+    edge_of = {id(edge.stmt): position
+               for position, edge in enumerate(cfg.edges)}
+    facts: List[Fact] = []
+    for dest, comp in daig.computations.items():
+        func = comp.func
+        srcs = comp.srcs
+        if func == FIX or not valued(dest) or not all(map(valued, srcs)):
+            continue
+        args = tuple(map(values.__getitem__, srcs))
+        if func == TRANSFER:
+            if isinstance(args[0], CallStmt):
+                continue
+            position = edge_of.get(id(args[0]))
+            if position is not None:
+                args = (position,) + args[1:]
+        facts.append((func, args, values[dest]))
+    return facts
+
+
+def edge_statements(facts: Iterable[Fact], cfg: Any) -> Iterator[Fact]:
+    """``facts`` of a job on a copy of ``cfg``, each edge-named statement
+    replaced by ``cfg``'s own (a copy keeps the edges and their order), so
+    the memo keys hold the statements the receiving engine looks up."""
+    from ..daig.graph import TRANSFER
+
+    statements = [edge.stmt for edge in cfg.edges]
+    for func, args, value in facts:
+        if func == TRANSFER and type(args[0]) is int:
+            args = (statements[args[0]],) + args[1:]
+        yield func, args, value
 
 
 def run_summary_job_pickled(payload: JobPayload) -> bytes:

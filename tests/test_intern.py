@@ -28,6 +28,7 @@ from repro.ai import analyze_cfg
 from repro.analysis.config import IncrementalDemandConfiguration
 from repro.daig import DaigEngine
 from repro.domains import IntervalDomain, OctagonDomain
+from repro.domains import nonrel
 from repro.domains.nonrel import ArraySummary, EnvState, ScalarValue
 from repro.domains.octagon import OctagonState
 from repro.domains.values import Constant, Interval
@@ -184,6 +185,42 @@ def test_intern_tables_release_states_on_engine_teardown():
     after = {table.name: len(table) for table in all_tables()}
     assert after["octagon.OctagonState"] < during["octagon.OctagonState"]
     assert after["daig.Name"] < during["daig.Name"]
+
+
+def test_a_dead_entry_is_dropped_and_an_equal_object_re_interns():
+    """An entry lives exactly as long as its object: when the object dies,
+    its key leaves the table (and the reference's side map), and an equal
+    object constructed afterwards is interned as the one canonical value."""
+    table = Interval._intern
+    bound = 10 ** 15 + 17  # no other test interns this interval
+    first = Interval(bound, bound + 1)
+    assert Interval(bound, bound + 1) is first
+    entries, refs = len(table), len(table._keys)
+    del first  # reference counting frees it, and its callback runs, at once
+    assert (len(table), len(table._keys)) == (entries - 1, refs - 1)
+    second = Interval(bound, bound + 1)
+    assert (len(table), len(table._keys)) == (entries, refs)
+    assert Interval(bound, bound + 1) is second
+    assert (second.lo, second.hi, second.empty) == (bound, bound + 1, False)
+
+
+def test_env_states_with_the_same_variables_share_one_name_index(
+        monkeypatch):
+    """States binding the same variables share their name index, and a
+    full layout cache starts over without changing any lookup."""
+    one, two = ScalarValue(Interval(1, 1)), ScalarValue(Interval(2, 2))
+    first = EnvState((("a", one), ("b", two)))
+    second = EnvState((("a", two), ("b", one)))
+    assert first is not second
+    assert first._index is second._index and first._keys is second._keys
+    assert (first.get("b"), second.get("b"), first.get("c")) == (two, one, None)
+    monkeypatch.setattr(nonrel, "_LAYOUTS", {})
+    monkeypatch.setattr(nonrel, "_LAYOUT_LIMIT", 1)
+    third = EnvState((("c", one),))
+    fourth = EnvState((("c", two), ("d", one)))
+    assert len(nonrel._LAYOUTS) == 1
+    assert (third.get("c"), fourth.get("c"), fourth.get("d")) == (one, two, one)
+    assert fourth._keys == ("c", "d") and third._keys == ("c",)
 
 
 def test_intern_stats_shape():

@@ -17,10 +17,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.daig import DaigEngine
 from repro.daig.memo import MemoTable
 from repro.domains import ConstantDomain, IntervalDomain
+from repro.domains.nonrel import EnvState
 from repro.interproc import InterproceduralEngine, policy_by_name
 from repro.intern import InternTable
+from repro.lang import ast as A
 from repro.lang import build_program_cfgs, parse_program
 from repro.lang.programs import wide_call_graph_source
 from repro.parallel import (
@@ -29,6 +32,9 @@ from repro.parallel import (
     PersistentWorkerPool,
     run_summary_job,
 )
+from repro.parallel import coordinator as coordinator_module
+from repro.parallel import pool as pool_module
+from repro.parallel.worker import edge_statements
 from repro.workload import WorkloadGenerator
 
 COMMON_SETTINGS = dict(
@@ -70,6 +76,31 @@ function main() { var z = fact(5); return z; }
 """
 
 
+#: CHAIN_PROGRAM with a loop in the leaf, so every job has facts to hand
+#: back; under ``insensitive`` and ``1-call-site`` the coordinator knocks
+#: every job out (``middle``'s entry joins unequal contributions).
+LOOP_CHAIN_PROGRAM = """
+function leaf(x) {
+  var i = 0;
+  while (i < x) {
+    i = i + 1;
+  }
+  return i;
+}
+
+function middle(y) {
+  var m = leaf(y);
+  return m;
+}
+
+function main() {
+  var small = middle(1);
+  var big = middle(100);
+  return small + big;
+}
+"""
+
+
 def cfgs_of(source):
     return build_program_cfgs(parse_program(source))
 
@@ -95,6 +126,34 @@ def _assert_results_equal(domain, left, right):
         assert set(left[key]) == set(right[key]), key
         for loc, state in left[key].items():
             assert domain.equal(state, right[key][loc]), (key, loc)
+
+
+def _assert_answers_equal(domain, engine, reference):
+    """Main's exit, every state of every procedure, and the digests."""
+    assert domain.equal(engine.query_entry_exit(),
+                        reference.query_entry_exit())
+    _assert_results_equal(domain, engine.analyze_everything(),
+                          reference.analyze_everything())
+    assert engine.summary_digest() == reference.summary_digest()
+
+
+def _noise(daig):
+    daig.insert_statement_after(daig.cfg.entry,
+                                A.AssignStmt("noise", A.IntLit(1)))
+
+
+def _record_installs(monkeypatch):
+    """Patch ``MemoTable.install`` to record how many facts each call got."""
+    sizes = []
+    install = MemoTable.install
+
+    def recording(memo, facts):
+        facts = list(facts)
+        sizes.append(len(facts))
+        return install(memo, facts)
+
+    monkeypatch.setattr(MemoTable, "install", recording)
+    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +190,24 @@ class TestWorkerPool:
         assert not pool.warmed
         assert pool.submit(pow, 2, 10).result() == 1024  # usable after close
         pool.close()  # idempotent
+
+    def test_process_pool_warmup_reaches_every_worker(self):
+        """Each warmup task waits at the workers' start barrier, so the
+        two tasks of a 2-worker pool run in two processes."""
+        with PersistentWorkerPool(workers=2, kind="process") as pool:
+            pids = pool.warmup()
+            assert pool.warmed and len(pids) == 2
+            assert len(set(pids)) == 2 and os.getpid() not in pids
+            assert sorted(pool.warmup()) == sorted(pids)  # reusable
+
+    def test_warmup_fails_instead_of_hanging_without_its_siblings(
+            self, monkeypatch):
+        """A worker whose siblings never reach the barrier gives up after
+        the timeout, so a dead worker fails warmup instead of hanging it."""
+        monkeypatch.setattr(pool_module, "WARMUP_TIMEOUT", 0.05)
+        monkeypatch.setattr(pool_module, "_barrier", threading.Barrier(2))
+        with pytest.raises(threading.BrokenBarrierError):
+            pool_module._warmup_task(0)
 
     def test_serial_pool_runs_inline_and_propagates_errors(self):
         with PersistentWorkerPool(workers=1, kind="serial") as pool:
@@ -333,6 +410,21 @@ class TestCoordinator:
         assert not report["errors"]
         assert report["certified"] > 0
         assert threads == {threading.get_ident()}
+        # The jobs' memo facts came back in the same pickles: every state
+        # in them is this process's canonical object, and every transfer
+        # names the engine's own statement.
+        facts = {key: value for key, value in engine.memo._table.items()
+                 if key[0] != "summary"}
+        assert len(facts) == report["memo_facts"] > 0
+        statements = {id(edge.stmt) for cfg in engine.cfgs.values()
+                      for edge in cfg.edges}
+        for key, value in facts.items():
+            if key[0] == "transfer":
+                assert id(key[1]) in statements
+            states = [v for v in key[1:] + (value,) if isinstance(v, EnvState)]
+            assert states
+            for state in states:
+                assert EnvState(state.bindings, state.bottom) is state
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +510,127 @@ class TestCoordinatorStore:
         assert not report["errors"]
         warm.query_entry_exit()
         assert warm.summary_digest() == cold_digest
+
+
+# ---------------------------------------------------------------------------
+# Memo facts: the workers' evaluated DAIGs, handed back to the engine
+# ---------------------------------------------------------------------------
+
+
+class TestMemoFacts:
+    def test_facts_are_exactly_what_sequential_evaluation_memoizes(self):
+        """A job's facts, their statements put back from the CFG, are the
+        entries a sequential evaluation at the same entry stores."""
+        domain = IntervalDomain()
+        cfgs = cfgs_of(wide_call_graph_source(1, inner_loops=2))
+        entry = domain.call_entry(domain.initial(), ("n",), (A.IntLit(0),))
+        result = run_summary_job(JobPayload(
+            procedure="work0", cfg=cfgs["work0"].copy(), context=(),
+            entry=entry, policy_name="context-insensitive",
+            domain_spec=domain.name,
+            callee_params={name: tuple(cfg.params)
+                           for name, cfg in cfgs.items()},
+            summaries={}))
+        assert result.error is None
+        # Statements travel as edge positions, never as objects.
+        assert not any(isinstance(fact[1][0], A.AtomicStmt)
+                       for fact in result.facts)
+        memo = MemoTable()
+        DaigEngine(cfgs["work0"], domain, memo=memo,
+                   entry_state=entry).query_exit()
+        installed = MemoTable()
+        assert installed.install(
+            edge_statements(result.facts, cfgs["work0"])) == len(memo)
+        assert dict(installed._table) == dict(memo._table)
+
+    def test_install_honours_enabled_and_capacity(self):
+        """A disabled table installs nothing; a bounded one keeps the most
+        recent entries; a present key keeps its value and place; no query
+        counter moves."""
+        facts = [("join", (index, index + 1), index) for index in range(5)]
+        disabled = MemoTable(enabled=False)
+        assert disabled.install(facts) == 0 and len(disabled) == 0
+        bounded = MemoTable(capacity=3)
+        bounded.store("join", (0, 1), "kept")
+        assert bounded.install(facts) == 4
+        assert list(bounded._table) == [("join", 2, 3), ("join", 3, 4),
+                                        ("join", 4, 5)]
+        assert bounded.evictions == 2
+        unbounded = MemoTable()
+        unbounded.store("join", (0, 1), "kept")
+        assert unbounded.install(facts + [("join", ([],), 0)]) == 4
+        assert unbounded.lookup("join", (0, 1)) == (True, "kept")
+        assert next(iter(unbounded._table)) == ("join", 0, 1)
+        assert (unbounded.hits, unbounded.misses, unbounded.stores) == (
+            1, 0, 1)
+
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    def test_knocked_out_and_failed_jobs_leave_every_answer_sequential(
+            self, policy_name, monkeypatch):
+        """Every job that did not raise hands its facts back, certified or
+        not; after the open and after an edit of each procedure, the
+        engine answers like a storeless sequential one."""
+        domain = IntervalDomain()
+        policy = policy_by_name(policy_name)
+        cfgs = cfgs_of(LOOP_CHAIN_PROGRAM)
+        submit = coordinator_module.run_summary_job_pickled
+
+        def failing_middle(payload):
+            if payload.procedure == "middle":
+                raise RuntimeError("worker died")
+            return submit(payload)
+
+        for failing in (False, True):
+            sizes = _record_installs(monkeypatch)
+            if failing:
+                monkeypatch.setattr(coordinator_module,
+                                    "run_summary_job_pickled", failing_middle)
+            engine = InterproceduralEngine(_fresh_copy(cfgs), domain, policy)
+            with PersistentWorkerPool(workers=2, kind="serial") as pool:
+                report = ParallelCoordinator(engine, pool).run()
+            monkeypatch.undo()
+            middle_jobs = {key for wave in report["wave_jobs"]
+                           for key in wave if key.startswith("('middle',")}
+            assert set(report["errors"]) == (middle_jobs if failing
+                                             else set())
+            assert len(sizes) == report["jobs"] - len(report["errors"])
+            assert all(sizes) and report["memo_facts"] > 0
+            if policy_name != "2-call-site" or failing:
+                assert report["knocked_out"] > 0
+            reference = InterproceduralEngine(_fresh_copy(cfgs), domain,
+                                              policy)
+            _assert_answers_equal(domain, engine, reference)
+            for procedure in ("leaf", "middle", "main"):
+                engine.edit_procedure(procedure, _noise)
+                reference.edit_procedure(procedure, _noise)
+                _assert_answers_equal(domain, engine, reference)
+
+    def test_an_incomplete_job_leaves_every_answer_sequential(self, tmp_path):
+        """On a warm store every worker is served, so ``main``'s job calls
+        summaries that were not shipped and comes back incomplete; its
+        facts still go in, and every answer stays sequential."""
+        from repro.store import SqliteSummaryStore, open_store
+
+        domain = IntervalDomain()
+        source = wide_call_graph_source(3, inner_loops=1)
+        store = SqliteSummaryStore(str(tmp_path / "warm.db"))
+        InterproceduralEngine(cfgs_of(source), domain,
+                              store=store).query_entry_exit()
+        store.close()
+        warm = InterproceduralEngine(
+            cfgs_of(source), domain,
+            store=open_store("sqlite:%s" % (tmp_path / "warm.db")))
+        with PersistentWorkerPool(workers=2, kind="serial") as pool:
+            report = ParallelCoordinator(warm, pool).run()
+        assert report["incomplete"] == report["jobs"] == 1
+        assert report["memo_facts"] > 0
+        reference = InterproceduralEngine(cfgs_of(source), domain)
+        _assert_answers_equal(domain, warm, reference)
+        for procedure in ("work1", "main"):
+            warm.edit_procedure(procedure, _noise)
+            reference.edit_procedure(procedure, _noise)
+            _assert_answers_equal(domain, warm, reference)
+        warm.store.close()
 
 
 # ---------------------------------------------------------------------------

@@ -705,6 +705,41 @@ class TestWarmStart:
         assert warm.summary_digest() == cold_digest
         warm.store.close()
 
+    def test_a_miss_then_write_computes_its_key_once(self, tmp_path,
+                                                     monkeypatch):
+        """A store miss hands the key it computed on to the write that
+        follows: a coordinated cold open of the wide program on a fresh
+        store probes and seeds nine summaries with nine keys, and one
+        semantic edit of a worker misses and writes with one."""
+        from repro.parallel import ParallelCoordinator, PersistentWorkerPool
+
+        computed = []
+
+        def counting_key(*args):
+            computed.append(args)
+            return summary_store_key(*args)
+
+        monkeypatch.setattr("repro.interproc.engine.summary_store_key",
+                            counting_key)
+        engine = InterproceduralEngine(
+            cfgs_of(wide_call_graph_source(8, inner_loops=1)),
+            IntervalDomain(), policy_by_name("context-insensitive"),
+            store="sqlite:%s" % (tmp_path / "wide.db"))
+        with PersistentWorkerPool(workers=2, kind="serial") as pool:
+            report = ParallelCoordinator(engine, pool).run()
+        engine.query_entry_exit()
+        assert report["certified"] == 9 and not report["errors"]
+        assert engine.counters["interproc_store_misses"] == 9
+        assert engine.counters["interproc_store_writes"] == 9
+        assert len(computed) == 9
+        del computed[:]
+        engine.edit_procedure("work3", _noise)
+        engine.query_entry_exit()
+        assert engine.counters["interproc_store_misses"] == 10
+        assert engine.counters["interproc_store_writes"] == 10
+        assert len(computed) == 1
+        engine.store.close()
+
     @pytest.mark.parametrize("policy_name", POLICIES)
     @pytest.mark.parametrize("source", [CHAIN_PROGRAM, DEEP_CHAIN_PROGRAM],
                              ids=["chain", "deep-chain"])
@@ -939,8 +974,9 @@ class TestMemoStoreInterplay:
 
     def test_probe_summary_reports_the_serving_tier_and_installs_nothing(self):
         """``probe_summary`` peeks the memo, then the store, and returns the
-        tier that holds the summary; it installs nothing and moves neither
-        the memo's nor the engine's summary hit/miss counts."""
+        tier that holds the summary, with the store key it computed; it
+        installs nothing and moves neither the memo's nor the engine's
+        summary hit/miss counts."""
         domain = IntervalDomain()
         source = """
             function leaf(x) { return x + 1; }
@@ -958,16 +994,21 @@ class TestMemoStoreInterplay:
                     engine.counters["interproc_summary_misses"])
 
         before = untouched(cold)
-        tier, exit_state = cold.probe_summary("leaf", (), entry)
+        tier, exit_state, store_key = cold.probe_summary("leaf", (), entry)
         assert tier == "memo" and domain.equal(exit_state, expected)
+        assert store_key is None  # the memo answered; no store key computed
         assert untouched(cold) == before
 
         warm = InterproceduralEngine(cfgs_of(source), domain, store=store)
         before = untouched(warm)
-        tier, exit_state = warm.probe_summary("leaf", (), entry)
+        tier, exit_state, store_key = warm.probe_summary("leaf", (), entry)
         assert tier == "store" and domain.equal(exit_state, expected)
-        assert warm.probe_summary("leaf", (), domain.initial(("x",))) == (
-            None, None)
+        assert store_key == summary_store_key(
+            domain.name, "leaf", (), warm.deep_digest("leaf"), entry)
+        other = domain.initial(("x",))
+        assert warm.probe_summary("leaf", (), other) == (
+            None, None, summary_store_key(
+                domain.name, "leaf", (), warm.deep_digest("leaf"), other))
         assert untouched(warm) == before
         assert ("leaf", ()) not in warm.engines
 

@@ -7,7 +7,10 @@ locations re-signed.  Each test below replays one deterministic session
 and compares every counter the engines expose with the values recorded
 before the evaluation path was last optimized.  The fourth, a cold open,
 edits and a warm restart on a sqlite store, also pins the store's gets,
-hits and puts, which a change to how the store writes must not move.  CI
+hits and puts, which a change to how the store writes must not move, and
+what each edit computes after the coordinated open: the memo facts the
+pool's workers hand back turn transfers into memo hits there, so a change
+to that hand-back shows up in those counts only.  CI
 runs this module again under ``PYTHONHASHSEED=1`` and ``2``, so a count
 that follows the order of a set of strings fails there on every run; one
 that follows set order over identity-hashed names shows up as a flaky
@@ -127,7 +130,9 @@ def test_cold_open_edits_and_warm_restart_on_a_sqlite_store(tmp_path):
     # A session-restart cycle in small: a coordinator cold open, two
     # value-preserving operand swaps (cutoff, re-keyed writes) and two
     # semantic edits, then a restart on the same file that replays the
-    # first edit from the store.
+    # first edit from the store.  Without the workers' memo facts the
+    # edits would count (162, 131, 0, 156), (166, 133, 5, 155),
+    # (162, 129, 2, 154) and (163, 132, 2, 155).
     source = wide_call_graph_source(3, inner_loops=1)
     domain = IntervalDomain()
     policy = policy_by_name("insensitive")
@@ -139,11 +144,21 @@ def test_cold_open_edits_and_warm_restart_on_a_sqlite_store(tmp_path):
     cold = InterproceduralEngine(build_program_cfgs(parse_program(source)),
                                  domain, policy, store=spec)
     with PersistentWorkerPool(workers=2, kind="serial") as pool:
-        ParallelCoordinator(cold, pool).run()
+        report = ParallelCoordinator(cold, pool).run()
     cold.query_entry_exit()
+
+    def daig_counts():
+        totals, memo = cold.total_stats(), cold.memo.stats()
+        return (totals["cells_computed"], totals["transfers"],
+                memo["hits"], memo["misses"])
+
+    per_edit = []
     for procedure, edit in edits:
+        before = daig_counts()
         cold.edit_procedure(procedure, edit)
         cold.query_entry_exit()
+        per_edit.append(tuple(after - prior for after, prior
+                              in zip(daig_counts(), before)))
     cold_store = cold.store.stats()
     cold.store.close()
 
@@ -155,6 +170,13 @@ def test_cold_open_edits_and_warm_restart_on_a_sqlite_store(tmp_path):
     warm_store = warm.store.stats()
     warm.store.close()
 
+    # The workers handed their DAIGs' memo facts back, so each swap, the
+    # first edit of a worker-computed procedure, replays its transfers as
+    # memo hits: (cells computed, transfers, memo hits, memo misses).  A
+    # semantic edit changes every downstream input and gains nothing.
+    assert report["memo_facts"] == 466
+    assert per_edit == [(162, 9, 146, 10), (166, 133, 5, 155),
+                        (162, 9, 146, 10), (163, 132, 2, 155)]
     assert cold_store == {"kind": "sqlite", "entries": 9, "gets": 8,
                           "hits": 0, "puts": 9, "deletes": 0, "errors": 0}
     assert warm_store == {"kind": "sqlite", "entries": 9, "gets": 4,
