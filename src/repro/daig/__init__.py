@@ -1,7 +1,7 @@
 """Demanded abstract interpretation graphs: the paper's core contribution."""
 
 from . import names
-from .build import DaigBuilder
+from .build import DaigBuilder, reset_unroll_table_stats, unroll_table_stats
 from .edit import InvalidEditError, dirty_forward, write_cell
 from .engine import DaigEngine, EditStats
 from .graph import (
@@ -21,6 +21,8 @@ from .splice import SpliceReport, StructureSnapshot, splice
 __all__ = [
     "names",
     "DaigBuilder",
+    "unroll_table_stats",
+    "reset_unroll_table_stats",
     "InvalidEditError",
     "dirty_forward",
     "write_cell",

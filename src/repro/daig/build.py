@@ -22,16 +22,146 @@ Nested loops are supported by giving every cell an iteration index *per
 enclosing loop head* (see :mod:`repro.daig.names`); unrolling an outer loop
 rebuilds the inner loops' initial (two-iterate) structure inside the new
 outer iteration, which preserves acyclicity and all consistency invariants.
+
+Unrolling re-encodes the same loop body at a new iteration index every
+time, and that encoding is a pure function of the loop's encoding
+signatures (its :class:`~repro.daig.splice.LoopShape`), its ``fix`` cell
+and the iteration ``k``.  So the encoder is memoized the way Q-Match
+memoizes transfers: a builder that reads an engine's live structure
+snapshot records the DAIG writes of the first unrolling of each
+*(shape, fix cell, k)* in :data:`UNROLL_TABLE`, one bounded table per
+process, and every later unrolling under that key replays them instead
+of deriving each name from the CFG again.  A record is keyed by its own
+content, so it never goes stale: a copy, a restarted engine, a sibling
+procedure with an identical loop and a pool worker (which starts with its
+parent's table) all replay it.  A replay makes exactly the writes a
+derivation makes, in the same order, so no cell, computation, value or
+work count depends on whether an unrolling was replayed.  A standalone
+builder (no snapshot) always derives, and :meth:`DaigBuilder.build` and
+:meth:`DaigBuilder.roll` never consult the table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..domains.base import AbstractDomain
 from ..lang.cfg import Cfg, CfgEdge, Loc
 from . import names as N
 from .graph import Computation, Daig, FIX, JOIN, TRANSFER, WIDEN
+
+#: Capacity of :data:`UNROLL_TABLE`, in recorded computations.  Records
+#: hold their names alive, so this also bounds the names the table
+#: retains.  The benchmark's wide call graph records 360 computations.
+UNROLL_TABLE_CAPACITY = 2048
+
+#: One recorded DAIG write: ``(dest, func, srcs)`` for a computation
+#: added, or ``(name, None, None)`` for a statement cell made to hold its
+#: edge's statement.
+Write = Tuple[N.Name, Optional[str], Optional[Tuple[N.Name, ...]]]
+
+
+class UnrollRecord:
+    """The writes one derived unrolling made, and the two iterates its
+    ``fix`` edge slides to.  ``weight``, the unit of the table's capacity,
+    counts the computations among the writes."""
+
+    __slots__ = ("writes", "fix_srcs", "weight")
+
+    def __init__(self, writes: Tuple[Write, ...],
+                 fix_srcs: Tuple[N.Name, N.Name]) -> None:
+        self.writes = writes
+        self.fix_srcs = fix_srcs
+        self.weight = sum(1 for write in writes if write[1] is not None)
+
+
+class UnrollTable:
+    """A bounded LRU table: *(loop shape, fix cell, k)* → the
+    :class:`UnrollRecord` of that unrolling.
+
+    Holds at most ``capacity`` recorded computations; a record larger than
+    that is not kept.  Only the analysis thread unrolls, so the table
+    takes no lock.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._records: "OrderedDict[Tuple[Any, N.Name, int], UnrollRecord]" = \
+            OrderedDict()
+        self.computations = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def get(self, key: Tuple[Any, N.Name, int]) -> Optional[UnrollRecord]:
+        record = self._records.get(key)
+        if record is None:
+            self.misses += 1
+            return None
+        self._records.move_to_end(key)
+        self.hits += 1
+        return record
+
+    def put(self, key: Tuple[Any, N.Name, int], record: UnrollRecord) -> None:
+        """Record ``key``'s unrolling (after its :meth:`get` missed)."""
+        if record.weight > self.capacity:
+            return
+        self._records[key] = record
+        self.computations += record.weight
+        while self.computations > self.capacity:
+            _key, evicted = self._records.popitem(last=False)
+            self.computations -= evicted.weight
+            self.evictions += 1
+
+    def clear(self) -> None:
+        """Drop every record (the counters are left alone)."""
+        self._records.clear()
+        self.computations = 0
+
+    def stats(self) -> Dict[str, int]:
+        return {"entries": len(self._records),
+                "computations": self.computations,
+                "capacity": self.capacity,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions}
+
+
+#: The process's unrolling table, filled and read by every engine's builder.
+UNROLL_TABLE = UnrollTable(UNROLL_TABLE_CAPACITY)
+
+
+def unroll_table_stats() -> Dict[str, int]:
+    """The unrolling table's ``{entries, computations, capacity, hits,
+    misses, evictions}``."""
+    return UNROLL_TABLE.stats()
+
+
+def reset_unroll_table_stats() -> None:
+    """Zero the unrolling table's hit, miss and eviction counters (its
+    records are left alone)."""
+    UNROLL_TABLE.hits = UNROLL_TABLE.misses = UNROLL_TABLE.evictions = 0
+
+
+class _Recorder:
+    """Stands in for the DAIG while an unrolling is derived: makes each
+    write the encoder asks for, and records it, in order, for replay."""
+
+    __slots__ = ("daig", "writes")
+
+    def __init__(self, daig: Daig) -> None:
+        self.daig = daig
+        self.writes: List[Write] = []
+
+    def hold(self, name: N.Name, value: Any) -> None:
+        self.writes.append((name, None, None))
+        self.daig.hold(name, value)
+
+    def add_computation(self, dest: N.Name, func: str,
+                        srcs: Tuple[N.Name, ...]) -> None:
+        self.writes.append((dest, func, srcs))
+        self.daig.add_computation(dest, func, srcs)
 
 
 class DaigBuilder:
@@ -40,6 +170,11 @@ class DaigBuilder:
     ``entry_state`` overrides the initial abstract state φ0 (the default is
     ``domain.initial(cfg.params)``); the interprocedural engine uses this to
     seed callee DAIGs with context-specific entry states.
+
+    ``snapshot`` is the engine's live
+    :class:`~repro.daig.splice.StructureSnapshot`, set once the engine has
+    built its DAIG; with it, :meth:`unroll` records and replays through
+    :data:`UNROLL_TABLE`.
     """
 
     def __init__(self, cfg: Cfg, domain: AbstractDomain,
@@ -48,6 +183,7 @@ class DaigBuilder:
         self.domain = domain
         self.entry_state = (entry_state if entry_state is not None
                             else domain.initial(cfg.params))
+        self.snapshot: Optional[Any] = None
 
     # -- naming helpers -----------------------------------------------------------
 
@@ -152,9 +288,7 @@ class DaigBuilder:
         name = N.stmt_name(edge.src, edge.dst, index)
         # Re-encoding (an unrolling, a splice) mostly finds the statement in
         # place already.
-        if daig.values.get(name) is not edge.stmt:
-            daig.add_ref(name)
-            daig.set_value(name, edge.stmt)
+        daig.hold(name, edge.stmt)
         return name
 
     def build_loop_structures(
@@ -195,12 +329,48 @@ class DaigBuilder:
         Creates the loop-body cells for the current greatest iterate ``k``,
         the pre-widening and widening chain producing iterate ``k+1``, and
         slides the ``fix`` edge forward to ``(k, k+1)``.  Returns ``k+1``.
+
+        With a snapshot, and ``overrides`` naming exactly the enclosing
+        loops' iterations (as the query evaluator passes them), the cells
+        and computations come from :data:`UNROLL_TABLE` when it holds this
+        *(loop shape, fix cell, k)*, and are derived and recorded there
+        otherwise.
         """
         fix_cell = self.fix_name(head, overrides)
         comp = daig.defining(fix_cell)
         if comp is None or comp.func != FIX:
             raise KeyError("no fix computation for loop head %d" % head)
         k = comp.srcs[1].iteration_of(head)
+        snapshot = self.snapshot
+        if snapshot is None or dict(fix_cell.iters) != overrides:
+            fix_srcs = self._encode_iteration(daig, head, overrides, k)
+        else:
+            table = UNROLL_TABLE
+            key = (snapshot.loop_shape(head), fix_cell, k)
+            record = table.get(key)
+            if record is None:
+                recorder = _Recorder(daig)
+                fix_srcs = self._encode_iteration(recorder, head, overrides, k)
+                table.put(key, UnrollRecord(tuple(recorder.writes), fix_srcs))
+            else:
+                # The same writes in the same order; a statement cell is
+                # made to hold the statement its edge carries now.
+                statements = snapshot.stmt_cells
+                for dest, func, srcs in record.writes:
+                    if func is None:
+                        daig.hold(dest, statements[dest.loc, dest.aux,
+                                                   dest.index])
+                    else:
+                        daig.add_computation(dest, func, srcs)
+                fix_srcs = record.fix_srcs
+        daig.replace_computation(fix_cell, FIX, fix_srcs)
+        return k + 1
+
+    def _encode_iteration(self, daig: Any, head: Loc,
+                          overrides: Dict[Loc, int],
+                          k: int) -> Tuple[N.Name, N.Name]:
+        """Encode iteration ``k`` of ``head``'s loop body and the widening
+        producing iterate ``k+1``; returns the iterates ``(k, k+1)``."""
         body_overrides = dict(overrides)
         body_overrides[head] = k
         loop = self.cfg.natural_loop(head)
@@ -223,8 +393,7 @@ class DaigBuilder:
         source = self.source_name(back.src, head, body_overrides)
         daig.add_computation(prewiden_next, TRANSFER, (stmt_cell, source))
         daig.add_computation(iterate_next, WIDEN, (iterate_k, prewiden_next))
-        daig.replace_computation(fix_cell, FIX, (iterate_k, iterate_next))
-        return k + 1
+        return iterate_k, iterate_next
 
     def roll(self, daig: Daig, head: Loc, overrides: Dict[Loc, int]) -> None:
         """Roll a loop back to its initial two-iterate form (edit semantics).

@@ -167,6 +167,9 @@ class DaigEngine:
             return
         daig = self.builder.build()
         self._snapshot = StructureSnapshot.capture(self.cfg)
+        # Unrollings key their recorded encodings by the live snapshot's
+        # loop shapes.
+        self.builder.snapshot = self._snapshot
         self.evaluator = QueryEvaluator(
             daig, self.memo, self.domain, self.builder, self.call_transfer,
             cutoff=self.cutoff)

@@ -147,6 +147,14 @@ class Daig:
             self.add_ref(src)
             self.dependents.setdefault(src, set()).add(dest)
 
+    def hold(self, name: Name, value: Any) -> None:
+        """Make ``name`` a source cell holding ``value`` (a statement cell
+        labelled by its edge's statement); a no-op when it already holds
+        that very object."""
+        if self.values.get(name) is not value:
+            self.add_ref(name)
+            self.set_value(name, value)
+
     def replace_computation(self, dest: Name, func: str, srcs: Tuple[Name, ...]) -> None:
         """Replace the defining computation of ``dest`` (used by unroll/roll)."""
         self.remove_computation(dest)

@@ -13,7 +13,11 @@ loop heads whose encoding signature may have changed, and
 place.  A statement-only edit re-signs exactly one location; an insertion
 re-signs its new locations, the destinations of the edges it moved, and
 the heads of the loops that contain it or are new — a handful of
-locations, at any program size.  Only when the structure was rebuilt from
+locations, at any program size.  The snapshot also keeps each unrolled
+loop's :class:`LoopShape`, the key under which
+:meth:`~repro.daig.build.DaigBuilder.unroll` records and replays its
+encodings; a splice drops the shapes of the loops around every location
+it re-signs.  Only when the structure was rebuilt from
 scratch (raw edge surgery on the CFG, or a wholesale edge replacement)
 does :func:`splice` run the same algorithm with every old and new location
 as a suspect; that is the only whole-program snapshot walk after the DAIG
@@ -40,6 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
+from ..intern import InternTable
 from ..lang.cfg import Cfg
 from . import names as N
 from .build import DaigBuilder
@@ -92,6 +97,34 @@ def _loop_signature(cfg: Cfg, head: int) -> LoopSig:
     )
 
 
+class LoopShape:
+    """The encoding signatures an unrolling of one loop reads.
+
+    ``sig`` pairs every body location but the head with its location
+    signature, and every loop head in the body (the loop's own included)
+    with its loop signature, both in location order: all that
+    ``DaigBuilder.unroll`` derives a new iteration from, besides the
+    iteration indices.  Shapes are interned, so equal signatures yield the
+    same object, and the unrolling table hashes and compares them by
+    identity.
+    """
+
+    __slots__ = ("sig", "__weakref__")
+
+    _intern = InternTable("daig.LoopShape")
+
+    sig: Tuple
+
+    def __new__(cls, sig: Tuple) -> "LoopShape":
+        table = cls._intern
+        canonical = table.get(sig)
+        if canonical is not None:
+            return canonical
+        self = object.__new__(cls)
+        self.sig = sig
+        return table.insert(sig, self)
+
+
 def stmt_cells_at(cfg: Cfg, loc: int) -> Dict[StmtKey, Any]:
     """The statement cells anchored at ``loc`` (incoming forward edges plus,
     when ``loc`` is a loop head, its back edges), keyed as the DAIG names
@@ -123,6 +156,12 @@ class StructureSnapshot:
     #: (``key[1]``), so a region update can diff one location's cells
     #: without scanning the whole table.
     stmt_keys_by_loc: Dict[int, Set[StmtKey]] = field(default_factory=dict)
+    #: Each unrolled loop head's :class:`LoopShape`, computed on its first
+    #: unrolling (:meth:`loop_shape`) and dropped by a splice that re-signs
+    #: a location of that loop.  Derived from the fields above, so it is
+    #: left out of equality with a fresh capture.
+    shapes: Dict[int, LoopShape] = field(default_factory=dict, compare=False,
+                                         repr=False)
 
     @classmethod
     def capture(cls, cfg: Cfg) -> "StructureSnapshot":
@@ -143,6 +182,19 @@ class StructureSnapshot:
             natural_loops={h: frozenset(cfg.natural_loop(h)) for h in heads},
             stmt_keys_by_loc=stmt_keys_by_loc,
         )
+
+    def loop_shape(self, head: int) -> LoopShape:
+        """The shape of ``head``'s loop, computed once per head."""
+        shape = self.shapes.get(head)
+        if shape is None:
+            loc_sigs = self.loc_sigs
+            loop_sigs = self.loop_sigs
+            body = sorted(self.natural_loops[head])
+            shape = self.shapes[head] = LoopShape((
+                tuple([(loc, loc_sigs[loc]) for loc in body if loc != head]),
+                tuple([(loc, loop_sigs[loc]) for loc in body
+                       if loc in loop_sigs])))
+        return shape
 
     def set_stmt(self, key: StmtKey, stmt: Any) -> None:
         """Record a statement-cell write applied directly to the DAIG."""
@@ -218,6 +270,19 @@ def splice_delta(daig: Daig, builder: DaigBuilder, snapshot: StructureSnapshot,
     suspects = set(sig_suspects) | head_suspects
     reachable = cfg.reachable_locations()
     report = SpliceReport(locs_resigned=len(suspects))
+
+    # Drop the shape of every loop, before or after the edit, around a
+    # re-signed location (a location signature leads with the location's
+    # containing loop heads).
+    shapes = snapshot.shapes
+    if shapes:
+        for loc in suspects:
+            sig = snapshot.loc_sigs.get(loc)
+            heads = sig[0] if sig is not None else ()
+            if loc in reachable:
+                heads += cfg.containing_loop_heads(loc)
+            for head in heads:
+                shapes.pop(head, None)
 
     removed_locs: Set[int] = set()
     added_locs: Set[int] = set()

@@ -24,6 +24,9 @@ unpickles worker results (which re-interns them) on its own thread.
 Each table counts hits (an equal value was already interned) and misses
 (a fresh value was inserted); ``intern_stats()`` aggregates the counters
 (read by ``tests/test_intern.py`` and by the benchmark's intern hit ratio).
+Its counterpart for the process's table of recorded loop unrollings, which
+holds encodings rather than values, is
+:func:`repro.daig.build.unroll_table_stats`.
 """
 
 from __future__ import annotations

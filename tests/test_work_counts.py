@@ -1,20 +1,22 @@
-"""Exact work counts of four fixed sessions.
+"""Exact work counts of fixed sessions.
 
 An optimization of the evaluation path may change latency, never a work
 count: cells computed, reused, restored and cut off; transfers, joins,
 widens and unrollings; memo hits, misses and stores; cells dirtied and
 locations re-signed.  Each test below replays one deterministic session
 and compares every counter the engines expose with the values recorded
-before the evaluation path was last optimized.  The fourth, a cold open,
-edits and a warm restart on a sqlite store, also pins the store's gets,
-hits and puts, which a change to how the store writes must not move, and
-what each edit computes after the coordinated open: the memo facts the
-pool's workers hand back turn transfers into memo hits there, so a change
-to that hand-back shows up in those counts only.  CI
-runs this module again under ``PYTHONHASHSEED=1`` and ``2``, so a count
-that follows the order of a set of strings fails there on every run; one
-that follows set order over identity-hashed names shows up as a flaky
-mismatch.
+before the evaluation path was last optimized.  The worker's evaluation
+is also pinned for engines that replay every unrolling from the
+process's unrolling table and for one that derives them all.  The sqlite
+session, a cold open, edits and a warm restart on a sqlite store, also
+pins the store's gets, hits and puts, which a change to how the store
+writes must not move, and what each edit computes after the coordinated
+open: the memo facts the pool's workers hand back turn transfers into
+memo hits there, so a change to that hand-back shows up in those counts
+only.  CI runs this module again under ``PYTHONHASHSEED=1`` and ``2``,
+so a count that follows the order of a set of strings fails there on
+every run; one that follows set order over identity-hashed names shows
+up as a flaky mismatch.
 """
 
 from repro.analysis.config import (
@@ -22,6 +24,8 @@ from repro.analysis.config import (
     InterprocIncrementalDemandConfiguration,
 )
 from repro.daig import DaigEngine, MemoTable
+from repro.daig.build import (UNROLL_TABLE, reset_unroll_table_stats,
+                              unroll_table_stats)
 from repro.domains import IntervalDomain
 from repro.interproc import InterproceduralEngine, policy_by_name
 from repro.lang import ast as A
@@ -70,6 +74,34 @@ def test_fresh_evaluation_of_a_triple_nested_worker():
     assert engine.size() == (536, 458)
     memo = engine.memo.stats()
     assert (memo["hits"], memo["misses"], memo["stores"]) == (0, 437, 437)
+
+
+def test_a_second_engine_replays_every_unrolling_of_the_worker():
+    # The engine after the first one on a fresh copy of the same worker
+    # replays each unrolling from the process's table; its counts are the
+    # first engine's.  With the table cleared first, it derives them all.
+    domain = IntervalDomain()
+    program = parse_program(wide_call_graph_source(1, inner_loops=3))
+    entry = domain.call_entry(domain.initial(), ("n",), (A.IntLit(0),))
+
+    def evaluate():
+        engine = DaigEngine(build_cfg(program.procedure("work0")), domain,
+                            memo=MemoTable(), entry_state=entry)
+        reset_unroll_table_stats()
+        engine.query_exit()
+        assert engine.stats.as_dict() == _query_counts(
+            transfers=369, joins=25, widens=43, unrollings=22,
+            cells_computed=458, cells_reused=503)
+        assert engine.size() == (536, 458)
+        memo = engine.memo.stats()
+        assert (memo["hits"], memo["misses"], memo["stores"]) == (0, 437, 437)
+        table = unroll_table_stats()
+        return table["hits"], table["misses"]
+
+    evaluate()
+    assert evaluate() == (22, 0)
+    UNROLL_TABLE.clear()
+    assert evaluate() == (0, 22)
 
 
 def test_fig10_edit_stream_through_the_incremental_demanded_engine():
