@@ -54,12 +54,14 @@ def main(edits: int = 60) -> None:
     print("\nPer-step analysis latency (seconds):")
     print(format_summary_table(rows))
 
-    print("\nPer-phase breakdown (seconds: structure / snapshot / splice / query):")
+    print("\nPer-phase breakdown (seconds: structure / build / snapshot / "
+          "splice / query):")
     for name in configurations:
         split = phases[name]
-        print("  %-14s %8.3f %8.3f %8.3f %8.3f" % (
-            name, split.get("structure", 0.0), split.get("snapshot", 0.0),
-            split.get("splice", 0.0), split.get("query", 0.0)))
+        print("  %-14s %8.3f %8.3f %8.3f %8.3f %8.3f" % (
+            name, split.get("structure", 0.0), split.get("build", 0.0),
+            split.get("snapshot", 0.0), split.get("splice", 0.0),
+            split.get("query", 0.0)))
 
     threshold = rows["incr+demand"]["p95"]
     print("\nFraction of steps answered within the incr+demand p95 (%.3fs):"

@@ -94,9 +94,9 @@ class AnalysisConfiguration(ABC):
         self._fold_engine_phases(self._retired_phases, getattr(self, "engine", None))
 
     def phase_stats(self) -> Dict[str, float]:
-        """Cumulative per-phase wall-clock seconds (structure update /
-        snapshot update / splice / query), summed over every engine this
-        configuration has owned, so a session can see which phase its
+        """Cumulative per-phase wall-clock seconds (structure update / DAIG
+        build / snapshot update / splice / query), summed over every engine
+        this configuration has owned, so a session can see which phase its
         latency lives in, not just the end-to-end number.
         """
         totals = dict(self._retired_phases)

@@ -33,11 +33,9 @@ the reported locations are re-signed and spliced
 locations re-encoded, and everything downstream dirtied (rules E-Commit /
 E-Propagate / E-Loop) for lazy recomputation.  Before the DAIG is built an
 edit only changes (and validates) the CFG.  End to end, edit latency is
-proportional to the edit's impacted region; the one term that grows with
-the code downstream of an insertion is the structure layer's dominator
-set union.  The CFG stays the record of the program's statements: a
-client that needs them (the interprocedural call graph) reads the CFG,
-not the DAIG.
+proportional to the edit's impacted region.  The CFG stays the record of
+the program's statements: a client that needs them (the interprocedural
+call graph) reads the CFG, not the DAIG.
 """
 
 from __future__ import annotations
@@ -153,7 +151,8 @@ class DaigEngine:
         self._listener = StructureListener()
         self._batch_depth = 0
         self._cfg_dirty = False
-        self._phase = {"snapshot": 0.0, "splice": 0.0, "query": 0.0}
+        self._phase = {"build": 0.0, "snapshot": 0.0, "splice": 0.0,
+                       "query": 0.0}
 
     def materialize(self) -> None:
         """Build the DAIG, its evaluator and the live snapshot, if not yet
@@ -165,18 +164,26 @@ class DaigEngine:
         """
         if self._daig is not None:
             return
-        daig = self.builder.build()
-        self._snapshot = StructureSnapshot.capture(self.cfg)
-        # Unrollings key their recorded encodings by the live snapshot's
-        # loop shapes.
-        self.builder.snapshot = self._snapshot
-        self.evaluator = QueryEvaluator(
-            daig, self.memo, self.domain, self.builder, self.call_transfer,
-            cutoff=self.cutoff)
-        self.cfg.add_structure_listener(self._listener)
-        self._daig = daig
-        # The build encoded the current CFG: no edit is left to splice.
-        self._cfg_dirty = False
+        started = time.perf_counter()
+        structure = self.cfg.structure_seconds()
+        try:
+            daig = self.builder.build()
+            self._snapshot = StructureSnapshot.capture(self.cfg)
+            # Unrollings key their recorded encodings by the live
+            # snapshot's loop shapes.
+            self.builder.snapshot = self._snapshot
+            self.evaluator = QueryEvaluator(
+                daig, self.memo, self.domain, self.builder, self.call_transfer,
+                cutoff=self.cutoff)
+            self.cfg.add_structure_listener(self._listener)
+            self._daig = daig
+            # The build encoded the current CFG: no edit is left to splice.
+            self._cfg_dirty = False
+        finally:
+            # The structure the build derives stays in its own phase.
+            self._phase["build"] += (
+                time.perf_counter() - started
+                - (self.cfg.structure_seconds() - structure))
 
     def _values_equal(self, first: Any, second: Any) -> bool:
         # Interned states make the common case a pointer comparison.
@@ -213,7 +220,9 @@ class DaigEngine:
     def phase_seconds(self, include_structure: bool = True) -> Dict[str, float]:
         """Cumulative wall-clock time per engine phase.
 
-        ``structure`` — the CFG's incremental dominator/loop maintenance;
+        ``structure`` — the CFG's dominator/loop build and incremental
+        maintenance; ``build`` — the DAIG's first build (the initial
+        encoding and snapshot capture), net of the structure it derives;
         ``snapshot`` — encoding-signature maintenance; ``splice`` — DAIG
         cell surgery and dirtying; ``query`` — demanded evaluation.
 

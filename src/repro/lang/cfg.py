@@ -302,11 +302,23 @@ class Cfg:
         return self._analyze().reachable
 
     def dominators(self) -> Dict[Loc, Set[Loc]]:
-        """Map each reachable location to the set of its dominators."""
-        return self._analyze().dominators
+        """Map each reachable location to the set of its dominators.
+
+        Derived on each call from the immediate-dominator tree, in
+        O(locations × tree depth): the structure keeps no per-location
+        sets, and only tests ask for them.
+        """
+        analysis = self._analyze()
+        out: Dict[Loc, Set[Loc]] = {}
+        for loc in analysis.reverse_postorder():  # parents come first
+            parent = analysis.idom[loc]
+            out[loc] = {loc} if parent == loc else out[parent] | {loc}
+        return out
 
     def dominates(self, a: Loc, b: Loc) -> bool:
-        return a in self._analyze().dominators.get(b, set())
+        """Whether every entry path to ``b`` passes ``a`` (False when ``b``
+        is unreachable): a walk up the immediate-dominator tree."""
+        return self._analyze().dominates(a, b)
 
     def back_edges(self) -> List[CfgEdge]:
         """Edges ``u --> v`` where ``v`` dominates ``u`` (loop back edges)."""

@@ -5,6 +5,14 @@ dominators, forward/back edge partition, natural loops, loop nesting, join
 points and per-location ``fwd-edges-to`` index.  :class:`CfgStructure`
 holds all of them for one CFG and keeps them current as the CFG is edited:
 
+* **The full build** walks the graph once from the entry.  Cooper, Harvey
+  and Kennedy's iteration ("A Simple, Fast Dominance Algorithm", 2001)
+  over that walk's reverse postorder gives the immediate-dominator tree
+  ``idom``, and the walk's retreating edges (into a location no later in
+  the order) give the back edges: those whose target dominates their
+  source.  Any other retreating edge closes a cycle of forward edges, so
+  the graph is irreducible (Hecht and Ullman, 1974).  No location keeps a
+  dominator set; dominance is a walk up the tree.
 * **Statement-only edits** (relabelling an existing edge in place) do
   *zero* dominator/loop work: the only derived fact that can change is the
   ``fwd-edges-to`` index of the edge's destination (the pre-join indices
@@ -22,23 +30,22 @@ holds all of them for one CFG and keeps them current as the CFG is edited:
 Why the insertion update is exact.  The fragment is entered only from
 ``loc`` and left only through ``cont``, so every entry path that used a
 moved edge ``loc → d`` now runs ``loc → … → cont → d`` and no other path
-changes.  Hence the new locations take ``loc``'s reachability; their
-dominators are ``dom(loc)`` plus the fragment's own, from a local pass
-over its few locations, which also finds the fragment's back edge and
+changes.  Hence the new locations take ``loc``'s reachability, and their
+immediate dominators come from the same iteration run over the fragment
+alone, rooted at ``loc``, which also finds the fragment's back edge and
 natural loop; moved edges keep their forward or back class; old
 locations keep their loop membership, and every loop that contains
 ``loc`` gains the whole fragment.  Loop nesting keeps its order, because
 the loops of a reducible graph are nested or disjoint and all loops that
 contain ``loc`` grow by the same locations.  The one fact of old
-locations that changes is dominance: a location all of whose entry paths
-use a moved edge gains ``dom(cont) − dom(loc)``.  These are the
-locations ``loc`` strictly dominates (the loop body, when ``loc`` is a
-loop head: its exit edges stay put), found by a forward walk from the
-moved edges' destinations through locations ``loc`` dominates.  That
-union, one set union per location and no fixpoint, is the one
-per-insertion term that grows with the code downstream of ``loc``: an
-insertion right after the entry adds to every dominator set.  (An
-immediate-dominator tree would remove it.)
+locations that changes is dominance, and only for those all of whose
+entry paths use a moved edge: the locations ``loc`` strictly dominates,
+or its loop body when ``loc`` is a loop head (its exit edges stay put).
+Each of them gains the fragment's dominators of ``cont``, which sit
+between ``loc`` and it, so in the tree exactly the children of ``loc``
+among them change parent, to ``cont``, and their subtrees move with
+them.  The update costs O(fragment + children of ``loc``); no term grows
+with the code downstream of ``loc``.
 
 Listeners (the DAIG engine's live :class:`~repro.daig.splice.StructureSnapshot`)
 receive, per insertion, the locations whose encoding signature may have
@@ -97,10 +104,12 @@ class StructureListener:
 class CfgStructure:
     """Live derived structural facts about a CFG, updated per insertion.
 
-    Exposes ``reachable``, ``dominators``, loop structure, ``fwd_edges_to``
-    and ``join_points``, plus O(1) reducibility and loop-exit validity,
-    flat forward/back edge lists (derived lazily from the per-edge
-    classification), and work counters for the benchmark layer.
+    Exposes ``reachable``, the immediate-dominator tree (``idom``, the
+    entry its own parent, and ``dom_children``), loop structure,
+    ``fwd_edges_to`` and ``join_points``, plus O(1) reducibility and
+    loop-exit validity, flat forward/back edge lists (derived lazily from
+    the per-edge classification), and work counters for the benchmark
+    layer.
     """
 
     def __init__(self, cfg: "Cfg") -> None:
@@ -112,7 +121,8 @@ class CfgStructure:
         # cumulatively per program, not per cache.
         self.stats = cfg._structure_stats
         self.reachable: Set[Loc] = set()
-        self.dominators: Dict[Loc, Set[Loc]] = {}
+        self.idom: Dict[Loc, Loc] = {}
+        self.dom_children: Dict[Loc, Set[Loc]] = {}
         self.back_pairs: Set[EdgePair] = set()
         self.natural_loops: Dict[Loc, Set[Loc]] = {}
         self.loop_heads: List[Loc] = []
@@ -131,10 +141,17 @@ class CfgStructure:
 
     # -- queries the CFG delegates to ----------------------------------------
 
+    def dominates(self, a: Loc, b: Loc) -> bool:
+        """Whether ``a`` dominates ``b`` (never, when ``b`` is
+        unreachable): a walk up the tree from ``b``."""
+        return b in self.idom and _in_subtree(self.idom, a, b)
+
     def is_back_edge(self, edge: "CfgEdge") -> bool:
         return (edge.src, edge.dst) in self.back_pairs
 
     def back_edges_to(self, loc: Loc) -> List["CfgEdge"]:
+        if loc not in self.natural_loops:
+            return []
         return [e for e in self.cfg._in.get(loc, ())
                 if (e.src, e.dst) in self.back_pairs and e.src in self.reachable]
 
@@ -177,14 +194,24 @@ class CfgStructure:
     def _rebuild(self) -> None:
         cfg = self.cfg
         self.stats["structure_full_builds"] += 1
-        self._rpo = self._dfs_order(cfg.entry)
-        self.reachable = set(self._rpo)
-        self.dominators = self._full_dominators(self._rpo)
-        self.back_pairs = {
-            (e.src, e.dst) for e in cfg.edges
-            if e.src in self.reachable
-            and e.dst in self.dominators.get(e.src, ())
-        }
+        self._rpo = order = self._dfs_order(cfg.entry)
+        self.reachable = set(order)
+        self.idom = idom = self._immediate_dominators(order)
+        self.dom_children = {loc: set() for loc in order}
+        for loc in order[1:]:
+            self.dom_children[idom[loc]].add(loc)
+        # A retreating edge of the walk is a back edge when its target
+        # dominates its source, and otherwise closes a forward cycle.
+        position = {loc: i for i, loc in enumerate(order)}
+        self.back_pairs = set()
+        self.has_forward_cycle = False
+        for src in order:
+            for edge in cfg._out[src]:
+                if position[edge.dst] <= position[src]:
+                    if _in_subtree(idom, edge.dst, src):
+                        self.back_pairs.add((src, edge.dst))
+                    else:
+                        self.has_forward_cycle = True
         self._flat_back = self._flat_forward = None
         heads = sorted({dst for (_src, dst) in self.back_pairs})
         self.natural_loops = {h: self._natural_loop(h) for h in heads}
@@ -205,7 +232,6 @@ class CfgStructure:
         self.bad_loop_exits = {}
         for loc in self.reachable:
             self._refresh_bad_exits(loc)
-        self.has_forward_cycle = self._has_forward_cycle()
 
     # -- exact insertion update ----------------------------------------------
 
@@ -247,23 +273,24 @@ class CfgStructure:
         new = set(fragment)
         self.reachable |= new
 
-        # The fragment's dominators: dom(loc) plus a local pass rooted at
-        # loc (its only way in).  ⊤ is represented by absence.
-        local: Dict[Loc, Set[Loc]] = {loc: {loc}}
-        order = self._dfs_order(loc, within=new)[1:]
-        changed = True
-        while changed:
-            changed = False
-            for node in order:
-                doms = set.intersection(*[
-                    local[e.src] for e in cfg._in[node] if e.src in local])
-                doms.add(node)
-                if local.get(node) != doms:
-                    local[node] = doms
-                    changed = True
-        base = self.dominators[loc]
+        # The children of loc whose every entry path now runs through cont
+        # (all of them, or the loop body's when loc is a loop head) move
+        # under cont, their subtrees with them; the fragment's own tree
+        # comes from a pass rooted at loc, its only way in.
+        loop = self.natural_loops.get(loc)
+        adopted = {node for node in self.dom_children[loc]
+                   if loop is None or node in loop}
+        self.dom_children[loc] -= adopted
+        for node in adopted:
+            self.idom[node] = cont
         for node in fragment:
-            self.dominators[node] = base | local[node]
+            self.dom_children[node] = set()
+        self.dom_children[cont] = adopted
+        order = self._dfs_order(loc, within=new)
+        local = self._immediate_dominators(order)
+        for node in order[1:]:
+            self.idom[node] = local[node]
+            self.dom_children[local[node]].add(node)
 
         # Moved edges keep their class; the fragment classifies its own.
         for dst in moved:
@@ -273,15 +300,9 @@ class CfgStructure:
         new_heads: Set[Loc] = set()
         for node in fragment:
             for edge in cfg._out[node]:
-                if edge.dst in new and edge.dst in self.dominators[node]:
+                if edge.dst in new and _in_subtree(local, edge.dst, node):
                     self.back_pairs.add((node, edge.dst))
                     new_heads.add(edge.dst)
-
-        # Locations whose every entry path uses a moved edge gain the
-        # fragment's dominators of cont.
-        gained = self.dominators[cont] - base
-        for node in self._strictly_dominated(loc, moved):
-            self.dominators[node] |= gained
 
         # Loops: every loop containing loc gains the fragment; the
         # fragment's own loop is local.
@@ -312,22 +333,6 @@ class CfgStructure:
             self._refresh_fwd_edges_to(dst)
         return sig_suspects, set(outer) | new_heads
 
-    def _strictly_dominated(self, loc: Loc, moved: Set[Loc]) -> Set[Loc]:
-        """The locations ``loc`` strictly dominates that its moved edges
-        lead to: all of them, or the loop body when ``loc`` is a loop head
-        (a forward walk that never passes ``loc`` again)."""
-        seen: Set[Loc] = set()
-        stack = list(moved)
-        while stack:
-            node = stack.pop()
-            if node in seen or node == loc:
-                continue
-            if loc not in self.dominators.get(node, ()):
-                continue
-            seen.add(node)
-            stack.extend(edge.dst for edge in self.cfg._out[node])
-        return seen
-
     # -- statement-only patches ----------------------------------------------
 
     def patch_stmt(self, old: "CfgEdge", new: "CfgEdge") -> None:
@@ -344,57 +349,57 @@ class CfgStructure:
 
     # -- helpers --------------------------------------------------------------
 
-    def _ordered_successors(self, loc: Loc) -> List[Loc]:
-        return sorted({e.dst for e in self.cfg._out.get(loc, ())})
-
     def _dfs_order(self, start: Loc,
                    within: Optional[Set[Loc]] = None) -> List[Loc]:
         """Reverse postorder of a DFS from ``start`` (over successors in
-        ``within``, when given)."""
+        ``within``, when given), visiting successors in location order."""
+        out = self.cfg._out
         visited: Set[Loc] = {start}
         order: List[Loc] = []
-        stack: List[Tuple[Loc, List[Loc]]] = [(start, self._ordered_successors(start))]
+        stack = [(start, iter(sorted({e.dst for e in out[start]})))]
         while stack:
             node, succs = stack[-1]
-            advanced = False
-            while succs:
-                nxt = succs.pop(0)
+            for nxt in succs:
                 if nxt not in visited and (within is None or nxt in within):
                     visited.add(nxt)
-                    stack.append((nxt, self._ordered_successors(nxt)))
-                    advanced = True
+                    stack.append((nxt, iter(sorted({e.dst for e in out[nxt]}))))
                     break
-            if not advanced:
+            else:
                 order.append(node)
                 stack.pop()
         order.reverse()
         return order
 
-    def _full_dominators(self, order: List[Loc]) -> Dict[Loc, Set[Loc]]:
-        cfg = self.cfg
-        reachable = self.reachable
-        all_locs = set(reachable)
-        dom: Dict[Loc, Set[Loc]] = {loc: set(all_locs) for loc in reachable}
-        dom[cfg.entry] = {cfg.entry}
+    def _immediate_dominators(self, order: List[Loc]) -> Dict[Loc, Loc]:
+        """Cooper, Harvey and Kennedy's iteration over ``order``, a reverse
+        postorder from ``order[0]``; the root is its own parent, and a
+        predecessor outside ``order`` is not a way in."""
+        index = {loc: i for i, loc in enumerate(order)}
+        idom = {order[0]: order[0]}
+        preds = self.cfg._in
         changed = True
         while changed:
             changed = False
-            for loc in order:
-                if loc == cfg.entry:
-                    continue
-                preds = [e.src for e in cfg._in.get(loc, ())
-                         if e.src in reachable]
-                if not preds:
-                    new = {loc}
-                else:
-                    new = set(all_locs)
-                    for pred in preds:
-                        new &= dom[pred]
-                    new.add(loc)
-                if new != dom[loc]:
-                    dom[loc] = new
+            for node in order[1:]:
+                new: Optional[Loc] = None
+                for edge in preds[node]:
+                    pred = edge.src
+                    if pred not in idom:
+                        continue  # outside order, or not yet reached
+                    if new is None:
+                        new = pred
+                        continue
+                    # The nearest common ancestor: climb from whichever
+                    # finger is later in the order.
+                    while pred != new:
+                        while index[pred] > index[new]:
+                            pred = idom[pred]
+                        while index[new] > index[pred]:
+                            new = idom[new]
+                if idom.get(node) != new:
+                    idom[node] = new
                     changed = True
-        return dom
+        return idom
 
     def _natural_loop(self, head: Loc) -> Set[Loc]:
         cfg = self.cfg
@@ -428,7 +433,8 @@ class CfgStructure:
         if not incoming or loc not in self.reachable:
             self.fwd_edges_to.pop(loc, None)
             return
-        incoming.sort(key=lambda e: (e.src, str(e.stmt)))
+        if len(incoming) > 1:  # a join point's pre-join indices
+            incoming.sort(key=lambda e: (e.src, str(e.stmt)))
         self.fwd_edges_to[loc] = [(i + 1, e) for i, e in enumerate(incoming)]
 
     def _refresh_bad_exits(self, loc: Loc) -> None:
@@ -449,30 +455,13 @@ class CfgStructure:
                     self.bad_loop_exits[edge] = head
                     break
 
-    def _has_forward_cycle(self) -> bool:
-        """DFS cycle check over the reachable forward edges."""
-        succ: Dict[Loc, List[Loc]] = {}
-        for loc in self.reachable:
-            succ[loc] = [
-                e.dst for e in self.cfg._out.get(loc, ())
-                if (e.src, e.dst) not in self.back_pairs
-            ]
-        state: Dict[Loc, int] = {}
-        for start in self.reachable:
-            if state.get(start, 0) != 0:
-                continue
-            stack: List[Tuple[Loc, List[Loc]]] = [(start, list(succ[start]))]
-            state[start] = 1
-            while stack:
-                node, succs = stack[-1]
-                if succs:
-                    nxt = succs.pop(0)
-                    if state.get(nxt, 0) == 1:
-                        return True
-                    if state.get(nxt, 0) == 0:
-                        state[nxt] = 1
-                        stack.append((nxt, list(succ[nxt])))
-                else:
-                    state[node] = 2
-                    stack.pop()
-        return False
+
+def _in_subtree(idom: Dict[Loc, Loc], a: Loc, b: Loc) -> bool:
+    """Whether ``a`` is ``b`` or an ancestor of ``b`` in the tree ``idom``
+    (``b`` in it; the root is its own parent)."""
+    while b != a:
+        parent = idom[b]
+        if parent == b:
+            return False
+        b = parent
+    return True

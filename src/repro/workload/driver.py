@@ -5,7 +5,7 @@ pre-generated stream of edits and queries (fixed random seeds, as in the
 paper) to each analysis configuration, times every step, and collects
 ``(program size, latency)`` samples for the summary table, the CDF, and the
 scatter series.  Each trial also records the configuration's per-phase
-wall-clock split (structure / snapshot / splice / query).
+wall-clock split (structure / build / snapshot / splice / query).
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ class WorkloadResult:
 
     configuration: str
     samples: List[LatencySample] = field(default_factory=list)
-    #: Per-phase wall-clock seconds (structure / snapshot / splice / query),
-    #: so regressions can be attributed to a phase, not just a total.
+    #: Per-phase wall-clock seconds (structure / build / snapshot / splice /
+    #: query), so regressions can be attributed to a phase, not just a total.
     phases: Dict[str, float] = field(default_factory=dict)
 
     def latencies(self) -> List[float]:

@@ -1,4 +1,5 @@
-"""Shared test helpers: subject-program sources and random-CFG factories.
+"""Shared test helpers: subject-program sources, random-CFG factories and
+reference structure analyses.
 
 Test modules import these directly (``from helpers import LOOP_SOURCE``)
 instead of reaching into ``conftest.py``: conftest modules are pytest
@@ -9,6 +10,8 @@ as another directory (e.g. ``benchmarks/``) carries its own conftest.  The
 """
 
 from __future__ import annotations
+
+from typing import Dict, List, Set, Tuple
 
 from repro.workload.generator import WorkloadGenerator
 
@@ -82,3 +85,85 @@ def random_workload(seed: int, edits: int):
     generator = WorkloadGenerator(seed=seed, call_probability=0.0)
     steps = generator.generate(edits)
     return generator, steps
+
+
+# -- reference structure analyses ---------------------------------------------
+#
+# The set-intersection dominator fixpoint and the forward-edge cycle search
+# that the structure layer's immediate-dominator tree and retreating-edge
+# test replaced, kept as the oracle ``tests/test_dominance.py`` compares
+# them against.  They read only the graph's edges.
+
+
+def reference_dominators(cfg) -> Dict[int, Set[int]]:
+    """Each reachable location's dominator set, by the fixpoint
+    ``dom(l) = {l} ∪ ⋂ dom(p)`` over its reachable predecessors."""
+    reachable = {cfg.entry}
+    stack = [cfg.entry]
+    while stack:
+        for edge in cfg.out_edges(stack.pop()):
+            if edge.dst not in reachable:
+                reachable.add(edge.dst)
+                stack.append(edge.dst)
+    dom = {loc: set(reachable) for loc in reachable}
+    dom[cfg.entry] = {cfg.entry}
+    changed = True
+    while changed:
+        changed = False
+        for loc in sorted(reachable - {cfg.entry}):
+            new = set(reachable)
+            for edge in cfg.in_edges(loc):
+                if edge.src in reachable:
+                    new &= dom[edge.src]
+            new.add(loc)
+            if new != dom[loc]:
+                dom[loc] = new
+                changed = True
+    return dom
+
+
+def reference_back_pairs(cfg, dom) -> Set[Tuple[int, int]]:
+    """Edges from a reachable location into one of its dominators."""
+    return {(edge.src, edge.dst) for edge in cfg.edges
+            if edge.src in dom and edge.dst in dom[edge.src]}
+
+
+def reference_has_forward_cycle(cfg, dom, back_pairs) -> bool:
+    """A depth-first cycle search over the reachable forward edges."""
+    succ = {loc: [edge.dst for edge in cfg.out_edges(loc)
+                  if (edge.src, edge.dst) not in back_pairs]
+            for loc in dom}
+    state: Dict[int, int] = {}
+    for start in sorted(dom):
+        if state.get(start, 0) != 0:
+            continue
+        stack = [(start, list(succ[start]))]
+        state[start] = 1
+        while stack:
+            node, succs = stack[-1]
+            if succs:
+                nxt = succs.pop(0)
+                if state.get(nxt, 0) == 1:
+                    return True
+                if state.get(nxt, 0) == 0:
+                    state[nxt] = 1
+                    stack.append((nxt, list(succ[nxt])))
+            else:
+                state[node] = 2
+                stack.pop()
+    return False
+
+
+def reference_fwd_edges_to(cfg, dom, back_pairs) -> Dict[int, List[Tuple[int, object]]]:
+    """Each reachable location's incoming forward edges, sorted by source
+    and statement text and numbered from 1 (locations without any are
+    left out)."""
+    out = {}
+    for loc in dom:
+        incoming = sorted(
+            (edge for edge in cfg.in_edges(loc)
+             if edge.src in dom and (edge.src, edge.dst) not in back_pairs),
+            key=lambda edge: (edge.src, str(edge.stmt)))
+        if incoming:
+            out[loc] = [(index + 1, edge) for index, edge in enumerate(incoming)]
+    return out

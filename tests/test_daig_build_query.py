@@ -266,7 +266,21 @@ class TestStatsSurface:
         engine = DaigEngine(nested_cfg, interval_domain)
         engine.query_exit()
         phases = engine.phase_seconds()
-        assert set(phases) == {"structure", "snapshot", "splice", "query"}
+        assert set(phases) == {"structure", "build", "snapshot", "splice",
+                               "query"}
         assert phases["query"] > 0.0
         assert set(engine.phase_seconds(include_structure=False)) == {
-            "snapshot", "splice", "query"}
+            "build", "snapshot", "splice", "query"}
+
+    def test_a_first_query_times_the_build_apart_from_the_structure(
+            self, nested_cfg, interval_domain):
+        engine = DaigEngine(nested_cfg, interval_domain)
+        assert engine.phase_seconds()["build"] == 0.0
+        engine.query_exit()
+        phases = engine.phase_seconds()
+        assert phases["build"] > 0.0 and phases["structure"] > 0.0
+        # Later queries and edits never rebuild the DAIG.
+        engine.insert_statement_after(
+            nested_cfg.entry, A.AssignStmt("k", A.IntLit(1)))
+        engine.query_exit()
+        assert engine.phase_seconds()["build"] == phases["build"]

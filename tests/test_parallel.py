@@ -321,8 +321,8 @@ class TestCoordinator:
                 CHAIN_PROGRAM, domain, "insensitive", pool)
         parallel.query_entry_exit()
         phases = parallel.total_phase_seconds()
-        assert set(phases) == {"structure", "snapshot", "splice", "query",
-                               "speculate", "dispatch", "certify"}
+        assert set(phases) == {"structure", "build", "snapshot", "splice",
+                               "query", "speculate", "dispatch", "certify"}
         # The coordinator's phases are its own; no DAIG adds to them.
         for key, seconds in report["phase_seconds"].items():
             assert phases[key] == seconds

@@ -49,9 +49,9 @@ COMMON_SETTINGS = dict(
 )
 
 ANALYSIS_FACTS = (
-    "reachable", "dominators", "back_pairs", "natural_loops", "loop_heads",
-    "heads_by_loc", "containing", "fwd_edges_to", "join_points",
-    "has_forward_cycle",
+    "reachable", "idom", "dom_children", "back_pairs", "natural_loops",
+    "loop_heads", "heads_by_loc", "containing", "fwd_edges_to",
+    "join_points", "has_forward_cycle",
 )
 
 
@@ -230,20 +230,21 @@ class TestIncrementalEqualsFromScratch:
 class TestStatementOnlyEdits:
     def test_relabel_preserves_the_analysis_object(self):
         """A statement-only edit patches the live analysis in place: same
-        object, same dominator and loop structures (identity, not equality)."""
+        object, same dominator tree and loop structures (identity, not
+        equality)."""
         generator = WorkloadGenerator(seed=3, call_probability=0.0)
         cfg = generator.cfg
         generator.generate(30)
         cfg.ensure_structure()
         analysis = cfg._analysis
-        dominators = analysis.dominators
+        idom = analysis.idom
         loops = analysis.natural_loops
         containing = analysis.containing
         refreshes = cfg.structure_stats()["structure_refreshes"]
         for index, edge in enumerate(list(cfg.edges)[:10]):
             cfg.replace_edge_statement(edge, A.AssignStmt("s", A.IntLit(index)))
             assert cfg._analysis is analysis
-            assert analysis.dominators is dominators
+            assert analysis.idom is idom
             assert analysis.natural_loops is loops
             assert analysis.containing is containing
         stats = cfg.structure_stats()
@@ -522,9 +523,9 @@ class TestLocalityCounters:
 
     def test_head_insertions_do_size_independent_work(self):
         """Insertions right after the entry, whose downstream is the whole
-        program, analyze and re-sign the same locations at any size.  (The
-        dominator union over the dominated locations is the one term that
-        grows with size; it is not counted as re-analysis.)"""
+        program, analyze and re-sign the same locations and write the same
+        immediate dominators at any size: each re-parents the entry's one
+        dominator-tree child and leaves its subtree alone."""
         works = []
         for edits in (60, 120):
             engine, _generator = self._grown_engine(edits=edits)
@@ -532,6 +533,8 @@ class TestLocalityCounters:
             # moves exactly one edge at both sizes.
             engine.insert_statement_after(
                 engine.cfg.entry, A.AssignStmt("h", A.IntLit(-1)))
+            analysis = engine.cfg._analysis
+            analysis.idom = idom = _WriteCounter(analysis.idom)
             before = engine.edit_stats.as_dict()
             for index in range(10):
                 engine.insert_statement_after(
@@ -540,10 +543,34 @@ class TestLocalityCounters:
                      for key, value in engine.edit_stats.as_dict().items()}
             assert delta["structure_full_builds"] == 0, delta
             assert delta["snapshot_full_captures"] == 0, delta
+            assert engine.cfg._analysis.idom is idom
+            assert_analysis_matches_scratch(engine.cfg, edits)
             works.append((delta["structure_refreshes"],
                           delta["structure_locs_reanalyzed"],
-                          delta["snapshot_locs_resigned"]))
+                          delta["snapshot_locs_resigned"],
+                          idom.writes))
         assert works[0] == works[1], works
+
+
+class _WriteCounter(dict):
+    """A dict that counts the entries written into it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+    def update(self, *args, **kwargs):
+        for key, value in dict(*args, **kwargs).items():
+            self[key] = value
+
+    def setdefault(self, key, default=None):
+        if key not in self:
+            self[key] = default
+        return self[key]
 
 
 class TestEdgeIndices:
