@@ -92,9 +92,6 @@ class ConcreteState:
         out.env[name] = value
         return out
 
-    def defined(self, name: str) -> bool:
-        return name in self.env
-
     # -- heap ------------------------------------------------------------------
 
     def allocate(self) -> tuple["ConcreteState", Address]:

@@ -209,10 +209,6 @@ class DaigEngine:
             return QueryStats()
         return self.evaluator.stats
 
-    @property
-    def edits_applied(self) -> int:
-        return self.edit_stats.edits
-
     def size(self) -> Tuple[int, int]:
         """``(cells, computations)`` of the current DAIG."""
         return self.daig.size()

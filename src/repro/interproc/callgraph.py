@@ -234,40 +234,6 @@ class CallGraph:
                 raise RecursionError_("recursive call cycle: %s -> %s"
                                       % (name, name))
 
-    def condensation_waves(self) -> List[List[FrozenSet[str]]]:
-        """Antichains of the SCC condensation, callees-first.
-
-        Wave ``i`` holds every component whose longest call chain down to a
-        leaf component has length ``i``: all components in one wave are
-        pairwise independent, so their summary computations can run
-        concurrently once every earlier wave has finished.  This is the
-        schedule the parallel coordinator dispatches.
-        """
-        components = self.sccs()
-        component_of = {member: component
-                        for component in components for member in component}
-        depth: Dict[FrozenSet[str], int] = {}
-        # ``sccs()`` is callees-before-callers, so each component's callee
-        # components already have a depth when it is reached.
-        for component in components:
-            best = 0
-            for member in component:
-                for callee in self.edges.get(member, set()):
-                    target = component_of.get(callee)
-                    if target is None or target is component:
-                        continue
-                    best = max(best, depth[target] + 1)
-            depth[component] = best
-        waves: List[List[FrozenSet[str]]] = []
-        for component in components:
-            level = depth[component]
-            while len(waves) <= level:
-                waves.append([])
-            waves[level].append(component)
-        for wave in waves:
-            wave.sort(key=lambda component: sorted(component))
-        return waves
-
     def topological_order(self) -> List[str]:
         """Callees-before-callers order over the SCC condensation.
 

@@ -29,7 +29,7 @@ across procedure boundaries:
   processes and across engines analyzing identical code.
 * An optional persistent :class:`~repro.store.SummaryStore` as a
   **write-through second tier** behind the memo table: every memoized (or
-  certified-seeded) summary is also written to the store under the
+  coordinator-seeded) summary is also written to the store under the
   content-addressed key, and a memo miss consults the store before
   touching the callee's DAIG — a restarted engine, or a second engine on
   the same code, warm-starts from hits (``interproc_store_hits``) and
@@ -186,11 +186,11 @@ class InterproceduralEngine:
             "interproc_entry_updates": 0,
             "interproc_entry_widenings": 0,
             # Parallel-evaluation counters: summary jobs dispatched to the
-            # worker pool and scheduler waves that carried at least one job.
-            # Both stay 0 in sequential mode (nothing here dispatches; the
-            # coordinator in :mod:`repro.parallel` increments them).
+            # worker pool, and speculated keys the summary memo served
+            # instead.  Both stay 0 in sequential mode (nothing here
+            # dispatches; the coordinator in :mod:`repro.parallel`
+            # increments them).
             "interproc_parallel_jobs": 0,
-            "interproc_parallel_waves": 0,
             "interproc_parallel_cutoff_avoided": 0,
             # Persistent-store tier: hits/misses of the second-tier lookup
             # (only consulted on a memo miss, so hits correspond to
@@ -464,6 +464,35 @@ class InterproceduralEngine:
             callee_exit = self._callee_exit(callee_key)
         return self.domain.call_return(state, callee_exit, stmt.target, stmt.args)
 
+    def record_call_contribution(self, caller_key: ProcedureKey, skey: SiteKey,
+                                 callee: str, context: Context,
+                                 entry_state: Any) -> None:
+        """Record one call site's entry-state contribution to a callee.
+
+        Evaluating a call cell records through here before demanding the
+        callee's exit (:meth:`_analyze_call`); nothing else adds to the
+        entry ledger.
+        """
+        callee_key = (callee, context)
+        self._engine_for(callee, context, entry_state)
+        site_id: SiteId = (caller_key, skey)
+        contribs = self._contribs.setdefault(callee_key, {})
+        previous = contribs.get(site_id)
+        if previous is None:
+            self._recorded.setdefault(caller_key, {}).setdefault(
+                callee_key, set()).add(skey)
+        # A site's contribution grows monotonically *within* a program
+        # version (caller loop iterates re-evaluate the same site with
+        # growing states; replacing rather than joining would make entry
+        # targets oscillate and defeat loop convergence).  Retraction —
+        # which is what restores precision — happens only on edits.
+        updated = (entry_state if previous is None
+                   else self.domain.join(previous, entry_state))
+        if previous is None or (previous is not updated
+                                and not self.domain.equal(previous, updated)):
+            contribs[site_id] = updated
+            self._refresh_entry_target(callee_key, cause=site_id)
+
     def _callee_exit(self, key: ProcedureKey) -> Any:
         """The callee's exit summary at its current target entry state.
 
@@ -572,28 +601,26 @@ class InterproceduralEngine:
         return exit_state, store_key
 
     def probe_summary(self, name: str, context: Context, entry_state: Any
-                      ) -> Tuple[Optional[str], Any, Optional[str]]:
+                      ) -> Tuple[Optional[str], Optional[str]]:
         """Look up a summary at an *explicit* entry state, installing nothing.
 
-        Returns ``(tier, exit, store_key)``: ``tier`` is ``"memo"`` or
+        Returns ``(tier, store_key)``: ``tier`` is ``"memo"`` or
         ``"store"`` for the tier that holds the summary for this exact
-        (code, context, entry), with its ``exit``, or None for both.
-        ``store_key`` is the key the store lookup computed (None when the
-        store was not consulted), for :meth:`seed_summary` to reuse.  The
-        parallel coordinator's dispatch hook: a hit means no worker needs
-        to run.  Neither the memo's hit/miss counts nor the summary
-        hit/miss counters move, and nothing is installed (that is
-        :meth:`seed_summary`'s job, after certification).
+        (code, context, entry), or None for both.  ``store_key`` is the key
+        the store lookup computed (None when the store was not consulted),
+        for :meth:`seed_summary` to reuse.  The parallel coordinator's
+        dispatch hook: a hit means no worker needs to run.  Neither the
+        memo's hit/miss counts nor the summary hit/miss counters move, and
+        nothing is installed (demand finds a served summary itself).
         """
         memo_args = (name, context, self.deep_digest(name), entry_state)
-        found, cached = self.memo.peek("summary", memo_args)
+        found, _cached = self.memo.peek("summary", memo_args)
         if found:
-            return "memo", cached, None
+            return "memo", None
         if self.store is None:
-            return None, None, None
+            return None, None
         exit_state, store_key = self._store_lookup(memo_args)
-        return ("store" if exit_state is not None else None,
-                exit_state, store_key)
+        return ("store" if exit_state is not None else None), store_key
 
     def _note_exit(self, key: ProcedureKey, exit_state: Any) -> None:
         """Record the summary consumers last saw; on change, dirty them."""
@@ -652,54 +679,6 @@ class InterproceduralEngine:
 
     # -- parallel-coordinator hooks ----------------------------------------------------
 
-    def ensure_engine(self, name: str, context: Context,
-                      entry_state: Any) -> DaigEngine:
-        """The engine for ``(name, context)``, created if absent.  Creating
-        it never builds its DAIG; that happens on first demand, or through
-        :meth:`DaigEngine.materialize`.
-
-        The parallel coordinator installs certified summary jobs through
-        this before replaying their workers' call contributions.  The
-        replayed contributions need no DAIG (the ledger files them under
-        their caller key).  The coordinator builds the DAIGs of the keys a
-        worker computed, so the first edit after a cold open does not pay
-        for the build in its own latency, and leaves a memo- or
-        store-served key's engine unbuilt, as a warm restart does.
-        """
-        return self._engine_for(name, context, entry_state)
-
-    def record_call_contribution(self, caller_key: ProcedureKey, skey: SiteKey,
-                                 callee: str, context: Context,
-                                 entry_state: Any) -> None:
-        """Record one call site's entry-state contribution to a callee.
-
-        Evaluating a call cell records through here before demanding the
-        callee's exit (:meth:`_analyze_call`); the parallel coordinator
-        replays certified workers' derived contributions through it too, so
-        callee entry targets include the contributions of procedures whose
-        exits were served from seeded summaries and were therefore never
-        evaluated in-process.
-        """
-        callee_key = (callee, context)
-        self._engine_for(callee, context, entry_state)
-        site_id: SiteId = (caller_key, skey)
-        contribs = self._contribs.setdefault(callee_key, {})
-        previous = contribs.get(site_id)
-        if previous is None:
-            self._recorded.setdefault(caller_key, {}).setdefault(
-                callee_key, set()).add(skey)
-        # A site's contribution grows monotonically *within* a program
-        # version (caller loop iterates re-evaluate the same site with
-        # growing states; replacing rather than joining would make entry
-        # targets oscillate and defeat loop convergence).  Retraction —
-        # which is what restores precision — happens only on edits.
-        updated = (entry_state if previous is None
-                   else self.domain.join(previous, entry_state))
-        if previous is None or (previous is not updated
-                                and not self.domain.equal(previous, updated)):
-            contribs[site_id] = updated
-            self._refresh_entry_target(callee_key, cause=site_id)
-
     def seed_summary(self, name: str, context: Context,
                      entry_state: Any, exit_state: Any,
                      store_key: Optional[str] = None) -> None:
@@ -710,10 +689,9 @@ class InterproceduralEngine:
         target for ``(name, context)``; a seed at an entry that is never
         derived is dead weight, not a soundness hazard.  Registered in the
         per-procedure key index so digest invalidation purges it like any
-        other summary, and written through to the persistent store
-        (certified results are exactly what warm starts want to find).
-        ``store_key`` is the key :meth:`probe_summary` computed at this
-        entry, if any.
+        other summary, and written through to the persistent store, as
+        demand would write the summary it computed there.  ``store_key``
+        is the key :meth:`probe_summary` computed at this entry, if any.
         """
         key = (name, context)
         if key in self._entry_target:

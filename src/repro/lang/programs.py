@@ -534,18 +534,17 @@ def wide_call_graph_source(width: int, inner_loops: int = 3,
     """Source of the wide-call-graph parallel-evaluation subject program.
 
     ``main`` calls ``width`` independent loop-bearing workers, one call
-    site each, with literal arguments — the shape the SCC-wave scheduler
-    is best at: every worker lands in the same condensation wave, their
-    summary jobs share no call path, and literal arguments make entry
+    site each, with literal arguments — the shape the parallel coordinator
+    is best at: every worker is a leaf, and literal arguments make entry
     speculation exact, so all ``width`` jobs dispatch concurrently and
-    certify.  Each worker carries ``inner_loops`` *nested* loop pairs
-    with branching bodies (bounds staggered per worker): the inner fixed
-    point re-converges once per outer iterate, so demanded evaluation
-    cost grows much faster than DAIG size.  That is the regime the pool
-    is built for: the coordinator's serial per-procedure cost (structure,
-    DAIG construction and decoding the workers' memo facts) stays
-    proportional to size, and the facts let the first edit of a
-    worker-computed procedure replay its unchanged transfers.  Whether
+    demand consumes every seed.  Each worker carries ``inner_loops``
+    *nested* loop pairs with branching bodies (bounds staggered per
+    worker): the inner fixed point re-converges once per outer iterate, so
+    demanded evaluation cost grows much faster than DAIG size.  That is the
+    regime the pool is built for: the coordinator's serial per-procedure
+    cost (structure, DAIG construction and decoding the workers' memo
+    facts) stays proportional to size, and the facts let the first edit of
+    a worker-computed procedure replay its unchanged transfers.  Whether
     that beats evaluating in process depends on the host's cores.  Shared
     by the parallel and store tests and by the ``session-restart``
     benchmark workload.

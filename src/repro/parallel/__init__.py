@@ -1,25 +1,26 @@
-"""Parallel demanded evaluation: SCC-wave scheduling across procedures.
+"""Parallel demanded evaluation: leaf summaries computed off the demand path.
 
-The sequential interprocedural engine evaluates one summary at a time; the
-call graph's SCC condensation, however, is full of *independent* summary
-computations — procedures in the same condensation antichain share no
-call path, so their exit summaries can be computed concurrently without
-any coordination.  This package exploits that:
+The sequential interprocedural engine evaluates one summary at a time,
+along the demand path.  A *leaf* procedure, one that calls nothing in the
+program, has an exit that depends on its code and entry state alone, both
+of which its summary key covers; so once its entry is predicted, a worker
+can compute its summary while nothing else waits on it.  This package
+exploits that:
 
 * :mod:`repro.parallel.pool` — a persistent worker pool (process-backed,
   or serial inline) whose startup cost is paid once and amortized across
   analysis sessions;
 * :mod:`repro.parallel.worker` — the self-contained summary job a worker
-  runs: one (procedure, context, entry state) DAIG evaluation against
-  shipped callee summaries, returning the exit and the DAIG's memo facts;
+  runs: one (procedure, context, entry state) DAIG evaluation of a leaf,
+  returning the exit and the DAIG's memo facts;
 * :mod:`repro.parallel.coordinator` — speculates entry states down the
-  call graph, dispatches condensation waves to the pool, and *certifies*
-  each speculated summary against the sequential semantics before seeding
-  it into the live engine.  Uncertified exits are discarded; the
-  sequential engine recomputes them on demand, so parallelism never
-  changes results — only how fast the common case converges.  Every
-  job's memo facts are kept, certified or not, since a fact is a pure
-  domain computation.
+  call graph, dispatches the leaf keys to the pool in one batch, seeds
+  their exits into the engine's summary memo at the entries they were
+  computed for, and lets the engine's own demand derive every entry.  A
+  seed is consumed only where demand derives exactly its entry, so
+  parallelism never changes results — only how much of the demand path
+  is already computed.  Every job's memo facts are kept, since a fact is
+  a pure domain computation.
 """
 
 from .coordinator import ParallelCoordinator

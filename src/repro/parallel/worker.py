@@ -1,28 +1,21 @@
 """The self-contained summary job a pool worker executes.
 
-A job is one ``(procedure, context, entry state)`` DAIG evaluation.  The
-payload ships everything the worker needs — the procedure's CFG (a
-listener-free copy), the entry state, the context policy and domain *by
-name* (both sides resolve them from the registry, so no code is pickled),
-and the exit summaries of the callees computed by earlier waves.
+A job is one ``(procedure, context, entry state)`` DAIG evaluation of a
+*leaf* procedure, one that calls nothing in the program.  The payload
+ships everything the worker needs: the procedure's CFG (a listener-free
+copy), the entry state and the domain *by name* (both sides resolve it
+from the registry, so no code is pickled).  The evaluation has no call
+hook: a leaf's calls are external, and the domain's own transfer havocs
+them, exactly as the interprocedural engine does.  So a job's exit is
+what demand computes at the same entry, and the coordinator needs no
+evidence beyond it: workers never read the persistent summary store,
+whose only reader is the engine.
 
-The worker's call transfer mirrors the sequential engine's global-entry
-semantics: every call returns through the shipped callee summary
-unconditionally (the sequential engine likewise consults the callee's
-single entry-target summary, not a per-call-state one), while the entry
-state each site *would* contribute is recorded on the side.  The
-coordinator certifies those recorded contributions against the entries the
-summaries were actually computed at; a worker never decides correctness,
-it only reports enough evidence to check it.  A call whose callee summary
-was not shipped falls back to havoc and marks the job ``incomplete``
-(never seeded): workers do not read the persistent summary store, whose
-only reader is the engine.
-
-Besides the exit and that evidence, a job hands back its evaluated DAIG's
-memo facts (:func:`memo_facts`): the results of every transfer, join and
-widen it computed, keyed by their inputs as the query evaluator memoizes
-them.  The coordinator installs them into the engine's memo table whether
-or not the job certifies, so the first edit of a worker-computed
+Besides the exit, a job hands back its evaluated DAIG's memo facts
+(:func:`memo_facts`): the results of every transfer, join and widen it
+computed, keyed by their inputs as the query evaluator memoizes them.
+The coordinator installs them into the engine's memo table whether or
+not demand uses the job's exit, so the first edit of a worker-computed
 procedure finds them instead of recomputing them.
 
 Interned abstract states cross the process boundary through their
@@ -41,11 +34,9 @@ import pickle
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import (Any, Dict, FrozenSet, Iterable, Iterator, List, Optional,
-                    Set, Tuple)
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 SummaryKey = Tuple[str, Any]  # (procedure, context)
-SiteKey = Tuple[int, int, int]  # (src, dst, index) of the call cell
 Fact = Tuple[str, Tuple[Any, ...], Any]  # (func, input values, output)
 
 #: Module-level domain registry cache: resolved once per worker process.
@@ -90,12 +81,7 @@ class JobPayload:
     cfg: Any  # a listener-free Cfg copy
     context: Any
     entry: Any
-    policy_name: str
     domain_spec: str
-    #: Parameter lists of every known procedure (for ``call_entry``).
-    callee_params: Dict[str, Tuple[str, ...]]
-    #: Exit summaries from earlier waves: (callee, context) -> (entry, exit).
-    summaries: Dict[SummaryKey, Tuple[Any, Any]]
 
 
 @dataclass
@@ -108,32 +94,11 @@ class JobResult:
 
     key: SummaryKey
     exit_state: Any = None
-    #: Per-callee-key entry contributions, by call-site cell.
-    contribs: Dict[SummaryKey, Dict[SiteKey, Any]] = field(default_factory=dict)
-    #: Callee keys some site of which re-grew its contribution after the
-    #: first recording — the sequential engine may delay-widen there, so
-    #: the coordinator must not certify those callees' speculated entries.
-    regrew: FrozenSet[SummaryKey] = frozenset()
-    #: Shipped summaries actually consumed.
-    used: FrozenSet[SummaryKey] = frozenset()
-    #: A needed callee summary was not shipped (evaluation fell back to
-    #: havoc semantics); the result is unusable for seeding.
-    incomplete: bool = False
-    #: ``"memo"`` or ``"store"`` when the coordinator answered this key
-    #: from that summary tier at the speculated entry
-    #: (:meth:`~repro.interproc.engine.InterproceduralEngine.probe_summary`)
-    #: and no worker ran.  A memo hit is a summary that survived earlier
-    #: edits (e.g. re-keyed by an early-cutoff certified edit); a store hit
-    #: is a prior run's.  Certification accepts either unconditionally:
-    #: entry-keyed seeds at underived entries are dead weight, never
-    #: soundness hazards.
-    served_by: Optional[str] = None
     #: The evaluated DAIG's memo facts: one ``(func, input values,
     #: output)`` triple per non-call ``transfer``, ``join`` or ``widen``
     #: cell the evaluation filled, each transfer's statement named by its
     #: edge (see :func:`memo_facts`).  They travel in the job's one result
-    #: pickle, so a state they share with the exit or the contributions is
-    #: encoded once.
+    #: pickle, so a state they share with the exit is encoded once.
     facts: List[Fact] = field(default_factory=list)
     #: CPU seconds of the job, immune to worker-process time-slicing (on a
     #: host with fewer cores than workers, wall time would include time the
@@ -143,71 +108,20 @@ class JobResult:
 
 
 def run_summary_job(payload: JobPayload) -> JobResult:
-    """Evaluate one (procedure, context, entry) exit summary."""
+    """Evaluate one leaf's (procedure, context, entry) exit summary."""
     from ..daig.engine import DaigEngine
-    from ..daig.names import Name
-    from ..interproc.context import policy_by_name
-    from ..lang import ast as A
 
     cpu_started = time.process_time()
     result = JobResult(key=(payload.procedure, payload.context))
     try:
-        domain = _domain(payload.domain_spec)
-        policy = policy_by_name(payload.policy_name)
-        contribs: Dict[SummaryKey, Dict[SiteKey, Any]] = {}
-        regrew: Set[SummaryKey] = set()
-        used: Set[SummaryKey] = set()
-        state_flags = {"incomplete": False}
-
-        def call_transfer(stmt: A.CallStmt, state: Any, site: Name) -> Any:
-            callee = stmt.function
-            if callee not in payload.callee_params:
-                # External callee: the domain's own havoc semantics, exactly
-                # as in the sequential engine.
-                return domain.transfer(stmt, state)
-            context = policy.callee_context(
-                payload.context, (payload.procedure, stmt))
-            callee_key: SummaryKey = (callee, context)
-            entry = domain.call_entry(
-                state, payload.callee_params[callee], stmt.args)
-            skey: SiteKey = (site.loc, site.aux, site.index)
-            sites = contribs.setdefault(callee_key, {})
-            previous = sites.get(skey)
-            if previous is None:
-                sites[skey] = entry
-            else:
-                joined = domain.join(previous, entry)
-                if joined is not previous and not domain.equal(joined, previous):
-                    # The site re-fed a strictly larger entry (loop
-                    # feedback); the sequential engine may widen here.
-                    sites[skey] = joined
-                    regrew.add(callee_key)
-            shipped = payload.summaries.get(callee_key)
-            if shipped is None:
-                # No summary for this callee was computed by earlier waves
-                # (unspeculated, recursive, served by a summary tier, or
-                # knocked out): the havoc fallback keeps the evaluation
-                # running for timing purposes, but the result must not be
-                # seeded.
-                state_flags["incomplete"] = True
-                return domain.transfer(stmt, state)
-            used.add(callee_key)
-            _entry, exit_state = shipped
-            return domain.call_return(state, exit_state, stmt.target, stmt.args)
-
         engine = DaigEngine(
             payload.cfg,
-            domain,
+            _domain(payload.domain_spec),
             memo=_memo(payload.domain_spec),
             entry_state=payload.entry,
-            call_transfer=call_transfer,
         )
         result.exit_state = engine.query_exit()
         result.facts = memo_facts(engine.daig, payload.cfg)
-        result.contribs = contribs
-        result.regrew = frozenset(regrew)
-        result.used = frozenset(used)
-        result.incomplete = state_flags["incomplete"]
     except Exception:
         result.error = traceback.format_exc(limit=8)
     result.cpu_seconds = time.process_time() - cpu_started

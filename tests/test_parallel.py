@@ -1,11 +1,11 @@
 """Tests for the parallel demanded evaluator: the persistent worker pool,
-the summary-job worker, the speculate/dispatch/certify coordinator, and
+the leaf summary job, the speculate/dispatch/certify coordinator, and
 memo-table thread discipline.
 
 The correctness bar everywhere is *sequential equality*: a
 coordinator-warmed engine must answer every query, and digest to, exactly
-what a sequential engine produces — speculation that cannot be certified
-is thrown away, never trusted.
+what a sequential engine produces — a seeded exit is consumed only where
+the engine's own demand derives the entry it was computed at.
 """
 
 from __future__ import annotations
@@ -77,8 +77,7 @@ function main() { var z = fact(5); return z; }
 
 
 #: CHAIN_PROGRAM with a loop in the leaf, so every job has facts to hand
-#: back; under ``insensitive`` and ``1-call-site`` the coordinator knocks
-#: every job out (``middle``'s entry joins unequal contributions).
+#: back.
 LOOP_CHAIN_PROGRAM = """
 function leaf(x) {
   var i = 0;
@@ -97,6 +96,33 @@ function main() {
   var small = middle(1);
   var big = middle(100);
   return small + big;
+}
+"""
+
+
+#: Speculation havocs ``r``, so ``leaf`` is dispatched at ``x = 1``, but
+#: ``zero`` returns 0 and demand derives a bottom entry for ``leaf``: its
+#: seed is never consumed.
+UNCONSUMED_SEED_PROGRAM = """
+function zero() {
+  return 0;
+}
+
+function leaf(x) {
+  var i = 0;
+  while (i < x) {
+    i = i + 1;
+  }
+  return i;
+}
+
+function main() {
+  var r = zero();
+  var q = 0;
+  if (r > 5) {
+    q = leaf(1);
+  }
+  return q;
 }
 """
 
@@ -135,6 +161,21 @@ def _assert_answers_equal(domain, engine, reference):
     _assert_results_equal(domain, engine.analyze_everything(),
                           reference.analyze_everything())
     assert engine.summary_digest() == reference.summary_digest()
+
+
+def _assert_ledgers_equal(domain, engine, reference):
+    """The entry ledger, the contributions and the entry targets: only the
+    engine's own demand writes them, so a coordinated open leaves a
+    sequential open's."""
+    assert engine._recorded == reference._recorded
+    assert set(engine._contribs) == set(reference._contribs)
+    for key, sites in reference._contribs.items():
+        assert set(engine._contribs[key]) == set(sites), key
+        for site, state in sites.items():
+            assert domain.equal(engine._contribs[key][site], state), key
+    assert set(engine._entry_target) == set(reference._entry_target)
+    for key, target in reference._entry_target.items():
+        assert domain.equal(engine._entry_target[key], target), key
 
 
 def _noise(daig):
@@ -224,18 +265,14 @@ class TestWorkerPool:
 
 
 class TestSummaryJob:
-    def _payload(self, source, procedure, domain, summaries=None):
+    def _payload(self, source, procedure, domain):
         cfgs = cfgs_of(source)
         return JobPayload(
             procedure=procedure,
             cfg=cfgs[procedure].copy(),
             context=(),
             entry=domain.initial(cfgs[procedure].params),
-            policy_name="context-insensitive",
             domain_spec=domain.name,
-            callee_params={name: tuple(cfg.params)
-                           for name, cfg in cfgs.items()},
-            summaries=dict(summaries or {}),
         )
 
     def test_leaf_job_matches_sequential_exit(self):
@@ -245,28 +282,24 @@ class TestSummaryJob:
         expected = engine.analyze_everything()[("leaf", ())][
             engine.cfgs["leaf"].exit]
         result = run_summary_job(self._payload(CHAIN_PROGRAM, "leaf", domain))
-        assert result.error is None and not result.incomplete
+        assert result.error is None
         assert domain.equal(result.exit_state, expected)
         assert result.cpu_seconds >= 0.0
 
-    def test_missing_callee_summary_marks_incomplete(self):
+    def test_external_calls_havoc_as_in_the_engine(self):
+        """A leaf's calls name no procedure of the program; the job, which
+        has no call hook, havocs them through the domain exactly as the
+        engine does."""
+        source = """
+            function leaf(x) { var y = ext(x); var z = x + 1; return z; }
+            function main() { var a = leaf(2); return a; }
+        """
         domain = IntervalDomain()
-        result = run_summary_job(
-            self._payload(CHAIN_PROGRAM, "middle", domain))
+        engine = InterproceduralEngine(cfgs_of(source), domain)
+        expected = engine.query("leaf", engine.cfgs["leaf"].exit)
+        result = run_summary_job(self._payload(source, "leaf", domain))
         assert result.error is None
-        assert result.incomplete  # leaf's summary was not shipped
-        assert ("leaf", ()) in result.contribs
-        assert not result.used
-
-    def test_shipped_summary_is_consumed_and_reported_used(self):
-        domain = IntervalDomain()
-        leaf = run_summary_job(self._payload(CHAIN_PROGRAM, "leaf", domain))
-        entry = domain.initial(("x",))
-        result = run_summary_job(self._payload(
-            CHAIN_PROGRAM, "middle", domain,
-            summaries={("leaf", ()): (entry, leaf.exit_state)}))
-        assert result.error is None and not result.incomplete
-        assert result.used == frozenset({("leaf", ())})
+        assert domain.equal(result.exit_state, expected)
 
     def test_worker_failures_are_reported_not_raised(self):
         domain = IntervalDomain()
@@ -296,23 +329,29 @@ class TestCoordinator:
             assert report["jobs"] > 0 and not report["errors"]
             assert report["certified"] == report["jobs"]
 
-    def test_wave_shape_and_counters_on_wide_workload(self):
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    def test_a_seed_demand_does_not_consume_leaves_every_answer_sequential(
+            self, policy_name):
+        """``leaf`` is dispatched at its speculated entry, but demand
+        derives another one: only ``zero``'s seed is consumed, the engine
+        keys are a sequential engine's, and so is every answer, after the
+        open and after an edit of each procedure."""
         domain = IntervalDomain()
         with PersistentWorkerPool(workers=2, kind="serial") as pool:
-            _sequential, parallel, report = _warmed_pair(
-                wide_call_graph_source(5, inner_loops=1), domain,
-                "insensitive", pool)
-        # One wave of the five independent workers, then main's wave.
-        assert report["wave_sizes"] == [5, 1]
-        assert report["jobs_per_wave"] > 1
-        assert parallel.counters["interproc_parallel_jobs"] == report["jobs"]
-        assert parallel.counters["interproc_parallel_waves"] == 2
-        # Sequential engines never touch the parallel counters.
-        fresh = InterproceduralEngine(
-            cfgs_of(CHAIN_PROGRAM), IntervalDomain())
-        fresh.query_entry_exit()
-        assert fresh.counters["interproc_parallel_jobs"] == 0
-        assert fresh.counters["interproc_parallel_waves"] == 0
+            sequential, parallel, report = _warmed_pair(
+                UNCONSUMED_SEED_PROGRAM, domain, policy_name, pool)
+        assert report["jobs"] == 2 and not report["errors"]
+        assert report["certified"] == 1 and report["knocked_out"] == 1
+        assert report["memo_facts"] > 0
+        sequential.query_entry_exit()
+        assert set(parallel.engines) == set(sequential.engines)
+        _assert_ledgers_equal(domain, parallel, sequential)
+        _assert_answers_equal(domain, parallel, sequential)
+        for procedure in ("leaf", "zero", "main"):
+            parallel.edit_procedure(procedure, _noise)
+            sequential.edit_procedure(procedure, _noise)
+            _assert_answers_equal(domain, parallel, sequential)
+            assert set(parallel.engines) == set(sequential.engines)
 
     def test_total_phase_seconds_carry_the_coordinator_phases(self):
         domain = IntervalDomain()
@@ -400,28 +439,38 @@ class TestCoordinator:
             threads.add(threading.get_ident())
             return lookup(table, key)
 
+        installed = []
+        install = MemoTable.install
+
+        def recording_install(memo, facts):
+            facts = list(facts)
+            installed.extend(facts)
+            return install(memo, facts)
+
         engine = InterproceduralEngine(
             cfgs_of(wide_call_graph_source(4, inner_loops=1)),
             IntervalDomain(), policy_by_name("context-insensitive"))
         with PersistentWorkerPool(workers=2, kind="process") as pool:
             monkeypatch.setattr(InternTable, "get", recording_get)
+            monkeypatch.setattr(MemoTable, "install", recording_install)
             report = ParallelCoordinator(engine, pool).run()
             monkeypatch.undo()
         assert not report["errors"]
-        assert report["certified"] > 0
+        assert report["certified"] == report["jobs"] == 4
         assert threads == {threading.get_ident()}
         # The jobs' memo facts came back in the same pickles: every state
-        # in them is this process's canonical object, and every transfer
-        # names the engine's own statement.
-        facts = {key: value for key, value in engine.memo._table.items()
-                 if key[0] != "summary"}
-        assert len(facts) == report["memo_facts"] > 0
+        # in them is this process's canonical object, every transfer names
+        # the engine's own statement, and the memo table holds each one
+        # (two workers may hand back the same fact).
+        assert len({(func, args) for func, args, _value in installed}) == (
+            report["memo_facts"]) > 0
         statements = {id(edge.stmt) for cfg in engine.cfgs.values()
                       for edge in cfg.edges}
-        for key, value in facts.items():
-            if key[0] == "transfer":
-                assert id(key[1]) in statements
-            states = [v for v in key[1:] + (value,) if isinstance(v, EnvState)]
+        for func, args, value in installed:
+            assert engine.memo.peek(func, args) == (True, value)
+            if func == "transfer":
+                assert id(args[0]) in statements
+            states = [v for v in args + (value,) if isinstance(v, EnvState)]
             assert states
             for state in states:
                 assert EnvState(state.bindings, state.bottom) is state
@@ -433,56 +482,87 @@ class TestCoordinator:
 
 
 class TestCoordinatorStore:
+    def test_a_coordinated_open_writes_what_a_sequential_open_writes(
+            self, tmp_path):
+        """On fresh stores, a coordinated open of the wide program reads
+        and writes exactly the keys a sequential open does: it dispatches
+        the eight leaves and not ``main``, and demand consumes every
+        seed."""
+        from repro.store import SqliteSummaryStore
+
+        domain = IntervalDomain()
+        source = wide_call_graph_source(8, inner_loops=1)
+        opened = {}
+        for mode in ("sequential", "coordinated"):
+            store = SqliteSummaryStore(str(tmp_path / ("%s.db" % mode)))
+            engine = InterproceduralEngine(
+                cfgs_of(source), domain, policy_by_name("insensitive"),
+                store=store)
+            if mode == "coordinated":
+                with PersistentWorkerPool(workers=2, kind="serial") as pool:
+                    report = ParallelCoordinator(engine, pool).run()
+            engine.query_entry_exit()
+            stats = store.stats()
+            opened[mode] = (sorted(store.keys()), stats["gets"],
+                            stats["puts"], stats["entries"])
+            if mode == "sequential":
+                assert engine.counters["interproc_parallel_jobs"] == 0
+            store.close()
+        assert opened["coordinated"] == opened["sequential"]
+        assert report["certified"] == report["jobs"] == 8
+        assert not report["errors"] and report["knocked_out"] == 0
+        assert repr(("main", ())) not in report["cpu_durations"]
+        assert engine.counters["interproc_parallel_jobs"] == 8
+
     def test_coordinator_serves_probed_keys_from_store(self, tmp_path):
         """A warm coordinator run answers previously stored keys without
-        dispatching a worker, and the results stay digest-equal.  The one
-        dispatched job (``main``) calls only store-served keys, whose exits
-        are not shipped, so it comes back incomplete and is knocked out."""
+        dispatching a worker, and every answer stays sequential, also
+        after edits."""
         from repro.store import SqliteSummaryStore, open_store
 
         domain = IntervalDomain()
         source = wide_call_graph_source(4, inner_loops=1)
         store = SqliteSummaryStore(str(tmp_path / "warm.db"))
-        cold = InterproceduralEngine(cfgs_of(source), domain, store=store)
-        cold.query_entry_exit()
-        cold_digest = cold.summary_digest()
+        InterproceduralEngine(cfgs_of(source), domain,
+                              store=store).query_entry_exit()
+        store.close()
 
         warm = InterproceduralEngine(
             cfgs_of(source), domain,
-            store=open_store("sqlite:%s" % store.path))
+            store=open_store("sqlite:%s" % (tmp_path / "warm.db")))
         with PersistentWorkerPool(workers=2, kind="serial") as pool:
             report = ParallelCoordinator(warm, pool).run()
-        assert report["store_served"] > 0
-        assert not report["errors"]
-        # Store-served keys never became worker jobs.
-        assert report["jobs"] + report["store_served"] >= 4
-        assert report["wave_jobs"] == [[repr(("main", ()))]]
-        assert report["incomplete"] == report["knocked_out"] == 1
-        warm.query_entry_exit()
-        assert warm.summary_digest() == cold_digest
+        assert report["jobs"] == 0 and not report["errors"]
+        assert report["store_served"] == report["certified"] == 4
+        reference = InterproceduralEngine(cfgs_of(source), domain)
+        _assert_answers_equal(domain, warm, reference)
+        for procedure in ("work1", "main"):
+            warm.edit_procedure(procedure, _noise)
+            reference.edit_procedure(procedure, _noise)
+            _assert_answers_equal(domain, warm, reference)
+        warm.store.close()
 
     def test_store_served_keys_build_no_daig(self, tmp_path):
         """A summary served from the store never builds its callee's DAIG,
         through the coordinator too: on a store a first coordinated open
-        filled, a second one serves every key, builds no DAIG before its
-        query and main's alone at it, as a plain restart does."""
+        filled, a second one serves every key and builds main's DAIG
+        alone, at its demand, as a plain restart does."""
         domain = IntervalDomain()
         source = wide_call_graph_source(4, inner_loops=1)
         spec = "sqlite:%s" % (tmp_path / "served.db")
         with PersistentWorkerPool(workers=2, kind="serial") as pool:
             cold = InterproceduralEngine(cfgs_of(source), domain, store=spec)
             ParallelCoordinator(cold, pool).run()
-            # Worker-computed keys are built at install.
+            # The keys whose seeds demand consumed are built, and main.
             assert cold.total_stats()["daigs"] == 5
-            cold.query_entry_exit()
             cold_digest = cold.summary_digest()
             cold.store.close()
 
             warm = InterproceduralEngine(cfgs_of(source), domain, store=spec)
             report = ParallelCoordinator(warm, pool).run()
         assert report["jobs"] == 0
-        assert report["store_served"] == report["certified"] == 5
-        assert warm.total_stats()["daigs"] == 0
+        assert report["store_served"] == report["certified"] == 4
+        assert warm.total_stats()["daigs"] == 1
         warm.query_entry_exit()
         assert warm.total_stats()["daigs"] == 1
         assert warm.summary_digest() == cold_digest
@@ -526,11 +606,7 @@ class TestMemoFacts:
         entry = domain.call_entry(domain.initial(), ("n",), (A.IntLit(0),))
         result = run_summary_job(JobPayload(
             procedure="work0", cfg=cfgs["work0"].copy(), context=(),
-            entry=entry, policy_name="context-insensitive",
-            domain_spec=domain.name,
-            callee_params={name: tuple(cfg.params)
-                           for name, cfg in cfgs.items()},
-            summaries={}))
+            entry=entry, domain_spec=domain.name))
         assert result.error is None
         # Statements travel as edge positions, never as objects.
         assert not any(isinstance(fact[1][0], A.AtomicStmt)
@@ -565,38 +641,38 @@ class TestMemoFacts:
             1, 0, 1)
 
     @pytest.mark.parametrize("policy_name", POLICIES)
-    def test_knocked_out_and_failed_jobs_leave_every_answer_sequential(
+    def test_failed_jobs_leave_every_answer_sequential(
             self, policy_name, monkeypatch):
-        """Every job that did not raise hands its facts back, certified or
-        not; after the open and after an edit of each procedure, the
-        engine answers like a storeless sequential one."""
+        """Every job that did not raise hands its facts back, and one that
+        raised hands back nothing and seeds nothing; either way, after the
+        open and after an edit of each procedure, the engine answers like
+        a storeless sequential one."""
         domain = IntervalDomain()
         policy = policy_by_name(policy_name)
         cfgs = cfgs_of(LOOP_CHAIN_PROGRAM)
-        submit = coordinator_module.run_summary_job_pickled
 
-        def failing_middle(payload):
-            if payload.procedure == "middle":
-                raise RuntimeError("worker died")
-            return submit(payload)
+        def failing(payload):
+            raise RuntimeError("worker died")
 
-        for failing in (False, True):
+        for fail in (False, True):
             sizes = _record_installs(monkeypatch)
-            if failing:
+            if fail:
                 monkeypatch.setattr(coordinator_module,
-                                    "run_summary_job_pickled", failing_middle)
+                                    "run_summary_job_pickled", failing)
             engine = InterproceduralEngine(_fresh_copy(cfgs), domain, policy)
             with PersistentWorkerPool(workers=2, kind="serial") as pool:
                 report = ParallelCoordinator(engine, pool).run()
             monkeypatch.undo()
-            middle_jobs = {key for wave in report["wave_jobs"]
-                           for key in wave if key.startswith("('middle',")}
-            assert set(report["errors"]) == (middle_jobs if failing
-                                             else set())
-            assert len(sizes) == report["jobs"] - len(report["errors"])
-            assert all(sizes) and report["memo_facts"] > 0
-            if policy_name != "2-call-site" or failing:
-                assert report["knocked_out"] > 0
+            jobs = report["jobs"]
+            assert set(report["cpu_durations"]) == {
+                repr(key) for key in engine.engines if key[0] == "leaf"}
+            if fail:
+                assert len(report["errors"]) == report["knocked_out"] == jobs
+                assert sizes == [] and report["memo_facts"] == 0
+            else:
+                assert not report["errors"] and report["knocked_out"] == 0
+                assert len(sizes) == jobs and all(sizes)
+                assert report["memo_facts"] > 0
             reference = InterproceduralEngine(_fresh_copy(cfgs), domain,
                                               policy)
             _assert_answers_equal(domain, engine, reference)
@@ -604,33 +680,6 @@ class TestMemoFacts:
                 engine.edit_procedure(procedure, _noise)
                 reference.edit_procedure(procedure, _noise)
                 _assert_answers_equal(domain, engine, reference)
-
-    def test_an_incomplete_job_leaves_every_answer_sequential(self, tmp_path):
-        """On a warm store every worker is served, so ``main``'s job calls
-        summaries that were not shipped and comes back incomplete; its
-        facts still go in, and every answer stays sequential."""
-        from repro.store import SqliteSummaryStore, open_store
-
-        domain = IntervalDomain()
-        source = wide_call_graph_source(3, inner_loops=1)
-        store = SqliteSummaryStore(str(tmp_path / "warm.db"))
-        InterproceduralEngine(cfgs_of(source), domain,
-                              store=store).query_entry_exit()
-        store.close()
-        warm = InterproceduralEngine(
-            cfgs_of(source), domain,
-            store=open_store("sqlite:%s" % (tmp_path / "warm.db")))
-        with PersistentWorkerPool(workers=2, kind="serial") as pool:
-            report = ParallelCoordinator(warm, pool).run()
-        assert report["incomplete"] == report["jobs"] == 1
-        assert report["memo_facts"] > 0
-        reference = InterproceduralEngine(cfgs_of(source), domain)
-        _assert_answers_equal(domain, warm, reference)
-        for procedure in ("work1", "main"):
-            warm.edit_procedure(procedure, _noise)
-            reference.edit_procedure(procedure, _noise)
-            _assert_answers_equal(domain, warm, reference)
-        warm.store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -704,17 +753,7 @@ def _final_cfgs(seed, recursive):
     return cfgs, workload
 
 
-@settings(**COMMON_SETTINGS)
-@given(seed=st.integers(min_value=0, max_value=10_000),
-       policy_name=st.sampled_from(POLICIES),
-       recursive=st.booleans())
-def test_parallel_warming_equals_sequential_on_random_programs(
-        seed, policy_name, recursive):
-    """On the final program of a random multi-procedure edit stream, a
-    coordinator-warmed engine answers every query site and every
-    ``analyze_everything`` state exactly like a sequential engine, and the
-    two digests agree — under all three context policies, with recursion
-    (conservatively excluded from dispatch) included."""
+def _assert_warming_equals_sequential(seed, policy_name, recursive):
     domain = IntervalDomain()
     cfgs, workload = _final_cfgs(seed, recursive)
     sequential = InterproceduralEngine(
@@ -726,6 +765,7 @@ def test_parallel_warming_equals_sequential_on_random_programs(
     assert not report["errors"]
     assert domain.equal(sequential.query_entry_exit(),
                         parallel.query_entry_exit())
+    _assert_ledgers_equal(domain, parallel, sequential)
     for step in workload.steps:
         for procedure, loc in step.query_sites:
             assert domain.equal(sequential.query(procedure, loc),
@@ -734,3 +774,28 @@ def test_parallel_warming_equals_sequential_on_random_programs(
     _assert_results_equal(domain, parallel.analyze_everything(),
                           sequential.analyze_everything())
     assert parallel.summary_digest() == sequential.summary_digest()
+
+
+@settings(**COMMON_SETTINGS)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       policy_name=st.sampled_from(POLICIES),
+       recursive=st.booleans())
+def test_parallel_warming_equals_sequential_on_random_programs(
+        seed, policy_name, recursive):
+    """On the final program of a random multi-procedure edit stream, a
+    coordinator-warmed engine answers every query site and every
+    ``analyze_everything`` state exactly like a sequential engine, and the
+    two digests agree — under all three context policies, with recursion
+    (conservatively excluded from dispatch) included."""
+    _assert_warming_equals_sequential(seed, policy_name, recursive)
+
+
+@pytest.mark.parametrize("recursive", [False, True],
+                         ids=["acyclic", "recursive"])
+@pytest.mark.parametrize("policy_name", POLICIES)
+def test_parallel_warming_equals_sequential_on_a_fixed_sweep(
+        policy_name, recursive):
+    """The random-program property on a fixed sweep: the final programs of
+    seeds 0-199, so every run checks the same 200 programs per policy."""
+    for seed in range(200):
+        _assert_warming_equals_sequential(seed, policy_name, recursive)
