@@ -18,7 +18,7 @@ from each iterate.
 
 from __future__ import annotations
 
-from typing import Dict, Generic, List, Optional, Sequence, TypeVar
+from typing import Dict, Generic, List, Optional, TypeVar
 
 from ..domains.base import AbstractDomain
 from ..lang.cfg import Cfg, Loc

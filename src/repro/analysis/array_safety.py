@@ -16,7 +16,7 @@ would report it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from ..domains.interval import IntervalDomain
 from ..domains.nonrel import ValueEnvDomain

@@ -95,9 +95,10 @@ class AnalysisConfiguration(ABC):
 
     def phase_stats(self) -> Dict[str, float]:
         """Cumulative per-phase wall-clock seconds (structure update / DAIG
-        build / snapshot update / splice / query), summed over every engine
-        this configuration has owned, so a session can see which phase its
-        latency lives in, not just the end-to-end number.
+        build / snapshot, the suspect comparison / splice / query), summed
+        over every engine this configuration has owned, so a session can
+        see which phase its latency lives in, not just the end-to-end
+        number.
         """
         totals = dict(self._retired_phases)
         self._fold_engine_phases(totals, getattr(self, "engine", None))

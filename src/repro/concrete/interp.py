@@ -15,15 +15,14 @@ purposes in the reproduction:
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from ..lang import ast as A
-from ..lang.cfg import Cfg, CfgEdge, Loc
+from ..lang.cfg import Cfg, Loc
 from .state import (
     ArrayValue,
     ConcreteError,
     ConcreteState,
-    NullDereferenceError,
     OutOfBoundsError,
 )
 

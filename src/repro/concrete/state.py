@@ -17,8 +17,8 @@ keep historic states without aliasing surprises.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from .graph import (
 from .memo import MemoTable
 from .names import Name, fix_name, prejoin_name, prewiden_name, state_name, stmt_name
 from .query import MAX_UNROLLINGS, QueryEvaluator, QueryStats
-from .splice import SpliceReport, StructureSnapshot, splice
+from .splice import SpliceReport, splice
 
 __all__ = [
     "names",
@@ -46,6 +46,5 @@ __all__ = [
     "QueryEvaluator",
     "QueryStats",
     "SpliceReport",
-    "StructureSnapshot",
     "splice",
 ]

@@ -23,22 +23,29 @@ enclosing loop head* (see :mod:`repro.daig.names`); unrolling an outer loop
 rebuilds the inner loops' initial (two-iterate) structure inside the new
 outer iteration, which preserves acyclicity and all consistency invariants.
 
+The builder files the computations it writes at iteration 0, per location
+and per loop head (:attr:`DaigBuilder.encodings`, ``loop_encodings``).
+That record is the only description of the encoding: a structural splice
+(:mod:`repro.daig.splice`) compares an edit's suspects against it, and
+unrolling keys its memo by it.
+
 Unrolling re-encodes the same loop body at a new iteration index every
-time, and that encoding is a pure function of the loop's encoding
-signatures (its :class:`~repro.daig.splice.LoopShape`), its ``fix`` cell
-and the iteration ``k``.  So the encoder is memoized the way Q-Match
-memoizes transfers: a builder that reads an engine's live structure
-snapshot records the DAIG writes of the first unrolling of each
-*(shape, fix cell, k)* in :data:`UNROLL_TABLE`, one bounded table per
-process, and every later unrolling under that key replays them instead
-of deriving each name from the CFG again.  A record is keyed by its own
-content, so it never goes stale: a copy, a restarted engine, a sibling
-procedure with an identical loop and a pool worker (which starts with its
-parent's table) all replay it.  A replay makes exactly the writes a
-derivation makes, in the same order, so no cell, computation, value or
-work count depends on whether an unrolling was replayed.  A standalone
-builder (no snapshot) always derives, and :meth:`DaigBuilder.build` and
-:meth:`DaigBuilder.roll` never consult the table.
+time, and that encoding is a pure function of the loop's filed iteration-0
+writes (its :class:`LoopShape`), its ``fix`` cell and the iteration ``k``.
+So the encoder is memoized the way Q-Match memoizes transfers: a builder
+whose engine turned replay on (``shapes``) records the computations of the
+first unrolling of each *(shape, fix cell, k)* in :data:`UNROLL_TABLE`,
+one bounded table per process, and every later unrolling under that key
+replays them instead of deriving each name from the CFG again.  A record
+is keyed by its own content, so it never goes stale: a copy, a restarted
+engine, a sibling procedure with an identical loop and a pool worker
+(which starts with its parent's table) all replay it.  A replay adds
+exactly the computations a derivation adds, in the same order, and every
+statement cell already holds its edge's statement (the splice keeps it
+so), so no cell, computation, value or work count depends on whether an
+unrolling was replayed.  A standalone builder (``shapes`` None) always
+derives, and :meth:`DaigBuilder.build` and :meth:`DaigBuilder.roll` never
+consult the table.
 """
 
 from __future__ import annotations
@@ -47,25 +54,51 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..domains.base import AbstractDomain
+from ..intern import InternTable
 from ..lang.cfg import Cfg, CfgEdge, Loc
 from . import names as N
-from .graph import Computation, Daig, FIX, JOIN, TRANSFER, WIDEN
+from .graph import Daig, FIX, JOIN, TRANSFER, WIDEN
 
 #: Capacity of :data:`UNROLL_TABLE`, in recorded computations.  Records
 #: hold their names alive, so this also bounds the names the table
 #: retains.  The benchmark's wide call graph records 360 computations.
 UNROLL_TABLE_CAPACITY = 2048
 
-#: One recorded DAIG write: ``(dest, func, srcs)`` for a computation
-#: added, or ``(name, None, None)`` for a statement cell made to hold its
-#: edge's statement.
-Write = Tuple[N.Name, Optional[str], Optional[Tuple[N.Name, ...]]]
+#: One recorded DAIG write: a computation ``(dest, func, srcs)`` added.
+Write = Tuple[N.Name, str, Tuple[N.Name, ...]]
+
+
+class LoopShape:
+    """The iteration-0 encoding an unrolling of one loop reads.
+
+    ``sig`` holds the filed writes of every body location but the head,
+    then those of every loop head in the body (the loop's own included),
+    each in location order: all that ``DaigBuilder.unroll`` derives a new
+    iteration from, besides the iteration indices.  Shapes are interned,
+    so equal encodings yield the same object, and the unrolling table
+    hashes and compares them by identity.
+    """
+
+    __slots__ = ("sig", "__weakref__")
+
+    _intern = InternTable("daig.LoopShape")
+
+    sig: Tuple
+
+    def __new__(cls, sig: Tuple) -> "LoopShape":
+        table = cls._intern
+        canonical = table.get(sig)
+        if canonical is not None:
+            return canonical
+        self = object.__new__(cls)
+        self.sig = sig
+        return table.insert(sig, self)
 
 
 class UnrollRecord:
-    """The writes one derived unrolling made, and the two iterates its
-    ``fix`` edge slides to.  ``weight``, the unit of the table's capacity,
-    counts the computations among the writes."""
+    """The computations one derived unrolling added, and the two iterates
+    its ``fix`` edge slides to.  ``weight``, the unit of the table's
+    capacity, counts the computations."""
 
     __slots__ = ("writes", "fix_srcs", "weight")
 
@@ -73,7 +106,7 @@ class UnrollRecord:
                  fix_srcs: Tuple[N.Name, N.Name]) -> None:
         self.writes = writes
         self.fix_srcs = fix_srcs
-        self.weight = sum(1 for write in writes if write[1] is not None)
+        self.weight = len(writes)
 
 
 class UnrollTable:
@@ -145,23 +178,25 @@ def reset_unroll_table_stats() -> None:
 
 
 class _Recorder:
-    """Stands in for the DAIG while an unrolling is derived: makes each
-    write the encoder asks for, and records it, in order, for replay."""
+    """Stands in for the DAIG while the builder encodes: records each
+    computation the encoder adds, in order, and passes every write on to
+    ``daig``.  A detached recorder (``daig`` None) only records."""
 
     __slots__ = ("daig", "writes")
 
-    def __init__(self, daig: Daig) -> None:
+    def __init__(self, daig: Optional[Daig]) -> None:
         self.daig = daig
         self.writes: List[Write] = []
 
     def hold(self, name: N.Name, value: Any) -> None:
-        self.writes.append((name, None, None))
-        self.daig.hold(name, value)
+        if self.daig is not None:
+            self.daig.hold(name, value)
 
     def add_computation(self, dest: N.Name, func: str,
                         srcs: Tuple[N.Name, ...]) -> None:
         self.writes.append((dest, func, srcs))
-        self.daig.add_computation(dest, func, srcs)
+        if self.daig is not None:
+            self.daig.add_computation(dest, func, srcs)
 
 
 class DaigBuilder:
@@ -171,9 +206,14 @@ class DaigBuilder:
     ``domain.initial(cfg.params)``); the interprocedural engine uses this to
     seed callee DAIGs with context-specific entry states.
 
-    ``snapshot`` is the engine's live
-    :class:`~repro.daig.splice.StructureSnapshot`, set once the engine has
-    built its DAIG; with it, :meth:`unroll` records and replays through
+    ``encodings[loc]`` files the computations ``encode_incoming(loc, {})``
+    wrote, for every reachable location but the entry, and
+    ``loop_encodings[head]`` those of ``build_loop_structures(head, {})``,
+    for every reachable loop head.  :meth:`build` files them, and a splice
+    re-files each location and loop it re-encodes.  ``shapes`` holds the
+    :class:`LoopShape` of each unrolled loop head, read off those files;
+    it is None on a standalone builder, and an engine sets it once it has
+    built its DAIG: with it, :meth:`unroll` records and replays through
     :data:`UNROLL_TABLE`.
     """
 
@@ -183,7 +223,9 @@ class DaigBuilder:
         self.domain = domain
         self.entry_state = (entry_state if entry_state is not None
                             else domain.initial(cfg.params))
-        self.snapshot: Optional[Any] = None
+        self.encodings: Dict[Loc, Tuple[Write, ...]] = {}
+        self.loop_encodings: Dict[Loc, Tuple[Write, ...]] = {}
+        self.shapes: Optional[Dict[Loc, LoopShape]] = None
 
     # -- naming helpers -----------------------------------------------------------
 
@@ -218,45 +260,72 @@ class DaigBuilder:
 
     # -- initial construction ---------------------------------------------------------
 
-    def check_loop_exits(self) -> None:
-        """Enforce the structured-loop assumption of the DAIG encoding.
+    def check_encodable(self) -> None:
+        """The validity preconditions of the encoding, checked before any
+        DAIG mutation, so a rejected CFG leaves the DAIG untouched (and
+        recoverable).
 
-        The Fig. 7 encoding of back edges indexes every loop-body cell by an
-        iteration count and lets only the loop head's fixed-point cell feed
-        the code after the loop.  An edge that leaves a natural loop from a
-        non-head location (e.g. a ``return`` in the middle of a loop body)
-        has no sound source cell in that encoding, so it is rejected with a
-        clear error rather than silently producing wrong results.
-
-        The violation map is maintained incrementally by the CFG's
-        structure layer, so this check is O(1) after a refresh instead of a
-        per-edit walk over every forward edge.
+        The CFG must be reducible, and its entry outside every loop.  Every
+        loop must exit through its head: the Fig. 7 encoding of back edges
+        indexes every loop-body cell by an iteration count and lets only
+        the loop head's fixed-point cell feed the code after the loop, so
+        an edge that leaves a natural loop from a non-head location (e.g. a
+        ``return`` in the middle of a loop body) has no sound source cell.
+        The CFG's structure layer maintains reducibility and the loop-exit
+        violations incrementally, so the check is O(1) after a refresh.
         """
-        for edge, head in self.cfg.loop_exit_violations():
+        cfg = self.cfg
+        cfg.check_reducible()
+        for edge, head in cfg.loop_exit_violations():
             raise ValueError(
                 "edge %s exits the loop headed at %d from a non-head "
                 "location; the DAIG encoding requires loops to exit "
                 "through their head" % (edge, head))
+        if cfg.is_loop_head(cfg.entry) or cfg.in_any_loop(cfg.entry):
+            raise ValueError("the entry location may not belong to a loop")
 
     def build(self) -> Daig:
-        """Construct the initial DAIG ``Dinit`` (Definition A.2)."""
-        self.cfg.check_reducible()
-        self.check_loop_exits()
+        """Construct the initial DAIG ``Dinit`` (Definition A.2), filing its
+        encodings."""
+        self.check_encodable()
+        cfg = self.cfg
         daig = Daig()
-        entry_name = self.state_name(self.cfg.entry, {})
-        if self.cfg.is_loop_head(self.cfg.entry) or self.cfg.in_any_loop(self.cfg.entry):
-            raise ValueError("the entry location may not belong to a loop")
+        entry_name = self.state_name(cfg.entry, {})
         daig.add_ref(entry_name)
         daig.set_value(entry_name, self.entry_state)
-        reachable = self.cfg.reachable_locations()
+        self.encodings = {}
+        self.loop_encodings = {}
+        reachable = cfg.reachable_locations()
         for loc in sorted(reachable):
-            if loc == self.cfg.entry:
-                continue
-            self.encode_incoming(daig, loc, {})
-        for head in self.cfg.loop_heads():
+            if loc != cfg.entry:
+                self.encode(daig, loc)
+        for head in cfg.loop_heads():
             if head in reachable:
-                self.build_loop_structures(daig, head, {})
+                self.encode_loop(daig, head)
         return daig
+
+    def encode(self, daig: Optional[Daig], loc: Loc) -> Tuple[Write, ...]:
+        """``encode_incoming(daig, loc, {})``, filed under
+        ``encodings[loc]``; with no DAIG, the writes it would make now,
+        filed nowhere."""
+        return self._filed(daig, self.encode_incoming, loc, self.encodings)
+
+    def encode_loop(self, daig: Optional[Daig],
+                    head: Loc) -> Tuple[Write, ...]:
+        """``build_loop_structures(daig, head, {})``, filed under
+        ``loop_encodings[head]``; with no DAIG, filed nowhere."""
+        return self._filed(daig, self.build_loop_structures, head,
+                           self.loop_encodings)
+
+    @staticmethod
+    def _filed(daig: Optional[Daig], encode: Any, loc: Loc,
+               files: Dict[Loc, Tuple[Write, ...]]) -> Tuple[Write, ...]:
+        recorder = _Recorder(daig)
+        encode(recorder, loc, {})
+        writes = tuple(recorder.writes)
+        if daig is not None:
+            files[loc] = writes
+        return writes
 
     def encode_incoming(self, daig: Daig, loc: Loc, overrides: Dict[Loc, int]) -> None:
         """Encode all incoming *forward* edges of ``loc`` (Fig. 7, cases 1-2)."""
@@ -330,9 +399,9 @@ class DaigBuilder:
         the pre-widening and widening chain producing iterate ``k+1``, and
         slides the ``fix`` edge forward to ``(k, k+1)``.  Returns ``k+1``.
 
-        With a snapshot, and ``overrides`` naming exactly the enclosing
-        loops' iterations (as the query evaluator passes them), the cells
-        and computations come from :data:`UNROLL_TABLE` when it holds this
+        With ``shapes`` set, and ``overrides`` naming exactly the
+        enclosing loops' iterations (as the query evaluator passes them),
+        the computations come from :data:`UNROLL_TABLE` when it holds this
         *(loop shape, fix cell, k)*, and are derived and recorded there
         otherwise.
         """
@@ -341,30 +410,38 @@ class DaigBuilder:
         if comp is None or comp.func != FIX:
             raise KeyError("no fix computation for loop head %d" % head)
         k = comp.srcs[1].iteration_of(head)
-        snapshot = self.snapshot
-        if snapshot is None or dict(fix_cell.iters) != overrides:
+        if self.shapes is None or dict(fix_cell.iters) != overrides:
             fix_srcs = self._encode_iteration(daig, head, overrides, k)
         else:
             table = UNROLL_TABLE
-            key = (snapshot.loop_shape(head), fix_cell, k)
+            key = (self.loop_shape(head), fix_cell, k)
             record = table.get(key)
             if record is None:
                 recorder = _Recorder(daig)
                 fix_srcs = self._encode_iteration(recorder, head, overrides, k)
                 table.put(key, UnrollRecord(tuple(recorder.writes), fix_srcs))
             else:
-                # The same writes in the same order; a statement cell is
-                # made to hold the statement its edge carries now.
-                statements = snapshot.stmt_cells
+                # The same computations in the same order; the statement
+                # cells they read already hold their edges' statements.
                 for dest, func, srcs in record.writes:
-                    if func is None:
-                        daig.hold(dest, statements[dest.loc, dest.aux,
-                                                   dest.index])
-                    else:
-                        daig.add_computation(dest, func, srcs)
+                    daig.add_computation(dest, func, srcs)
                 fix_srcs = record.fix_srcs
         daig.replace_computation(fix_cell, FIX, fix_srcs)
         return k + 1
+
+    def loop_shape(self, head: Loc) -> LoopShape:
+        """The shape of ``head``'s loop, read off the filed encodings once
+        per head (a splice that compares a location of the loop drops
+        it)."""
+        shape = self.shapes.get(head)
+        if shape is None:
+            encodings = self.encodings
+            loops = self.loop_encodings
+            body = sorted(self.cfg.natural_loop(head))
+            shape = self.shapes[head] = LoopShape((
+                tuple([encodings[loc] for loc in body if loc != head]),
+                tuple([loops[loc] for loc in body if loc in loops])))
+        return shape
 
     def _encode_iteration(self, daig: Any, head: Loc,
                           overrides: Dict[Loc, int],

@@ -15,10 +15,10 @@ it needs.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Set
+from typing import Any, Iterable, Set
 
 from .build import DaigBuilder
-from .graph import Daig, FIX
+from .graph import Daig
 from .names import FIX as FIX_KIND
 from .names import Name, STMT
 

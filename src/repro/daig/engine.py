@@ -15,21 +15,21 @@ in :mod:`repro.daig.query`), so demand chains of arbitrary depth run at the
 interpreter's default recursion limit.
 
 The DAIG itself is built on first demand: constructing an engine records
-the CFG, domain and entry state, and the initial DAIG (Definition A.2), its
-evaluator and the live :class:`~repro.daig.splice.StructureSnapshot` are
-built by the first query, cell write or read of the ``daig`` attribute (see
-:meth:`DaigEngine.materialize`).
+the CFG, domain and entry state, and the initial DAIG (Definition A.2),
+whose encodings the builder files as it writes them, and its evaluator
+are built by the first query, cell write or read of the ``daig``
+attribute (see :meth:`DaigEngine.materialize`).
 An engine whose answers are always served from elsewhere — a callee whose
 exit summary comes from the interprocedural memo or persistent store —
 never builds one.
 
 Program edits go through the CFG's structural edit operations, which update
 the CFG's derived structure exactly (:mod:`repro.lang.structure`) and
-report the affected locations to the engine's live snapshot — captured
-from scratch exactly once, when the DAIG is built.  When the engine
-synchronizes (after each edit, or once per :meth:`batch_edits` block), only
-the reported locations are re-signed and spliced
-(:func:`repro.daig.splice.splice_delta`): stale cells are removed, dirty
+report the affected locations to the engine's structure listener,
+subscribed once the DAIG is built.  When the engine synchronizes (after
+each edit, or once per :meth:`batch_edits` block), only the reported
+locations are compared with the builder's filed encodings and spliced
+(:func:`repro.daig.splice.splice_delta`): stale cells are removed, changed
 locations re-encoded, and everything downstream dirtied (rules E-Commit /
 E-Propagate / E-Loop) for lazy recomputation.  Before the DAIG is built an
 edit only changes (and validates) the CFG.  End to end, edit latency is
@@ -54,8 +54,7 @@ from .graph import Daig
 from .memo import MemoTable
 from .names import Name, stmt_name
 from .query import QueryEvaluator, QueryStats, StaleDemandError
-from .splice import (SpliceReport, StructureSnapshot, _check_encodable,
-                     splice, splice_delta)
+from .splice import SpliceReport, splice, splice_delta
 
 
 class EditStats:
@@ -64,9 +63,9 @@ class EditStats:
     Besides the DAIG-side splice counters, :meth:`as_dict` folds in the
     CFG's structure-phase counters (full rebuilds vs. exact insertion
     updates vs. statement-only patches, and locations analyzed) and the
-    snapshot-phase counters (whole-program splices vs. entries re-signed),
-    so the benchmark layer can verify that no phase does O(program) work
-    per edit.
+    snapshot-phase counters (whole-program splices vs. suspects compared
+    with their filed encodings), so the benchmark layer can verify that no
+    phase does O(program) work per edit.
     """
 
     def __init__(self, cfg: Cfg) -> None:
@@ -118,9 +117,8 @@ class EditStats:
 class DaigEngine:
     """Incremental, demand-driven abstract interpretation of one procedure.
 
-    The DAIG, its :class:`QueryEvaluator` and the live structure snapshot
-    are built by the first query, cell write or read of :attr:`daig`
-    (:meth:`materialize`).
+    The DAIG and its :class:`QueryEvaluator` are built by the first query,
+    cell write or read of :attr:`daig` (:meth:`materialize`).
     """
 
     def __init__(
@@ -143,11 +141,7 @@ class DaigEngine:
         # these plain attributes, not the building :attr:`daig` property.
         self._daig: Optional[Daig] = None
         self.evaluator: Optional[QueryEvaluator] = None
-        # The live structure snapshot: captured from scratch exactly once,
-        # when the DAIG is built, then updated in place over each edit's
-        # affected region (reported through the listener, which is
-        # subscribed to the CFG from then on).
-        self._snapshot: Optional[StructureSnapshot] = None
+        # Collects each edit's affected region once the DAIG is built.
         self._listener = StructureListener()
         self._batch_depth = 0
         self._cfg_dirty = False
@@ -155,8 +149,7 @@ class DaigEngine:
                        "query": 0.0}
 
     def materialize(self) -> None:
-        """Build the DAIG, its evaluator and the live snapshot, if not yet
-        built.
+        """Build the DAIG and its evaluator, if not yet built.
 
         Queries and cell writes call this on first demand.  The build runs
         the same validity checks as an edit (a rejected CFG leaves the
@@ -168,10 +161,8 @@ class DaigEngine:
         structure = self.cfg.structure_seconds()
         try:
             daig = self.builder.build()
-            self._snapshot = StructureSnapshot.capture(self.cfg)
-            # Unrollings key their recorded encodings by the live
-            # snapshot's loop shapes.
-            self.builder.snapshot = self._snapshot
+            # Unrollings replay recorded encodings, keyed by loop shapes.
+            self.builder.shapes = {}
             self.evaluator = QueryEvaluator(
                 daig, self.memo, self.domain, self.builder, self.call_transfer,
                 cutoff=self.cutoff)
@@ -218,9 +209,10 @@ class DaigEngine:
 
         ``structure`` — the CFG's dominator/loop build and incremental
         maintenance; ``build`` — the DAIG's first build (the initial
-        encoding and snapshot capture), net of the structure it derives;
-        ``snapshot`` — encoding-signature maintenance; ``splice`` — DAIG
-        cell surgery and dirtying; ``query`` — demanded evaluation.
+        encoding, filed as it is written), net of the structure it derives;
+        ``snapshot`` — comparing an edit's suspects with their filed
+        encodings; ``splice`` — DAIG cell surgery and dirtying; ``query`` —
+        demanded evaluation.
 
         ``include_structure=False`` omits the CFG's structure phase for
         callers that share one CFG among several engines and account for its
@@ -331,10 +323,9 @@ class DaigEngine:
                 index = i if len(indexed) > 1 else 0
         new_edge = self.cfg.replace_edge_statement(edge, stmt)
         name = stmt_name(edge.src, edge.dst, index)
+        # The cell now holds its edge's statement, so the next structural
+        # sync finds nothing to relabel.
         write_cell(self._daig, self.builder, name, stmt)
-        # Keep the live snapshot in step so the next structural sync does
-        # not spuriously re-dirty the already-written cell.
-        self._snapshot.set_stmt((edge.src, edge.dst, index), stmt)
         self.edit_stats.edits += 1
         return new_edge
 
@@ -344,7 +335,7 @@ class DaigEngine:
         """Replace the statement labelling ``edge`` and re-splice the DAIG.
 
         A statement-only edit: the CFG patches its structure cache in place
-        (no dominator/loop recomputation) and the sync re-signs exactly the
+        (no dominator/loop recomputation) and the sync compares exactly the
         edge's destination.
         """
         new_edge = self.cfg.replace_edge_statement(edge, stmt)
@@ -458,25 +449,24 @@ class DaigEngine:
         sync.  A no-op when no structural edit is outstanding.
 
         Validity (reducibility, loop exits, entry outside loops) is checked
-        before any snapshot or DAIG mutation, built or not: a rejected edit
-        leaves the engine's caches intact and the accumulated region
-        pending, so the caller can repair the CFG with further edits and
-        re-sync.
+        before any DAIG mutation, built or not: a rejected edit leaves the
+        engine's caches intact and the accumulated region pending, so the
+        caller can repair the CFG with further edits and re-sync.
         """
         if not self._cfg_dirty:
             return
         self.cfg.ensure_structure()
         # Must precede the listener drain: a rejected edit keeps its region
         # pending so a repairing edit can re-sync.
-        _check_encodable(self.builder)
+        self.builder.check_encodable()
         self._cfg_dirty = False
         if self._daig is None:
             return  # the first demand builds from the current CFG
         full, sig_suspects, head_suspects = self._listener.drain()
         if full:
-            report = splice(self._daig, self.builder, self._snapshot)
+            report = splice(self._daig, self.builder)
         else:
-            report = splice_delta(self._daig, self.builder, self._snapshot,
+            report = splice_delta(self._daig, self.builder,
                                   sig_suspects, head_suspects)
         self.edit_stats.record(report)
         self._phase["snapshot"] += report.snapshot_seconds

@@ -10,22 +10,17 @@ defining computation") are checked by :meth:`Daig.check_well_formed`, which
 the property-based tests run after every query and edit (Lemma 6.1).
 
 Beyond the paper's mathematical structure, this implementation maintains
-three auxiliary indices that make incremental edits O(affected region)
+two auxiliary indices that make incremental edits O(affected region)
 instead of O(graph):
 
 * ``dependents`` — the reverse-dependency index (src name → destinations of
   computations reading it), used by forward dirtying;
-* ``anchored`` — state-typed cells grouped by the program location they
-  encode (their name's ``loc``: state, pre-join, fix and pre-widening cells
-  belong to the encoding of that location), used by structural splicing to
-  find the sub-region belonging to a re-encoded location without scanning
-  all of ``refs``;
 * ``iterated`` — cells grouped by the loop heads for which they carry a
   nonzero unrolling iteration (their name's ``heads``), used by loop
   roll-back (rule E-Loop) and by splicing to discard a loop's demanded
   unrollings in one sweep.
 
-A fourth group of side tables supports change propagation with early
+A third group of side tables supports change propagation with early
 cutoff: when an edit dirties a cell, its prior value is retained as a
 *shadow*; during re-demand, a recomputed cell whose new value is pointer
 equal to its shadow proves that everything dirtied only through it is
@@ -37,7 +32,9 @@ captured (the cell and its inputs were mutually consistent then), and
 ``stamps[n]`` records the epoch of the last pointer-*change* of ``n``'s
 value.  A shadow may restore its cell only when every input's last change
 predates the shadow's capture — then recomputation would provably
-reproduce the shadow.
+reproduce the shadow.  A shadow with no capture epoch (a re-encoded
+cell's prior value) never restores its cell; it is only the baseline its
+own recomputation is compared with.
 
 :meth:`Daig.remove_region` removes a whole cell-and-computation subregion
 (the counterpart of re-encoding one via
@@ -48,7 +45,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from .names import Name, STMT, TYPE_STATE, TYPE_STMT
+from .names import Name, TYPE_STATE, TYPE_STMT
 
 #: Function symbols labelling computations (the ``f`` of Fig. 6).
 TRANSFER = "transfer"  # ⟦·⟧♯
@@ -94,9 +91,9 @@ class Daig:
     ``refs`` is the set of declared reference-cell names; ``values`` holds
     the contents of the non-empty cells; ``computations`` maps each
     destination name to its (unique) defining computation; ``dependents`` is
-    the reverse index used for forward dirtying; ``anchored`` and
-    ``iterated`` index state-typed cells by anchor location and by unrolled
-    loop head, so splicing and roll-back touch only the affected region.
+    the reverse index used for forward dirtying; ``iterated`` indexes cells
+    by unrolled loop head, so splicing and roll-back touch only the
+    affected region.
     """
 
     def __init__(self) -> None:
@@ -104,23 +101,17 @@ class Daig:
         self.values: Dict[Name, Any] = {}
         self.computations: Dict[Name, Computation] = {}
         self.dependents: Dict[Name, Set[Name]] = {}
-        self.anchored: Dict[int, Set[Name]] = {}
         self.iterated: Dict[int, Set[Name]] = {}
         #: Prior values of dirtied cells (early cutoff, see module docstring).
         self.shadows: Dict[Name, Any] = {}
-        #: Epoch at which each shadow was captured.
+        #: Epoch at which each shadow was captured (none for a re-encoded
+        #: cell's shadow, a cutoff baseline that never restores the cell).
         self.shadow_caps: Dict[Name, int] = {}
         #: Epoch of the last pointer-change of each cell's value (absent = 0:
         #: never changed since the initial encoding).
         self.stamps: Dict[Name, int] = {}
         #: The dirtying-wave counter (bumped by ``dirty_forward``).
         self.epoch: int = 0
-        #: Shadowed cells whose defining computation was re-encoded since the
-        #: shadow was captured: their shadow is a valid *baseline* for the
-        #: cutoff comparison at their own commit, but the cell itself must
-        #: never be restored from it (the old value belongs to the old
-        #: computation).
-        self.baseline_only: Set[Name] = set()
 
     # -- construction ------------------------------------------------------------
 
@@ -128,8 +119,6 @@ class Daig:
         if name in self.refs:
             return
         self.refs.add(name)
-        if name.kind != STMT:
-            self.anchored.setdefault(name.loc, set()).add(name)
         for head in name.heads:
             self.iterated.setdefault(head, set()).add(name)
 
@@ -179,13 +168,6 @@ class Daig:
         self.shadows.pop(name, None)
         self.shadow_caps.pop(name, None)
         self.stamps.pop(name, None)
-        self.baseline_only.discard(name)
-        if name.kind != STMT:
-            anchored = self.anchored.get(name.loc)
-            if anchored is not None:
-                anchored.discard(name)
-                if not anchored:
-                    del self.anchored[name.loc]
         for head in name.heads:
             iterated = self.iterated.get(head)
             if iterated is not None:
@@ -237,7 +219,6 @@ class Daig:
             if prev is not _ABSENT and name in self.shadows:
                 del self.shadows[name]
                 self.shadow_caps.pop(name, None)
-                self.baseline_only.discard(name)
         self.values[name] = value
 
     def clear_value(self, name: Name) -> None:
@@ -248,17 +229,12 @@ class Daig:
         if value is not _ABSENT:
             self.shadows[name] = value
             self.shadow_caps[name] = self.epoch
-            self.baseline_only.discard(name)
 
     def defining(self, name: Name) -> Optional[Computation]:
         return self.computations.get(name)
 
     def dependents_of(self, name: Name) -> Set[Name]:
         return self.dependents.get(name, set())
-
-    def cells_at(self, loc: int) -> Set[Name]:
-        """All state-typed cells anchored at program location ``loc``."""
-        return self.anchored.get(loc, set())
 
     def iterated_cells(self, head: int, minimum: int = 1) -> List[Name]:
         """Cells belonging to iteration >= ``minimum`` of loop ``head``."""

@@ -223,7 +223,6 @@ class QueryEvaluator:
         if self.cutoff and daig.shadows.get(name) is value:
             del daig.shadows[name]
             daig.shadow_caps.pop(name, None)
-            daig.baseline_only.discard(name)
             self.stats.cells_cutoff += 1
             self._restore_from(name)
 
@@ -236,11 +235,14 @@ class QueryEvaluator:
         shadow was captured (``daig.shadow_caps``): a shadow is captured at
         a moment of src-consistency, so inputs unchanged since then would
         provably reproduce it, while an input (re)written at the capture
-        epoch or later may not be the value the shadow was computed from.  ``fix`` cells are never restored: after roll-back their two
-        inputs no longer determine the fixed point (the loop body does too),
-        so they reconverge by demanded unrolling and cut off at their own
-        commit.  Call transfers likewise recompute honestly — their value
-        also depends on the callee's summary, which their inputs cannot
+        epoch or later may not be the value the shadow was computed from.
+        A shadow without a capture epoch belongs to a re-encoded
+        computation, so it is never restored.  ``fix`` cells are never
+        restored either: after roll-back their two inputs no longer
+        determine the fixed point (the loop body does too), so they
+        reconverge by demanded unrolling and cut off at their own commit.
+        Call transfers likewise recompute honestly — their value also
+        depends on the callee's summary, which their inputs cannot
         witness."""
         daig = self.daig
         values = daig.values
@@ -248,14 +250,16 @@ class QueryEvaluator:
         dependents = daig.dependents
         shadows = daig.shadows
         shadow_caps = daig.shadow_caps
-        baseline_only = daig.baseline_only
         stamps = daig.stamps
         hooked = self.call_transfer is not None
         frontier = [source]
         while frontier:
             for dep in dependents.get(frontier.pop(), ()):
-                if dep not in shadows or dep in values or dep in baseline_only:
+                if dep not in shadows or dep in values:
                     continue
+                cap = shadow_caps.get(dep)
+                if cap is None:
+                    continue  # a re-encoded cell's shadow: a baseline only
                 comp = computations.get(dep)
                 if comp is None or comp.func == FIX:
                     continue
@@ -263,7 +267,6 @@ class QueryEvaluator:
                 if (hooked and comp.func == TRANSFER
                         and isinstance(values.get(srcs[0]), A.CallStmt)):
                     continue
-                cap = shadow_caps.get(dep, 0)
                 for src in srcs:
                     if src not in values or stamps.get(src, 0) >= cap:
                         break

@@ -28,7 +28,7 @@ Two optional extensions are used by parts of the reproduction:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Generic, Iterable, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Generic, Iterable, Optional, Sequence, TypeVar
 
 from ..lang import ast as A
 from ..concrete.state import ConcreteState

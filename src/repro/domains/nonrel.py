@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
-from ..concrete.state import Address, ArrayValue, ConcreteState
+from ..concrete.state import ArrayValue, ConcreteState
 from ..intern import InternTable
 from ..lang import ast as A
 from .base import AbstractDomain

@@ -21,11 +21,11 @@ time.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..concrete.state import ArrayValue, ConcreteState
+from ..concrete.state import ConcreteState
 from ..intern import InternTable
 from ..lang import ast as A
 from .base import AbstractDomain

@@ -23,8 +23,8 @@ more ``next`` dereferences lead from ``α`` to ``α'``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: The distinguished symbolic value for ``null``.
 NIL = 0

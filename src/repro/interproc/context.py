@@ -13,7 +13,6 @@ call being analyzed (caller procedure plus the call statement).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Hashable, Tuple
 
 from ..lang import ast as A

@@ -554,10 +554,10 @@ class InterproceduralEngine:
                          store_key: Optional[str] = None) -> None:
         """Install one exit summary: memo table, per-procedure key index,
         and (write-through) the persistent store.  Every install — normal
-        memoization, a coordinator seed, a store hit — goes through here,
-        so the tiers can never disagree about what a key means.  A caller
-        whose store lookup already computed the key of ``memo_args``
-        passes it as ``store_key``."""
+        memoization, a consumed coordinator seed, a store hit — goes
+        through here, so the tiers can never disagree about what a key
+        means.  A caller whose store lookup already computed the key of
+        ``memo_args`` passes it as ``store_key``."""
         self.memo.store("summary", memo_args, exit_state)
         self._summary_keys.setdefault(key[0], set()).add(memo_args)
         if self.store is None:
@@ -608,10 +608,11 @@ class InterproceduralEngine:
         ``"store"`` for the tier that holds the summary for this exact
         (code, context, entry), or None for both.  ``store_key`` is the key
         the store lookup computed (None when the store was not consulted),
-        for :meth:`seed_summary` to reuse.  The parallel coordinator's
-        dispatch hook: a hit means no worker needs to run.  Neither the
-        memo's hit/miss counts nor the summary hit/miss counters move, and
-        nothing is installed (demand finds a served summary itself).
+        for the write of a consumed seed to reuse.  The parallel
+        coordinator's dispatch hook: a hit means no worker needs to run.
+        Neither the memo's hit/miss counts nor the summary hit/miss
+        counters move, and nothing is installed (demand finds a served
+        summary itself).
         """
         memo_args = (name, context, self.deep_digest(name), entry_state)
         found, _cached = self.memo.peek("summary", memo_args)
@@ -680,18 +681,18 @@ class InterproceduralEngine:
     # -- parallel-coordinator hooks ----------------------------------------------------
 
     def seed_summary(self, name: str, context: Context,
-                     entry_state: Any, exit_state: Any,
-                     store_key: Optional[str] = None) -> None:
+                     entry_state: Any, exit_state: Any) -> None:
         """Install a precomputed exit summary for the *current* code.
 
         Keyed — like every summary — by the entry state, so a seed is only
         ever consumed when demanded evaluation derives exactly this entry
         target for ``(name, context)``; a seed at an entry that is never
-        derived is dead weight, not a soundness hazard.  Registered in the
-        per-procedure key index so digest invalidation purges it like any
-        other summary, and written through to the persistent store, as
-        demand would write the summary it computed there.  ``store_key``
-        is the key :meth:`probe_summary` computed at this entry, if any.
+        derived is dead weight, not a soundness hazard.  Installed in the
+        memo only, and registered in the per-procedure key index so digest
+        invalidation purges it like any other summary; the coordinator
+        writes a seed that demand consumed through
+        :meth:`_install_summary`, as demand would have written the summary
+        it computed there.
         """
         key = (name, context)
         if key in self._entry_target:
@@ -702,8 +703,8 @@ class InterproceduralEngine:
                 # at this entry could not be consumed before going stale.
                 return
         memo_args = (name, context, self.deep_digest(name), entry_state)
-        self._install_summary(key, memo_args, exit_state, write_store=True,
-                              store_key=store_key)
+        self.memo.store("summary", memo_args, exit_state)
+        self._summary_keys.setdefault(name, set()).add(memo_args)
 
     def summary_digest(self) -> str:
         """A digest of every live (procedure, context) exit summary.

@@ -22,8 +22,8 @@ is what the DAIG layer relies on when naming statement reference cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Optional, Tuple
 
 # ---------------------------------------------------------------------------
 # Expressions

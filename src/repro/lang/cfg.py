@@ -179,7 +179,7 @@ class Cfg:
     # -- structure listeners -------------------------------------------------
 
     def add_structure_listener(self, listener: StructureListener) -> None:
-        """Subscribe a consumer (e.g. a DAIG engine's structure snapshot)
+        """Subscribe a consumer (e.g. a DAIG engine's structure listener)
         to the affected regions of future edits."""
         self._listeners.append(listener)
 

@@ -47,12 +47,12 @@ among them change parent, to ``cont``, and their subtrees move with
 them.  The update costs O(fragment + children of ``loc``); no term grows
 with the code downstream of ``loc``.
 
-Listeners (the DAIG engine's live :class:`~repro.daig.splice.StructureSnapshot`)
-receive, per insertion, the locations whose encoding signature may have
-changed (the fragment and the moved edges' destinations) and the loop
-heads whose loop signature may have changed (the fragment's own and every
-loop that contains ``loc``, which includes the head of any moved back
-edge); a rebuild tells them to resynchronize from scratch.
+Listeners (one per built DAIG engine) receive, per insertion, the
+locations whose DAIG encoding may have changed (the fragment and the
+moved edges' destinations) and the loop heads whose loop encoding may
+have changed (the fragment's own and every loop that contains ``loc``,
+which includes the head of any moved back edge); a rebuild tells them to
+resynchronize from scratch.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class StructureListener:
 
     The DAIG engine registers one of these on its CFG; each analysis
     refresh (or statement patch) deposits the affected region, and the
-    engine drains the union when it synchronizes its structure snapshot.
+    engine drains the union when it splices its DAIG.
     """
 
     def __init__(self) -> None:

@@ -30,16 +30,18 @@ takes the leaves of the call graph off that path in three phases:
    its unchanged transfers from these facts instead of recomputing them.
 
 3. **Certify** — seed each completed job's exit into the engine's summary
-   memo (written through to the store) under its ``(procedure, context,
-   deep code digest, entry)`` key, then demand every root's exit through
+   memo under its ``(procedure, context, deep code digest, entry)`` key,
+   then demand every root's exit through
    :meth:`~repro.interproc.engine.InterproceduralEngine.query`.  The
    engine's own demand derives every entry; a seed is consumed only where
    demand derives exactly the entry it was computed at, and is dead weight
    elsewhere.  So answers, engine keys and digests are a sequential
    engine's by construction, and the coordinator writes nothing into the
-   entry ledger.  The DAIGs of the keys whose seeds demand consumed are
-   built (structure only, no evaluation), so the first edit after the
-   open does not pay for the build.
+   entry ledger.  Each consumed seed is then written through to the
+   store, as demand would have written the summary it computed, so the
+   store holds what a sequential open writes.  The DAIGs of the keys whose
+   seeds demand consumed are built (structure only, no evaluation), so the
+   first edit after the open does not pay for the build.
 
 Recursive SCCs and everything reachable through them are never
 speculated: their summaries are entry-dependent fixpoints whose
@@ -72,8 +74,8 @@ class ParallelCoordinator:
         self.engine = engine
         self.pool = pool
         self.report: Dict[str, Any] = {}
-        #: Store keys the dispatch probes computed, reused when the jobs'
-        #: exits are seeded at the probed entries.
+        #: Store keys the dispatch probes computed, reused when consumed
+        #: seeds are written through to the store.
         self._store_keys: Dict[SummaryKey, str] = {}
         #: Memo facts from the workers' DAIGs that the dispatch installed.
         self._facts_installed = 0
@@ -201,8 +203,9 @@ class ParallelCoordinator:
 
     def _certify(self, spec: Dict[str, Any],
                  results: Dict[SummaryKey, JobResult]) -> Set[SummaryKey]:
-        """Seed the jobs' exits, demand every root, and build the DAIGs of
-        the keys whose seeds demand consumed; returns those keys."""
+        """Seed the jobs' exits, demand every root, then write the seeds
+        demand consumed through to the store and build their keys' DAIGs;
+        returns those keys."""
         engine = self.engine
         domain = engine.domain
         spec_entries: Dict[SummaryKey, Any] = spec["entries"]
@@ -210,8 +213,7 @@ class ParallelCoordinator:
                   if result.error is None]
         for key in seeded:
             engine.seed_summary(key[0], key[1], spec_entries[key],
-                                results[key].exit_state,
-                                store_key=self._store_keys.get(key))
+                                results[key].exit_state)
         for name, context in sorted(spec["roots"], key=_key_order):
             engine.query(name, engine.cfgs[name].exit, context)
         # Demand created the engine of every key it reached, and looked its
@@ -224,6 +226,11 @@ class ParallelCoordinator:
             if target is not None and (target is entry
                                        or domain.equal(target, entry)):
                 consumed.add(key)
+                name, context = key
+                engine._install_summary(
+                    key, (name, context, engine.deep_digest(name), entry),
+                    results[key].exit_state, write_store=True,
+                    store_key=self._store_keys.get(key))
                 engine.engines[key].materialize()
         return consumed
 

@@ -19,6 +19,7 @@ Backends (``kind``):
 
 from __future__ import annotations
 
+import importlib
 import os
 from typing import Any, Callable, List, Optional
 
@@ -61,7 +62,7 @@ def _warmup_task(_index: int) -> int:
     The task waits at the start barrier until every worker holds one, so
     the executor cannot hand two of them to one worker while the others
     boot cold (it gives queued tasks to whichever worker is free)."""
-    import repro.parallel.worker  # noqa: F401  (the import is the point)
+    importlib.import_module("repro.parallel.worker")
     if _barrier is not None:
         _barrier.wait(WARMUP_TIMEOUT)
     return os.getpid()

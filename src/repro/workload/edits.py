@@ -106,7 +106,7 @@ class ReplaceStatement(ProgramEdit):
 
     A *statement-only* edit: applied through the engine it takes the
     zero-structure-work fast path (the CFG patches its live analysis in
-    place and the engine re-signs exactly one snapshot location).
+    place and the engine compares exactly one location's encoding).
     """
 
     dst: Loc = 0

@@ -19,8 +19,8 @@ analysis configuration.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from ..lang import ast as A
 from ..lang.cfg import Cfg, Loc
@@ -176,7 +176,7 @@ class WorkloadGenerator:
         These model a developer editing statement text without changing
         control flow — the workload that exercises the engine's
         zero-structure-work fast path (no dominator/loop recomputation, one
-        snapshot re-sign per edit).
+        location compared per edit).
         """
         edge = self.rng.choice(self.cfg.edges)
         if self.rng.random() < 0.2:

@@ -1,5 +1,5 @@
-"""Shared test helpers: subject-program sources, random-CFG factories and
-reference structure analyses.
+"""Shared test helpers: subject-program sources, random-CFG factories,
+reference structure analyses and the fresh-build oracle for spliced DAIGs.
 
 Test modules import these directly (``from helpers import LOOP_SOURCE``)
 instead of reaching into ``conftest.py``: conftest modules are pytest
@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
+from repro.daig import FIX, DaigBuilder
+from repro.daig import names as N
 from repro.workload.generator import WorkloadGenerator
 
 #: A small looping program used across many tests.
@@ -167,3 +169,41 @@ def reference_fwd_edges_to(cfg, dom, back_pairs) -> Dict[int, List[Tuple[int, ob
         if incoming:
             out[loc] = [(index + 1, edge) for index, edge in enumerate(incoming)]
     return out
+
+
+def assert_daig_matches_fresh_build(engine, tag=""):
+    """A spliced engine matches ``DaigBuilder(cfg.copy(), ...).build()``.
+
+    Its builder's filed encodings equal the fresh builder's; its statement
+    cells hold the statement objects the fresh build's hold (a copy shares
+    its graph's edges); its all-zero-iteration state, pre-join and fix
+    cells are the fresh build's; and it holds every computation of the
+    fresh build, a fix cell's by function only (demanded unrolling slides
+    its inputs).
+    """
+    builder = engine.builder
+    fresh = DaigBuilder(engine.cfg.copy(), engine.domain, builder.entry_state)
+    expected = fresh.build()
+    daig = engine.daig
+    assert builder.encodings == fresh.encodings, (tag, "encodings")
+    assert builder.loop_encodings == fresh.loop_encodings, (tag, "loops")
+
+    def statements(graph):
+        return {name: id(value) for name, value in graph.values.items()
+                if name.kind == N.STMT}
+
+    def base_cells(graph):
+        return {name for name in graph.refs
+                if name.kind in (N.STATE, N.PREJOIN, N.FIX)
+                and name.is_base_copy()}
+
+    assert statements(daig) == statements(expected), (tag, "statements")
+    assert base_cells(daig) == base_cells(expected), (tag, "base cells")
+    for dest, comp in expected.computations.items():
+        held = daig.computations.get(dest)
+        assert held is not None, (tag, dest)
+        if comp.func == FIX:
+            assert held.func == FIX, (tag, dest)
+        else:
+            assert (held.func, held.srcs) == (comp.func, comp.srcs), (
+                tag, dest)

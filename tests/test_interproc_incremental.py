@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
-from helpers import SHARED_CALLEE_EDITED_SOURCE, SHARED_CALLEE_SOURCE
+from helpers import (SHARED_CALLEE_EDITED_SOURCE, SHARED_CALLEE_SOURCE,
+                     assert_daig_matches_fresh_build)
 from repro.concrete.interp import ConcreteError, ProgramInterpreter
 from repro.domains import IntervalDomain
 from repro.interproc import (
@@ -181,6 +182,27 @@ def test_recursive_streams_stay_sound_and_stable(seed, policy_name):
 # ---------------------------------------------------------------------------
 # Edit-time contribution retraction (precision regressions)
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sibling_contexts_match_a_fresh_build_after_every_step(seed):
+    """Under ``2-call-site``, several contexts of a procedure share its
+    CFG: an edit goes through one of their engines, and the others catch
+    up by ``resync``.  After every step, each built engine matches a fresh
+    build of its CFG."""
+    workload = WorkloadGenerator(seed=seed).generate_multiprocedure(30)
+    engine = InterproceduralEngine(workload.fresh_cfgs(), IntervalDomain(),
+                                   policy_by_name("2-call-site"))
+    siblings = 0
+    for index, step in enumerate(workload.steps):
+        _drive_edits(engine, [step])
+        contexts = {}
+        for key, daig_engine in engine.engines.items():
+            if daig_engine.built:
+                assert_daig_matches_fresh_build(daig_engine, (index, key))
+                contexts[key[0]] = contexts.get(key[0], 0) + 1
+        siblings = max([siblings, *contexts.values()])
+    assert siblings > 1
 
 
 class TestContributionRetraction:

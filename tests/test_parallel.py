@@ -482,16 +482,21 @@ class TestCoordinator:
 
 
 class TestCoordinatorStore:
+    @pytest.mark.parametrize("source, jobs, consumed", [
+        (wide_call_graph_source(8, inner_loops=1), 8, 8),
+        (UNCONSUMED_SEED_PROGRAM, 2, 1),
+    ], ids=["wide", "unconsumed-seed"])
     def test_a_coordinated_open_writes_what_a_sequential_open_writes(
-            self, tmp_path):
-        """On fresh stores, a coordinated open of the wide program reads
-        and writes exactly the keys a sequential open does: it dispatches
-        the eight leaves and not ``main``, and demand consumes every
-        seed."""
+            self, tmp_path, source, jobs, consumed):
+        """On fresh stores, a coordinated open writes exactly the keys a
+        sequential open does, and reads them too, but for the probe of
+        each seed demand does not consume.  On the wide program it
+        dispatches the eight leaves and not ``main``, and demand consumes
+        every seed; ``leaf``'s seed in ``UNCONSUMED_SEED_PROGRAM`` is never
+        consumed, so it is never written."""
         from repro.store import SqliteSummaryStore
 
         domain = IntervalDomain()
-        source = wide_call_graph_source(8, inner_loops=1)
         opened = {}
         for mode in ("sequential", "coordinated"):
             store = SqliteSummaryStore(str(tmp_path / ("%s.db" % mode)))
@@ -508,11 +513,14 @@ class TestCoordinatorStore:
             if mode == "sequential":
                 assert engine.counters["interproc_parallel_jobs"] == 0
             store.close()
-        assert opened["coordinated"] == opened["sequential"]
-        assert report["certified"] == report["jobs"] == 8
-        assert not report["errors"] and report["knocked_out"] == 0
+        keys, gets, puts, entries = opened["coordinated"]
+        assert (keys, gets - (jobs - consumed), puts, entries) == (
+            opened["sequential"])
+        assert report["jobs"] == jobs and report["certified"] == consumed
+        assert not report["errors"]
+        assert report["knocked_out"] == jobs - consumed
         assert repr(("main", ())) not in report["cpu_durations"]
-        assert engine.counters["interproc_parallel_jobs"] == 8
+        assert engine.counters["interproc_parallel_jobs"] == jobs
 
     def test_coordinator_serves_probed_keys_from_store(self, tmp_path):
         """A warm coordinator run answers previously stored keys without

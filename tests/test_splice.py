@@ -19,9 +19,9 @@ import sys
 
 import pytest
 
-from helpers import random_workload
+from helpers import assert_daig_matches_fresh_build, random_workload
 
-from repro.daig import DaigEngine, MemoTable, StructureSnapshot
+from repro.daig import DaigEngine, MemoTable
 from repro.domains import IntervalDomain, SignDomain
 from repro.lang import ast as A
 from repro.lang.cfg import Cfg
@@ -110,21 +110,22 @@ class TestSpliceLocality:
         assert engine.builder.current_unrolling(engine.daig, head, {}) == unrolled
         assert_results_match(engine, domain)
 
-    def test_whole_program_splice_updates_the_live_snapshot(self):
+    def test_whole_program_splice_updates_the_filed_encodings(self):
         """Raw edge surgery forces the structure rebuild; the
-        whole-program splice re-signs the live snapshot in place rather
-        than swapping in a new capture."""
+        whole-program splice compares every location with the builder's
+        filed encoding and re-files the changed ones in place, so the
+        engine matches a fresh build."""
         domain = IntervalDomain()
         engine = grown_engine(domain)
-        snapshot = engine._snapshot
+        encodings = engine.builder.encodings
         captures = engine.edit_stats.snapshot_full_captures
         engine.cfg.add_edge(engine.cfg.entry,
                             A.AssignStmt("v2", A.IntLit(4)), engine.cfg.exit)
         engine.resync()
         assert engine.edit_stats.snapshot_full_captures == captures + 1
         assert engine.edit_stats.last_report.full_capture
-        assert engine._snapshot is snapshot
-        assert snapshot == StructureSnapshot.capture(engine.cfg)
+        assert engine.builder.encodings is encodings
+        assert_daig_matches_fresh_build(engine)
         engine.check_consistency()
         assert_results_match(engine, domain)
 

@@ -11,13 +11,14 @@ Four properties pin down the layer:
 * **Statement-only identity** — relabelling a statement leaves the cached
   analysis *object* in place and its dominator/loop structures untouched:
   zero structural recomputation.
-* **Live snapshot equality** — the engine's structure snapshot, captured
-  once when the DAIG is built and thereafter updated in place over each
-  edit's affected locations, stays equal to a fresh
-  ``StructureSnapshot.capture`` after every edit (including batched edits
-  and interleaved queries).
+* **Fresh-build equality** — the encodings the engine's builder filed
+  when it built the DAIG, and re-filed over each edit's affected
+  locations, equal a fresh build's after every edit (including batched
+  edits and interleaved queries), and so do the DAIG's statement cells,
+  its all-zero-iteration cells and their computations
+  (:func:`helpers.assert_daig_matches_fresh_build`).
 * **Locality counters** — statement-only edits perform zero
-  dominator/loop recomputation and zero full-CFG snapshot walks; an
+  dominator/loop recomputation and zero whole-program splices; an
   insertion analyzes exactly its new locations and never rebuilds, and
   insertions at either end of the program do work independent of its
   size.
@@ -29,12 +30,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import LOOP_SOURCE, NESTED_SOURCE, random_workload
+from helpers import (LOOP_SOURCE, NESTED_SOURCE,
+                     assert_daig_matches_fresh_build, random_workload)
 
 from repro.ai import analyze_cfg
 from repro.analysis.config import IncrementalDemandConfiguration
 from repro.daig import DaigEngine
-from repro.daig.splice import StructureSnapshot
 from repro.domains import IntervalDomain, SignDomain
 from repro.lang import ast as A
 from repro.lang import build_cfg, parse_program
@@ -65,18 +66,6 @@ def assert_analysis_matches_scratch(cfg, tag=""):
     assert cfg.back_edges() == fresh.back_edges(), (tag, "back list")
     assert cfg.forward_edges() == fresh.forward_edges(), (tag, "forward list")
     assert cfg.reverse_postorder() == fresh.reverse_postorder(), (tag, "rpo")
-
-
-def assert_snapshot_matches_capture(engine, tag=""):
-    """The engine's live snapshot equals a from-scratch capture."""
-    live = engine._snapshot
-    fresh = StructureSnapshot.capture(engine.cfg)
-    assert set(live.reachable) == set(fresh.reachable), (tag, "reachable")
-    assert live.loc_sigs == fresh.loc_sigs, (tag, "loc_sigs")
-    assert live.loop_sigs == fresh.loop_sigs, (tag, "loop_sigs")
-    assert live.stmt_cells == fresh.stmt_cells, (tag, "stmt_cells")
-    assert live.natural_loops == fresh.natural_loops, (tag, "natural_loops")
-    assert live.stmt_keys_by_loc == fresh.stmt_keys_by_loc, (tag, "keys")
 
 
 def _seed_cfg():
@@ -281,10 +270,10 @@ def _increment(var, step=1):
 
 
 def assert_insertion_exact(engine, tag=""):
-    """Structure, snapshot and answers all equal their from-scratch
+    """Structure, DAIG encoding and answers all equal their from-scratch
     counterparts."""
     assert_analysis_matches_scratch(engine.cfg, tag)
-    assert_snapshot_matches_capture(engine, tag)
+    assert_daig_matches_fresh_build(engine, tag)
     batch = analyze_cfg(engine.cfg.copy(), engine.domain)
     assert set(batch) == set(engine.cfg.reachable_locations()), tag
     for loc, expected in batch.items():
@@ -293,7 +282,7 @@ def assert_insertion_exact(engine, tag=""):
 
 class TestInsertionCases:
     """Insertion shapes a random stream rarely hits, each checked against
-    a from-scratch structure, a fresh snapshot capture and the batch
+    a from-scratch structure, a fresh DAIG build and the batch
     interpreter."""
 
     @staticmethod
@@ -320,11 +309,11 @@ class TestInsertionCases:
         cfg = engine.cfg
         head = cfg.loop_heads()[0]
         last = cfg.back_edges_to(head)[0].src
-        loop_sig = engine._snapshot.loop_sigs[head]
+        loop_writes = engine.builder.loop_encodings[head]
         rebuilds = self._rebuilds(engine)
         cont = engine.insert_statement_after(last, _increment("total"))
         assert [e.src for e in cfg.back_edges_to(head)] == [cont]
-        assert engine._snapshot.loop_sigs[head] != loop_sig
+        assert engine.builder.loop_encodings[head] != loop_writes
         assert self._rebuilds(engine) == rebuilds
         assert_insertion_exact(engine, "back edge moved")
 
@@ -403,6 +392,9 @@ class TestInsertionCases:
 
 @pytest.mark.parametrize("domain_cls", [IntervalDomain, SignDomain])
 class TestLiveSnapshot:
+    """The builder's filed encodings, which stand where a separate
+    structure snapshot once stood, track edit streams exactly."""
+
     def test_snapshot_tracks_random_edits(self, domain_cls):
         domain = domain_cls()
         generator, steps = random_workload(seed=17, edits=25)
@@ -411,11 +403,12 @@ class TestLiveSnapshot:
         rng = random.Random(17)
         for index, step in enumerate(steps):
             step.edit.apply_to_engine(engine)
-            assert_snapshot_matches_capture(engine, (index, step.edit.describe()))
+            assert_daig_matches_fresh_build(
+                engine, (index, step.edit.describe()))
             if rng.random() < 0.4 and engine.cfg.edges:
                 edge = rng.choice(engine.cfg.edges)
                 engine.replace_statement(edge, A.AssignStmt("q", A.IntLit(index)))
-                assert_snapshot_matches_capture(engine, (index, "relabel"))
+                assert_daig_matches_fresh_build(engine, (index, "relabel"))
             if rng.random() < 0.3:
                 engine.query_all()
         engine.check_consistency()
@@ -429,7 +422,7 @@ class TestLiveSnapshot:
             with engine.batch_edits():
                 for step in steps[start:start + 5]:
                     step.edit.apply_to_engine(engine)
-            assert_snapshot_matches_capture(engine, start)
+            assert_daig_matches_fresh_build(engine, start)
         engine.check_consistency()
 
 
@@ -463,7 +456,7 @@ class TestLocalityCounters:
         assert delta["structure_stmt_patches"] == relabels
 
     def test_tail_insertions_do_size_independent_work(self):
-        """Insertions just before the exit re-analyze and re-sign a
+        """Insertions just before the exit re-analyze and compare a
         constant neighbourhood at any program size."""
         works = []
         for edits in (60, 120):
@@ -482,8 +475,9 @@ class TestLocalityCounters:
         assert works[1] <= 2 * works[0] + 40, works
 
     def test_snapshot_captured_once_at_construction(self):
-        """No per-edit full snapshot walk: the capture happens when the
-        DAIG is built and ordinary edits update it in place."""
+        """No per-edit whole-program splice: the builder files the
+        encoding when it builds the DAIG, and ordinary edits compare and
+        re-file only their suspects."""
         engine, generator = self._grown_engine(edits=40)
         for step in generator.generate(10):
             step.edit.apply_to_engine(engine)
@@ -497,8 +491,8 @@ class TestLocalityCounters:
 
     def test_fig10_stream_rebuilds_less_than_once_per_edit(self):
         """The structure is built once, when the stream starts; every
-        insertion after that is applied exactly, and the snapshot is never
-        re-captured."""
+        insertion after that is applied exactly, and no splice compares
+        the whole program."""
         edits = 60
         configuration = IncrementalDemandConfiguration(SignDomain())
         run_trial(configuration,
@@ -523,7 +517,7 @@ class TestLocalityCounters:
 
     def test_head_insertions_do_size_independent_work(self):
         """Insertions right after the entry, whose downstream is the whole
-        program, analyze and re-sign the same locations and write the same
+        program, analyze and compare the same locations and write the same
         immediate dominators at any size: each re-parents the entry's one
         dominator-tree child and leaves its subtree alone."""
         works = []

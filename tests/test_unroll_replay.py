@@ -25,6 +25,7 @@ from helpers import LOOP_SOURCE, NESTED_SOURCE
 from repro.daig import DaigEngine, MemoTable, stmt_name
 from repro.daig.names import STMT
 from repro.daig import build
+from repro.daig.splice import stmt_cells_at
 from repro.daig.build import (UNROLL_TABLE_CAPACITY, UnrollTable,
                               reset_unroll_table_stats, unroll_table_stats)
 from repro.domains import IntervalDomain, OctagonDomain
@@ -72,7 +73,9 @@ def _writes(engine):
     statement object (engines on copies of one CFG get their own objects
     from an inserted loop or conditional)."""
     daig = engine.daig
-    statements = engine._snapshot.stmt_cells
+    cfg = engine.cfg
+    statements = {key: stmt for loc in cfg.reachable_locations()
+                  for key, stmt in stmt_cells_at(cfg, loc).items()}
     values = {}
     for name, value in daig.values.items():
         if name.kind == STMT:
@@ -238,9 +241,11 @@ def test_edits_inside_nested_loop_bodies(table, program, seed):
     assert table.hits >= _same_counts(engines)["unrollings"] > 0
 
 
-def test_a_statement_cell_behind_its_edge_is_re_pointed_on_replay(table):
-    """An unrolling makes every loop-body statement cell hold its edge's
-    statement object; a replay must re-point a cell that lags behind."""
+def test_an_equal_statement_is_re_pointed_at_the_splice(table):
+    """A splice re-points a statement cell whose edge now carries an equal
+    but distinct statement, with no stamp and nothing dirtied, so every
+    statement cell holds its edge's statement and a replayed unrolling,
+    which adds computations only, stays a derived one."""
     cfg = _main(LOOP_SOURCE)
     engines = _engines(cfg, IntervalDomain())
     _query_all(engines, [cfg.exit])
@@ -255,17 +260,25 @@ def test_a_statement_cell_behind_its_edge_is_re_pointed_on_replay(table):
                  if isinstance(edge.stmt, A.AssignStmt)
                  and edge.stmt.target == "i" and edge.src not in body)
     restart = A.AssignStmt("i", A.IntLit(1))
+    cell = stmt_name(edge.src, edge.dst, 0)
     for engine in engines:
-        # Raw surgery swaps in the equal statement: the splice sees an
-        # unchanged signature and an equal statement, so the cell keeps
-        # the old object.  Then a value edit before the loop rolls it back.
+        # Raw surgery swaps in the equal statement: every encoding is
+        # unchanged and the statement equal, so the whole-program splice
+        # only re-points the cell.  Then a value edit before the loop rolls
+        # it back.
+        daig = engine.daig
+        stamps, epoch = dict(daig.stamps), daig.epoch
         engine.cfg.remove_edge(_edge(engine.cfg, edge.src, edge.dst))
         engine.cfg.add_edge(edge.src, equal, edge.dst)
         engine.resync()
+        report = engine.edit_stats.last_report
+        assert report.full_capture
+        assert (report.cells_removed, report.cells_added,
+                report.cells_dirtied) == (0, 0, 0)
+        assert daig.values[cell] is equal
+        assert (daig.stamps, daig.epoch) == (stamps, epoch)
         engine.replace_statement(_edge(engine.cfg, start.src, start.dst),
                                  restart)
-    cell = stmt_name(edge.src, edge.dst, 0)
-    assert all(engine.daig.values[cell] is edge.stmt for engine in engines)
     hits = table.hits
     _query_all(engines, [cfg.exit])
     assert table.hits > hits
@@ -284,13 +297,13 @@ def test_a_new_edge_inside_a_loop_body_changes_its_shape(table):
     edge = next(edge for edge in cfg.edges
                 if edge.src in body and edge.dst in body and edge.dst != head
                 and len(cfg.fwd_edges_to(edge.dst)) == 1)
-    shape = engines[0]._snapshot.loop_shape(head)
+    shape = engines[0].builder.loop_shape(head)
     shortcut = A.SkipStmt()
     for engine in engines:
         engine.cfg.add_edge(edge.src, shortcut, edge.dst)
         engine.resync()
     assert set(cfg.natural_loop(head)) == body
-    assert engines[0]._snapshot.loop_shape(head) is not shape
+    assert engines[0].builder.loop_shape(head) is not shape
     _query_all(engines, [cfg.exit] + sorted(body))
 
 
