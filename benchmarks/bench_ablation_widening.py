@@ -16,8 +16,6 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-import pytest
-
 from repro.analysis import ArraySafetyClient
 from repro.daig import DaigEngine
 from repro.domains.interval import IntervalDomain

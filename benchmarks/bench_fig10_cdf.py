@@ -9,8 +9,6 @@ the analogous claims at this reproduction's scale.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.config import IncrementalDemandConfiguration
 from repro.domains import OctagonDomain
 from repro.workload import (

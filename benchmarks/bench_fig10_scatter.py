@@ -9,11 +9,9 @@ checks the growth-trend comparison.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.config import BatchConfiguration
 from repro.domains import OctagonDomain
-from repro.workload import generate_trials, run_trial, scatter_series
+from repro.workload import generate_trials, scatter_series
 
 
 def _growth(samples):

@@ -17,11 +17,9 @@ the tail percentiles.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.config import IncrementalDemandConfiguration
 from repro.domains import OctagonDomain
-from repro.workload import format_summary_table, generate_trials, run_trial, summarize
+from repro.workload import format_summary_table, generate_trials, summarize
 
 #: Paper-reported latency statistics (seconds) for EXPERIMENTS.md comparison.
 PAPER_TABLE = {

@@ -91,7 +91,7 @@ class BatchAnalyzer(Generic[StateT]):
 
     def _compute_location(self, loc: Loc, values: Dict[Loc, StateT]) -> None:
         incoming = self._incoming_value(loc, values)
-        if loc in self.cfg.loop_heads():
+        if self.cfg.is_loop_head(loc):
             values[loc] = self._loop_fixpoint(loc, incoming, values)
         else:
             values[loc] = incoming

@@ -25,7 +25,8 @@ outer iteration, which preserves acyclicity and all consistency invariants.
 
 The builder files the computations it writes at iteration 0, per location
 and per loop head (:attr:`DaigBuilder.encodings`, ``loop_encodings``).
-That record is the only description of the encoding: a structural splice
+Each filed computation is the very tuple the DAIG holds.  That record is
+the only description of the encoding: a structural splice
 (:mod:`repro.daig.splice`) compares an edit's suspects against it, and
 unrolling keys its memo by it.
 
@@ -36,7 +37,8 @@ So the encoder is memoized the way Q-Match memoizes transfers: a builder
 whose engine turned replay on (``shapes``) records the computations of the
 first unrolling of each *(shape, fix cell, k)* in :data:`UNROLL_TABLE`,
 one bounded table per process, and every later unrolling under that key
-replays them instead of deriving each name from the CFG again.  A record
+inserts those very computations instead of deriving each name from the
+CFG again.  A record
 is keyed by its own content, so it never goes stale: a copy, a restarted
 engine, a sibling procedure with an identical loop and a pool worker
 (which starts with its parent's table) all replay it.  A replay adds
@@ -57,15 +59,12 @@ from ..domains.base import AbstractDomain
 from ..intern import InternTable
 from ..lang.cfg import Cfg, CfgEdge, Loc
 from . import names as N
-from .graph import Daig, FIX, JOIN, TRANSFER, WIDEN
+from .graph import Computation, Daig, FIX, JOIN, TRANSFER, WIDEN
 
 #: Capacity of :data:`UNROLL_TABLE`, in recorded computations.  Records
 #: hold their names alive, so this also bounds the names the table
 #: retains.  The benchmark's wide call graph records 360 computations.
 UNROLL_TABLE_CAPACITY = 2048
-
-#: One recorded DAIG write: a computation ``(dest, func, srcs)`` added.
-Write = Tuple[N.Name, str, Tuple[N.Name, ...]]
 
 
 class LoopShape:
@@ -102,7 +101,7 @@ class UnrollRecord:
 
     __slots__ = ("writes", "fix_srcs", "weight")
 
-    def __init__(self, writes: Tuple[Write, ...],
+    def __init__(self, writes: Tuple[Computation, ...],
                  fix_srcs: Tuple[N.Name, N.Name]) -> None:
         self.writes = writes
         self.fix_srcs = fix_srcs
@@ -179,24 +178,23 @@ def reset_unroll_table_stats() -> None:
 
 class _Recorder:
     """Stands in for the DAIG while the builder encodes: records each
-    computation the encoder adds, in order, and passes every write on to
-    ``daig``.  A detached recorder (``daig`` None) only records."""
+    computation the encoder adds, in order, and passes that very tuple on
+    to ``daig``.  A detached recorder (``daig`` None) only records."""
 
     __slots__ = ("daig", "writes")
 
     def __init__(self, daig: Optional[Daig]) -> None:
         self.daig = daig
-        self.writes: List[Write] = []
+        self.writes: List[Computation] = []
 
     def hold(self, name: N.Name, value: Any) -> None:
         if self.daig is not None:
             self.daig.hold(name, value)
 
-    def add_computation(self, dest: N.Name, func: str,
-                        srcs: Tuple[N.Name, ...]) -> None:
-        self.writes.append((dest, func, srcs))
+    def add_computation(self, comp: Computation) -> None:
+        self.writes.append(comp)
         if self.daig is not None:
-            self.daig.add_computation(dest, func, srcs)
+            self.daig.add_computation(comp)
 
 
 class DaigBuilder:
@@ -223,8 +221,8 @@ class DaigBuilder:
         self.domain = domain
         self.entry_state = (entry_state if entry_state is not None
                             else domain.initial(cfg.params))
-        self.encodings: Dict[Loc, Tuple[Write, ...]] = {}
-        self.loop_encodings: Dict[Loc, Tuple[Write, ...]] = {}
+        self.encodings: Dict[Loc, Tuple[Computation, ...]] = {}
+        self.loop_encodings: Dict[Loc, Tuple[Computation, ...]] = {}
         self.shapes: Optional[Dict[Loc, LoopShape]] = None
 
     # -- naming helpers -----------------------------------------------------------
@@ -290,9 +288,7 @@ class DaigBuilder:
         self.check_encodable()
         cfg = self.cfg
         daig = Daig()
-        entry_name = self.state_name(cfg.entry, {})
-        daig.add_ref(entry_name)
-        daig.set_value(entry_name, self.entry_state)
+        daig.hold(self.state_name(cfg.entry, {}), self.entry_state)
         self.encodings = {}
         self.loop_encodings = {}
         reachable = cfg.reachable_locations()
@@ -304,14 +300,15 @@ class DaigBuilder:
                 self.encode_loop(daig, head)
         return daig
 
-    def encode(self, daig: Optional[Daig], loc: Loc) -> Tuple[Write, ...]:
+    def encode(self, daig: Optional[Daig],
+               loc: Loc) -> Tuple[Computation, ...]:
         """``encode_incoming(daig, loc, {})``, filed under
         ``encodings[loc]``; with no DAIG, the writes it would make now,
         filed nowhere."""
         return self._filed(daig, self.encode_incoming, loc, self.encodings)
 
     def encode_loop(self, daig: Optional[Daig],
-                    head: Loc) -> Tuple[Write, ...]:
+                    head: Loc) -> Tuple[Computation, ...]:
         """``build_loop_structures(daig, head, {})``, filed under
         ``loop_encodings[head]``; with no DAIG, filed nowhere."""
         return self._filed(daig, self.build_loop_structures, head,
@@ -319,7 +316,8 @@ class DaigBuilder:
 
     @staticmethod
     def _filed(daig: Optional[Daig], encode: Any, loc: Loc,
-               files: Dict[Loc, Tuple[Write, ...]]) -> Tuple[Write, ...]:
+               files: Dict[Loc, Tuple[Computation, ...]]
+               ) -> Tuple[Computation, ...]:
         recorder = _Recorder(daig)
         encode(recorder, loc, {})
         writes = tuple(recorder.writes)
@@ -340,18 +338,18 @@ class DaigBuilder:
         dest = N.Name(N.STATE, loc, iters=iters)
         if len(edges) == 1:
             edge = edges[0][1]
-            daig.add_computation(dest, TRANSFER, (
+            daig.add_computation((dest, TRANSFER, (
                 self._stmt_cell(daig, edge, 0),
-                self.source_name(edge.src, loc, overrides, heads, iters)))
+                self.source_name(edge.src, loc, overrides, heads, iters))))
             return
         prejoins = []
         for index, edge in edges:
             prejoin = N.Name(N.PREJOIN, loc, index, iters=iters)
-            daig.add_computation(prejoin, TRANSFER, (
+            daig.add_computation((prejoin, TRANSFER, (
                 self._stmt_cell(daig, edge, index),
-                self.source_name(edge.src, loc, overrides, heads, iters)))
+                self.source_name(edge.src, loc, overrides, heads, iters))))
             prejoins.append(prejoin)
-        daig.add_computation(dest, JOIN, tuple(prejoins))
+        daig.add_computation((dest, JOIN, tuple(prejoins)))
 
     def _stmt_cell(self, daig: Daig, edge: CfgEdge, index: int) -> N.Name:
         name = N.stmt_name(edge.src, edge.dst, index)
@@ -378,19 +376,23 @@ class DaigBuilder:
         fix_cell = self.fix_name(head, overrides)
         stmt_cell = self._stmt_cell(daig, back, 0)
         source = self.source_name(back.src, head, body_overrides)
-        daig.add_computation(prewiden1, TRANSFER, (stmt_cell, source))
-        daig.add_computation(iterate1, WIDEN, (iterate0, prewiden1))
-        daig.add_computation(fix_cell, FIX, (iterate0, iterate1))
+        daig.add_computation((prewiden1, TRANSFER, (stmt_cell, source)))
+        daig.add_computation((iterate1, WIDEN, (iterate0, prewiden1)))
+        daig.add_computation((fix_cell, FIX, (iterate0, iterate1)))
 
     # -- demanded unrolling -----------------------------------------------------------------
 
     def current_unrolling(self, daig: Daig, head: Loc, overrides: Dict[Loc, int]) -> int:
         """The greatest abstract iterate currently encoded for ``head``."""
-        fix_cell = self.fix_name(head, overrides)
+        return self._greatest_iterate(daig, self.fix_name(head, overrides))
+
+    @staticmethod
+    def _greatest_iterate(daig: Daig, fix_cell: N.Name) -> int:
         comp = daig.defining(fix_cell)
-        if comp is None or comp.func != FIX:
-            raise KeyError("no fix computation for loop head %d" % head)
-        return comp.srcs[1].iteration_of(head)
+        if comp is None or comp[1] != FIX:
+            raise KeyError("no fix computation for loop head %d"
+                           % fix_cell.loc)
+        return comp[2][1].iteration_of(fix_cell.loc)
 
     def unroll(self, daig: Daig, head: Loc, overrides: Dict[Loc, int]) -> int:
         """Unroll the abstract interpretation of ``head``'s loop by one step.
@@ -406,10 +408,7 @@ class DaigBuilder:
         otherwise.
         """
         fix_cell = self.fix_name(head, overrides)
-        comp = daig.defining(fix_cell)
-        if comp is None or comp.func != FIX:
-            raise KeyError("no fix computation for loop head %d" % head)
-        k = comp.srcs[1].iteration_of(head)
+        k = self._greatest_iterate(daig, fix_cell)
         if self.shapes is None or dict(fix_cell.iters) != overrides:
             fix_srcs = self._encode_iteration(daig, head, overrides, k)
         else:
@@ -423,10 +422,10 @@ class DaigBuilder:
             else:
                 # The same computations in the same order; the statement
                 # cells they read already hold their edges' statements.
-                for dest, func, srcs in record.writes:
-                    daig.add_computation(dest, func, srcs)
+                for comp in record.writes:
+                    daig.add_computation(comp)
                 fix_srcs = record.fix_srcs
-        daig.replace_computation(fix_cell, FIX, fix_srcs)
+        daig.replace_computation((fix_cell, FIX, fix_srcs))
         return k + 1
 
     def loop_shape(self, head: Loc) -> LoopShape:
@@ -468,8 +467,8 @@ class DaigBuilder:
         iterate_k = self.state_name(head, {**overrides, head: k})
         iterate_next = self.state_name(head, {**overrides, head: k + 1})
         source = self.source_name(back.src, head, body_overrides)
-        daig.add_computation(prewiden_next, TRANSFER, (stmt_cell, source))
-        daig.add_computation(iterate_next, WIDEN, (iterate_k, prewiden_next))
+        daig.add_computation((prewiden_next, TRANSFER, (stmt_cell, source)))
+        daig.add_computation((iterate_next, WIDEN, (iterate_k, prewiden_next)))
         return iterate_k, iterate_next
 
     def roll(self, daig: Daig, head: Loc, overrides: Dict[Loc, int]) -> None:
@@ -493,4 +492,4 @@ class DaigBuilder:
         daig.remove_region(to_remove)
         iterate0 = self.state_name(head, {**overrides, head: 0})
         iterate1 = self.state_name(head, {**overrides, head: 1})
-        daig.replace_computation(fix_cell, FIX, (iterate0, iterate1))
+        daig.replace_computation((fix_cell, FIX, (iterate0, iterate1)))

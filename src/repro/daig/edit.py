@@ -68,7 +68,7 @@ def write_cell(
     only for cells that have a defining computation — exactly the E-Commit
     side conditions.
     """
-    if name not in daig.refs:
+    if not daig.declares(name):
         raise InvalidEditError("unknown reference cell %s" % (name,))
     if value is None and daig.defining(name) is None:
         raise InvalidEditError(

@@ -259,9 +259,9 @@ class DaigEngine:
                     overrides: Dict[Loc, int] = {}
                     for head in heads:
                         self._ensure_converged(head, overrides)
-                        comp = self._daig.defining(
+                        _fix, _func, (first, _last) = self._daig.defining(
                             self.builder.fix_name(head, overrides))
-                        overrides[head] = comp.srcs[0].iteration_of(head)
+                        overrides[head] = first.iteration_of(head)
                     if self.cfg.is_loop_head(loc):
                         return self.evaluator.query(
                             self.builder.fix_name(loc, overrides))
@@ -295,7 +295,7 @@ class DaigEngine:
         comp = self._daig.defining(fix_cell)
         if comp is None:
             raise KeyError("no loop structure for head %d" % head)
-        first, second = comp.srcs
+        _fix, _func, (first, second) = comp
         if (self._daig.has_value(first) and self._daig.has_value(second)
                 and self._values_equal(self._daig.value(first),
                                        self._daig.value(second))):

@@ -4,10 +4,18 @@ A DAIG ``D = ⟨R, C⟩`` (Fig. 6) is a set of uniquely-named reference cells
 ``R``, each holding a statement, an abstract state, or nothing (ε), plus a
 set of computations ``C`` — labelled hyper-edges ``n ← f(n1, ..., nk)``
 connecting the cells holding ``f``'s inputs to the cell receiving its
-output.  The well-formedness conditions of Definition 4.1 (unique names,
-unique destinations, acyclicity, well-typedness, and "empty cells have a
-defining computation") are checked by :meth:`Daig.check_well_formed`, which
-the property-based tests run after every query and edit (Lemma 6.1).
+output.  A computation is the plain tuple ``(n, f, (n1, ..., nk))``
+(:data:`Computation`), the very object the builder files for its encoding
+(:mod:`repro.daig.build`).  The well-formedness conditions of
+Definition 4.1 (unique names, unique destinations, acyclicity,
+well-typedness, and "empty cells have a defining computation") are checked
+by :meth:`Daig.check_well_formed`, which the property-based tests run
+after every query and edit (Lemma 6.1).
+
+Since only a cell holding a value may lack a defining computation, ``R`` is
+not stored on its own: it is the *source* cells — the statement cells and
+the entry state, declared by :meth:`Daig.hold` — plus the destinations of
+``C``, declared by their ``computations`` entries.
 
 Beyond the paper's mathematical structure, this implementation maintains
 two auxiliary indices that make incremental edits O(affected region)
@@ -43,7 +51,8 @@ own recomputation is compared with.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .names import Name, TYPE_STATE, TYPE_STMT
 
@@ -53,32 +62,11 @@ JOIN = "join"          # ⊔
 WIDEN = "widen"        # ∇
 FIX = "fix"            # the distinguished fixed-point marker
 
+#: A computation ``dest ← func(srcs...)``, as ``(dest, func, srcs)``.
+Computation = Tuple[Name, str, Tuple[Name, ...]]
+
 #: Sentinel distinguishing "no value" from any held value.
 _ABSENT = object()
-
-
-class Computation:
-    """A computation edge ``dest ← func(srcs...)``."""
-
-    __slots__ = ("dest", "func", "srcs")
-
-    def __init__(self, dest: Name, func: str, srcs: Tuple[Name, ...]) -> None:
-        self.dest = dest
-        self.func = func
-        self.srcs = srcs
-
-    def __repr__(self) -> str:
-        return "%s ← %s(%s)" % (self.dest, self.func,
-                                ", ".join(str(s) for s in self.srcs))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Computation):
-            return NotImplemented
-        return (self.dest == other.dest and self.func == other.func
-                and self.srcs == other.srcs)
-
-    def __hash__(self) -> int:
-        return hash((self.dest, self.func, self.srcs))
 
 
 class IllFormedDaigError(Exception):
@@ -88,16 +76,17 @@ class IllFormedDaigError(Exception):
 class Daig:
     """A demanded abstract interpretation graph.
 
-    ``refs`` is the set of declared reference-cell names; ``values`` holds
-    the contents of the non-empty cells; ``computations`` maps each
-    destination name to its (unique) defining computation; ``dependents`` is
-    the reverse index used for forward dirtying; ``iterated`` indexes cells
-    by unrolled loop head, so splicing and roll-back touch only the
-    affected region.
+    ``sources`` holds the cells declared without a defining computation
+    (each holds a value); ``computations`` maps each destination name to its
+    (unique) defining computation, which declares it; together they are the
+    reference cells ``R``.  ``values`` holds the contents of the non-empty
+    cells; ``dependents`` is the reverse index used for forward dirtying;
+    ``iterated`` indexes computed cells by unrolled loop head, so splicing
+    and roll-back touch only the affected region.
     """
 
     def __init__(self) -> None:
-        self.refs: Set[Name] = set()
+        self.sources: Set[Name] = set()
         self.values: Dict[Name, Any] = {}
         self.computations: Dict[Name, Computation] = {}
         self.dependents: Dict[Name, Set[Name]] = {}
@@ -115,45 +104,45 @@ class Daig:
 
     # -- construction ------------------------------------------------------------
 
-    def add_ref(self, name: Name) -> None:
-        if name in self.refs:
-            return
-        self.refs.add(name)
-        for head in name.heads:
-            self.iterated.setdefault(head, set()).add(name)
-
-    def add_computation(self, dest: Name, func: str, srcs: Tuple[Name, ...]) -> None:
-        existing = self.computations.get(dest)
+    def add_computation(self, comp: Computation) -> None:
+        """Add ``comp``, which declares its destination.  Re-adding an
+        equal computation puts ``comp`` in the held one's place, so the DAIG
+        holds the tuple its builder filed or replayed last."""
+        dest, _func, srcs = comp
+        computations = self.computations
+        existing = computations.get(dest)
         if existing is not None:
-            if existing.func == func and existing.srcs == srcs:
-                return
-            raise IllFormedDaigError(
-                "cell %s already has a defining computation" % (dest,))
-        comp = Computation(dest, func, srcs)
-        self.computations[dest] = comp
-        self.add_ref(dest)
+            if existing != comp:
+                raise IllFormedDaigError(
+                    "cell %s already has a defining computation" % (dest,))
+            computations[dest] = comp
+            return
+        computations[dest] = comp
+        for head in dest.heads:
+            self.iterated.setdefault(head, set()).add(dest)
+        dependents = self.dependents
         for src in srcs:
-            self.add_ref(src)
-            self.dependents.setdefault(src, set()).add(dest)
+            dependents.setdefault(src, set()).add(dest)
 
     def hold(self, name: Name, value: Any) -> None:
         """Make ``name`` a source cell holding ``value`` (a statement cell
-        labelled by its edge's statement); a no-op when it already holds
-        that very object."""
+        labelled by its edge's statement, or the entry state); a no-op when
+        it already holds that very object."""
         if self.values.get(name) is not value:
-            self.add_ref(name)
+            self.sources.add(name)
             self.set_value(name, value)
 
-    def replace_computation(self, dest: Name, func: str, srcs: Tuple[Name, ...]) -> None:
-        """Replace the defining computation of ``dest`` (used by unroll/roll)."""
-        self.remove_computation(dest)
-        self.add_computation(dest, func, srcs)
+    def replace_computation(self, comp: Computation) -> None:
+        """Replace the defining computation of ``comp``'s destination (used
+        by unroll/roll)."""
+        self.remove_computation(comp[0])
+        self.add_computation(comp)
 
     def remove_computation(self, dest: Name) -> None:
         comp = self.computations.pop(dest, None)
         if comp is None:
             return
-        for src in comp.srcs:
+        for src in comp[2]:
             dependents = self.dependents.get(src)
             if dependents is not None:
                 dependents.discard(dest)
@@ -163,7 +152,7 @@ class Daig:
     def remove_ref(self, name: Name) -> None:
         """Remove a reference cell, its value, and its defining computation."""
         self.remove_computation(name)
-        self.refs.discard(name)
+        self.sources.discard(name)
         self.values.pop(name, None)
         self.shadows.pop(name, None)
         self.shadow_caps.pop(name, None)
@@ -186,7 +175,7 @@ class Daig:
         splicing pass speculative regions.  Returns the number of cells
         actually removed.
         """
-        region = [name for name in names if name in self.refs]
+        region = [name for name in names if self.declares(name)]
         for name in region:
             self.remove_computation(name)
         for name in region:
@@ -195,6 +184,14 @@ class Daig:
 
     # -- cell access ---------------------------------------------------------------
 
+    def declares(self, name: Name) -> bool:
+        """Whether ``name`` is a reference cell: computed, or a source."""
+        return name in self.computations or name in self.sources
+
+    def cells(self) -> Iterator[Name]:
+        """The reference cells ``R``: the sources, then the destinations."""
+        return chain(self.sources, self.computations)
+
     def has_value(self, name: Name) -> bool:
         return name in self.values
 
@@ -202,7 +199,8 @@ class Daig:
         return self.values[name]
 
     def set_value(self, name: Name, value: Any) -> None:
-        if name not in self.refs:
+        # `declares`, inlined: every committed value passes here.
+        if name not in self.computations and name not in self.sources:
             raise KeyError("unknown reference cell %s" % (name,))
         # Stamp pointer-*changes* only: the last known value is the held one,
         # or the shadow while the cell is dirty.  Writing a different value
@@ -260,11 +258,11 @@ class Daig:
         return target in self.forward_reachable([source])
 
     def size(self) -> Tuple[int, int]:
-        """``(number of cells, number of computations)``."""
-        return len(self.refs), len(self.computations)
-
-    def state_cells(self) -> List[Name]:
-        return [name for name in self.refs if name.cell_type() == TYPE_STATE]
+        """``(number of cells, number of computations)``: a source has no
+        computation (:meth:`check_well_formed`), so the cells are the
+        sources plus the destinations."""
+        computations = len(self.computations)
+        return len(self.sources) + computations, computations
 
     # -- well-formedness (Definition 4.1) ------------------------------------------------
 
@@ -277,17 +275,21 @@ class Daig:
         # (4) well-typedness of computations.
         for comp in self.computations.values():
             self._check_types(comp)
-        # (5) every empty reference has a defining computation.
-        for name in self.refs:
-            if name not in self.values and name not in self.computations:
+        # (5) every empty reference has a defining computation: a cell
+        # without one is a source, and holds a value.
+        for name in self.sources:
+            if name not in self.values:
                 raise IllFormedDaigError(
                     "empty cell %s has no defining computation" % (name,))
-        # All computation endpoints must be declared references.
-        for comp in self.computations.values():
-            for name in (comp.dest,) + comp.srcs:
-                if name not in self.refs:
+            if name in self.computations:
+                raise IllFormedDaigError(
+                    "source cell %s has a defining computation" % (name,))
+        # Every input is a reference cell: a source, or computed.
+        for _dest, _func, srcs in self.computations.values():
+            for name in srcs:
+                if not self.declares(name):
                     raise IllFormedDaigError(
-                        "computation mentions undeclared cell %s" % (name,))
+                        "computation reads undeclared cell %s" % (name,))
 
     def _check_acyclic(self) -> None:
         state: Dict[Name, int] = {}
@@ -295,7 +297,8 @@ class Daig:
         def successors(name: Name) -> Set[Name]:
             return self.dependents_of(name)
 
-        for start in self.refs:
+        # Every cell on a cycle is computed.
+        for start in self.computations:
             if state.get(start, 0):
                 continue
             stack: List[Tuple[Name, List[Name]]] = [(start, list(successors(start)))]
@@ -316,27 +319,28 @@ class Daig:
                     stack.pop()
 
     def _check_types(self, comp: Computation) -> None:
-        if comp.dest.cell_type() != TYPE_STATE:
+        dest, func, srcs = comp
+        if dest.cell_type() != TYPE_STATE:
             raise IllFormedDaigError(
-                "computation writes to a statement cell %s" % (comp.dest,))
-        if comp.func == TRANSFER:
-            if len(comp.srcs) != 2 or comp.srcs[0].cell_type() != TYPE_STMT \
-                    or comp.srcs[1].cell_type() != TYPE_STATE:
+                "computation writes to a statement cell %s" % (dest,))
+        if func == TRANSFER:
+            if len(srcs) != 2 or srcs[0].cell_type() != TYPE_STMT \
+                    or srcs[1].cell_type() != TYPE_STATE:
                 raise IllFormedDaigError("ill-typed transfer %r" % (comp,))
-        elif comp.func in (JOIN, WIDEN, FIX):
-            if not comp.srcs or any(s.cell_type() != TYPE_STATE for s in comp.srcs):
-                raise IllFormedDaigError("ill-typed %s %r" % (comp.func, comp))
-            if comp.func in (WIDEN, FIX) and len(comp.srcs) != 2:
+        elif func in (JOIN, WIDEN, FIX):
+            if not srcs or any(s.cell_type() != TYPE_STATE for s in srcs):
+                raise IllFormedDaigError("ill-typed %s %r" % (func, comp))
+            if func in (WIDEN, FIX) and len(srcs) != 2:
                 raise IllFormedDaigError("%s must have two inputs: %r"
-                                         % (comp.func, comp))
+                                         % (func, comp))
         else:
-            raise IllFormedDaigError("unknown function symbol %r" % (comp.func,))
+            raise IllFormedDaigError("unknown function symbol %r" % (func,))
 
     # -- display --------------------------------------------------------------------------
 
     def pretty(self, max_cells: int = 200) -> str:
         lines = ["DAIG with %d cells / %d computations" % self.size()]
-        for index, name in enumerate(sorted(self.refs, key=str)):
+        for index, name in enumerate(sorted(self.cells(), key=str)):
             if index >= max_cells:
                 lines.append("  ...")
                 break

@@ -125,7 +125,6 @@ class QueryEvaluator:
         # The walk reads the DAIG's dicts directly: every step probes them.
         values = daig.values
         computations = daig.computations
-        refs = daig.refs
         stats = self.stats
         if name in values:
             stats.cells_reused += 1
@@ -133,6 +132,10 @@ class QueryEvaluator:
         unrollings: Dict[Name, int] = {}
         stack: List[Name] = [name]
         on_path: Set[Name] = {name}
+        # Only dirtying (a reentrant call transfer's) removes cells under a
+        # walk, and it opens a new epoch: a cell found missing while the
+        # epoch still reads this is a dangling input, not a removed one.
+        epoch = daig.epoch
         # Which demanding cell caused each computation, so that input reads
         # count as Q-Reuse exactly as in the recursive judgment: every
         # demanded read of a cell is a reuse unless this very demand is the
@@ -147,19 +150,20 @@ class QueryEvaluator:
                 continue
             comp = computations.get(current)
             if comp is None:
-                if current is not name and current not in refs:
-                    # Removed mid-flight by a reentrant call transfer (loop
-                    # rollback); restart the walk from the root.
-                    if name not in refs:
-                        raise StaleDemandError(
-                            "root cell %s vanished during evaluation" % (name,))
-                    stack = [name]
-                    on_path = {name}
-                    pushed_by.clear()
-                    continue
-                raise IllFormedDaigError(
-                    "query for undefined empty cell %s" % (current,))
-            srcs = comp.srcs
+                if daig.epoch == epoch:
+                    raise IllFormedDaigError(
+                        "query for undefined empty cell %s" % (current,))
+                # Removed mid-flight by a reentrant call transfer (loop
+                # rollback); restart the walk from the root.
+                if not daig.declares(name):
+                    raise StaleDemandError(
+                        "root cell %s vanished during evaluation" % (name,))
+                stack = [name]
+                on_path = {name}
+                pushed_by.clear()
+                epoch = daig.epoch
+                continue
+            _dest, func, srcs = comp
             pending = None
             for src in srcs:
                 if src not in values:
@@ -182,12 +186,12 @@ class QueryEvaluator:
                     del pushed_by[src]
                 else:
                     stats.cells_reused += 1
-            if comp.func == FIX:
-                self._step_fix(current, comp, unrollings)
+            if func == FIX:
+                self._step_fix(current, srcs, unrollings)
                 continue  # either converged (valued) or unrolled (new inputs)
             value = self._evaluate(comp, tuple(map(values.__getitem__, srcs)))
             live = computations.get(current)
-            if ((live is not comp and live != comp) or current not in refs
+            if ((live is not comp and live != comp)
                     or not all(map(values.__contains__, srcs))):
                 # A call transfer may re-enter the interprocedural engine,
                 # which can dirty cells of *this* DAIG (a callee summary
@@ -196,12 +200,13 @@ class QueryEvaluator:
                 # just computed is stale; discard it and restart the walk
                 # from the root (everything already committed keeps its
                 # value, so only the invalidated suffix is re-derived).
-                if name not in refs:
+                if not daig.declares(name):
                     raise StaleDemandError(
                         "root cell %s vanished during evaluation" % (name,))
                 stack = [name]
                 on_path = {name}
                 pushed_by.clear()
+                epoch = daig.epoch
                 continue
             self._commit_cell(current, value)
             stack.pop()
@@ -261,10 +266,12 @@ class QueryEvaluator:
                 if cap is None:
                     continue  # a re-encoded cell's shadow: a baseline only
                 comp = computations.get(dep)
-                if comp is None or comp.func == FIX:
+                if comp is None:
                     continue
-                srcs = comp.srcs
-                if (hooked and comp.func == TRANSFER
+                _dest, func, srcs = comp
+                if func == FIX:
+                    continue
+                if (hooked and func == TRANSFER
                         and isinstance(values.get(srcs[0]), A.CallStmt)):
                     continue
                 for src in srcs:
@@ -278,9 +285,10 @@ class QueryEvaluator:
                     self.stats.cells_restored += 1
                     frontier.append(dep)
 
-    def _step_fix(self, name: Name, comp: Computation,
+    def _step_fix(self, name: Name, srcs: Tuple[Name, ...],
                   unrollings: Dict[Name, int]) -> None:
-        """One Q-Loop step for a ``fix`` cell whose iterates are available.
+        """One Q-Loop step for a ``fix`` cell whose iterates, ``srcs``, are
+        available.
 
         Writes the fixed point into the cell on convergence
         (Q-Loop-Converge); otherwise unrolls the loop by one iteration
@@ -288,8 +296,8 @@ class QueryEvaluator:
         caller's next look at the cell demands the new greatest iterate.
         """
         values = self.daig.values
-        first = values[comp.srcs[0]]
-        second = values[comp.srcs[1]]
+        first = values[srcs[0]]
+        second = values[srcs[1]]
         # Interned states make the common converged case a pointer check.
         if first is second or self.domain.equal(first, second):
             self._commit_cell(name, second)
@@ -301,7 +309,7 @@ class QueryEvaluator:
                 "demanded unrollings; the last two iterates were %s: %r "
                 "and %s: %r — the domain's widening is not stabilizing them"
                 % (name.loc, name, MAX_UNROLLINGS,
-                   comp.srcs[0], first, comp.srcs[1], second))
+                   srcs[0], first, srcs[1], second))
         unrollings[name] = count
         self.stats.unrollings += 1
         self.builder.unroll(self.daig, name.loc, dict(name.iters))
@@ -310,7 +318,7 @@ class QueryEvaluator:
 
     def _evaluate(self, comp: Computation, args: Tuple[Any, ...]) -> Any:
         """Q-Match or Q-Miss for a computation whose inputs hold ``args``."""
-        func = comp.func
+        _dest, func, srcs = comp
         if func == TRANSFER and isinstance(args[0], A.CallStmt):
             # Never memoized location-independently (Section 7.1).
             self.stats.transfers += 1
@@ -318,7 +326,7 @@ class QueryEvaluator:
                 # The hook also receives the statement *cell* naming the call
                 # site, so the interprocedural engine can index entry-state
                 # contributions per call site.
-                return self.call_transfer(args[0], args[1], comp.srcs[0])
+                return self.call_transfer(args[0], args[1], srcs[0])
             return self.domain.transfer(args[0], args[1])
         memo = self.memo
         found, value = memo.lookup(func, args)

@@ -43,7 +43,7 @@ def to_dot(daig: Daig, title: str = "daig", max_value_length: int = 24) -> str:
         "  rankdir=LR;",
         '  node [fontname="Helvetica"];',
     ]
-    for name in sorted(daig.refs, key=str):
+    for name in sorted(daig.cells(), key=str):
         shape = "box" if name.cell_type() == TYPE_STMT else "ellipse"
         filled = daig.has_value(name)
         label = _cell_label(daig, name).replace('"', "'")
@@ -55,15 +55,15 @@ def to_dot(daig: Daig, title: str = "daig", max_value_length: int = 24) -> str:
         style = "filled" if filled else "dashed"
         lines.append('  %s [shape=%s, style=%s, label="%s"];'
                      % (_node_id(name), shape, style, label))
-    for index, comp in enumerate(sorted(daig.computations.values(),
-                                        key=lambda c: str(c.dest))):
+    for index, (dest, func, srcs) in enumerate(
+            sorted(daig.computations.values(), key=lambda c: str(c[0]))):
         junction = "comp_%d" % index
-        label = _FUNCTION_LABELS.get(comp.func, comp.func)
+        label = _FUNCTION_LABELS.get(func, func)
         lines.append('  %s [shape=circle, width=0.25, label="%s"];'
                      % (junction, label))
-        for src in comp.srcs:
+        for src in srcs:
             lines.append("  %s -> %s;" % (_node_id(src), junction))
-        lines.append("  %s -> %s;" % (junction, _node_id(comp.dest)))
+        lines.append("  %s -> %s;" % (junction, _node_id(dest)))
     lines.append("}")
     return "\n".join(lines)
 
@@ -71,7 +71,7 @@ def to_dot(daig: Daig, title: str = "daig", max_value_length: int = 24) -> str:
 def summarize_daig(daig: Daig) -> Dict[str, int]:
     """A census of the DAIG: cells by kind, filled cells, loop unrollings."""
     census: Dict[str, int] = {
-        "cells": len(daig.refs),
+        "cells": daig.size()[0],
         "computations": len(daig.computations),
         "filled_cells": len(daig.values),
         "statement_cells": 0,
@@ -84,19 +84,18 @@ def summarize_daig(daig: Daig) -> Dict[str, int]:
     kind_keys = {STMT: "statement_cells", STATE: "state_cells",
                  PREJOIN: "prejoin_cells", PREWIDEN: "prewiden_cells",
                  FIX_KIND: "fix_cells"}
-    for name in daig.refs:
+    for name in daig.cells():
         key = kind_keys.get(name.kind)
         if key is not None:
             census[key] += 1
-    for comp in daig.computations.values():
-        if comp.func == FIX:
+    for dest, func, srcs in daig.computations.values():
+        if func == FIX:
             census["max_unrolling"] = max(
-                census["max_unrolling"],
-                comp.srcs[1].iteration_of(comp.dest.loc))
+                census["max_unrolling"], srcs[1].iteration_of(dest.loc))
     return census
 
 
 def describe_dirty_frontier(daig: Daig) -> List[str]:
     """Names of the empty (dirtied / not-yet-demanded) abstract-state cells."""
-    return sorted(str(name) for name in daig.refs
+    return sorted(str(name) for name in daig.cells()
                   if name.cell_type() != TYPE_STMT and not daig.has_value(name))

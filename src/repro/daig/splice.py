@@ -49,9 +49,9 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..lang.cfg import Cfg
 from . import names as N
-from .build import DaigBuilder, Write
+from .build import DaigBuilder
 from .edit import dirty_forward
-from .graph import Daig, TRANSFER
+from .graph import Computation, Daig, TRANSFER
 
 #: Identifies a statement cell: (edge src, edge dst, pre-join index or 0).
 StmtKey = Tuple[int, int, int]
@@ -70,7 +70,7 @@ def stmt_cells_at(cfg: Cfg, loc: int) -> Dict[StmtKey, Any]:
     return cells
 
 
-def _loops(writes: Optional[Tuple[Write, ...]]) -> Tuple[int, ...]:
+def _loops(writes: Optional[Tuple[Computation, ...]]) -> Tuple[int, ...]:
     """The loop heads around a location, as its filed writes encode them:
     the iterations its state cell, the last destination, carries."""
     if not writes:
@@ -78,7 +78,8 @@ def _loops(writes: Optional[Tuple[Write, ...]]) -> Tuple[int, ...]:
     return tuple([head for head, _count in writes[-1][0].iters])
 
 
-def _statements(*files: Optional[Tuple[Write, ...]]) -> Dict[StmtKey, N.Name]:
+def _statements(*files: Optional[Tuple[Computation, ...]]
+                ) -> Dict[StmtKey, N.Name]:
     """The statement cells the filed transfers read, by key."""
     cells: Dict[StmtKey, N.Name] = {}
     for writes in files:
@@ -272,12 +273,12 @@ def _apply_splice(
         del loop_encodings[head]
 
     # -- re-encode (and re-file) the dirty regions ---------------------------
-    cells_before = len(daig.refs)
+    cells_before = daig.size()[0]
     for loc in sorted(dirty_locs):
         builder.encode(daig, loc)
     for head in sorted(affected_heads):
         builder.encode_loop(daig, head)
-    report.cells_added = len(daig.refs) - cells_before
+    report.cells_added = daig.size()[0] - cells_before
 
     # -- update re-labelled statement cells and dirty downstream -------------
     seeds = [name for name, _stmt in relabels]
@@ -298,7 +299,7 @@ def _apply_splice(
     # gets no capture epoch.
     epoch = daig.epoch
     for name, (value, stamp) in prior_values.items():
-        if name not in daig.refs:
+        if not daig.declares(name):
             continue
         if name in daig.values:
             if daig.values[name] is value:

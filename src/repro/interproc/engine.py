@@ -1105,7 +1105,7 @@ class InterproceduralEngine:
                     names = [name for name in (
                         stmt_name(*cell)
                         for cell in self.callgraph.call_cells(caller, proc))
-                        if name in daig.refs]
+                        if daig.declares(name)]
                     if not names:
                         continue
                     dirty_forward(daig, engine.builder, names)

@@ -321,11 +321,17 @@ class Cfg:
         return self._analyze().dominates(a, b)
 
     def back_edges(self) -> List[CfgEdge]:
-        """Edges ``u --> v`` where ``v`` dominates ``u`` (loop back edges)."""
-        return self._analyze().back_edges()
+        """Edges ``u --> v`` where ``v`` dominates ``u`` (loop back edges),
+        in edge order.  Derived on each call: only tests ask for the list."""
+        analysis = self._analyze()
+        return [edge for edge in self.edges if edge.src in analysis.reachable
+                and (edge.src, edge.dst) in analysis.back_pairs]
 
     def forward_edges(self) -> List[CfgEdge]:
-        return self._analyze().forward_edges()
+        """The other edges leaving a reachable location, in edge order."""
+        analysis = self._analyze()
+        return [edge for edge in self.edges if edge.src in analysis.reachable
+                and (edge.src, edge.dst) not in analysis.back_pairs]
 
     def is_back_edge(self, edge: CfgEdge) -> bool:
         return self._analyze().is_back_edge(edge)
@@ -350,8 +356,10 @@ class Cfg:
         return bool(self.containing_loop_heads(loc))
 
     def join_points(self) -> Set[Loc]:
-        """Locations with forward in-degree >= 2 (the paper's ``L⊔``)."""
-        return self._analyze().join_points
+        """Locations with forward in-degree >= 2 (the paper's ``L⊔``),
+        derived on each call."""
+        return {loc for loc, edges in self._analyze().fwd_edges_to.items()
+                if len(edges) >= 2}
 
     def fwd_edges_to(self, loc: Loc) -> List[Tuple[int, CfgEdge]]:
         """Incoming *forward* edges of ``loc``, paired with 1-based indices.

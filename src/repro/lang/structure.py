@@ -1,9 +1,10 @@
 """The live CFG structure, updated exactly on insertions.
 
 The DAIG encoding (Section 4 / Appendix A) reads a CFG's reachability,
-dominators, forward/back edge partition, natural loops, loop nesting, join
-points and per-location ``fwd-edges-to`` index.  :class:`CfgStructure`
-holds all of them for one CFG and keeps them current as the CFG is edited:
+dominators, forward/back edge partition, natural loops, loop nesting and
+per-location ``fwd-edges-to`` index (a join point is a location with two
+or more forward edges in).  :class:`CfgStructure` holds all of them for
+one CFG and keeps them current as the CFG is edited:
 
 * **The full build** walks the graph once from the entry.  Cooper, Harvey
   and Kennedy's iteration ("A Simple, Fast Dominance Algorithm", 2001)
@@ -105,11 +106,9 @@ class CfgStructure:
     """Live derived structural facts about a CFG, updated per insertion.
 
     Exposes ``reachable``, the immediate-dominator tree (``idom``, the
-    entry its own parent, and ``dom_children``), loop structure,
-    ``fwd_edges_to`` and ``join_points``, plus O(1) reducibility and
-    loop-exit validity, flat forward/back edge lists (derived lazily from
-    the per-edge classification), and work counters for the benchmark
-    layer.
+    entry its own parent, and ``dom_children``), loop structure (the back
+    edges as ``back_pairs``) and ``fwd_edges_to``, plus O(1) reducibility
+    and loop-exit validity, and work counters for the benchmark layer.
     """
 
     def __init__(self, cfg: "Cfg") -> None:
@@ -129,12 +128,9 @@ class CfgStructure:
         self.heads_by_loc: Dict[Loc, Set[Loc]] = {}
         self.containing: Dict[Loc, Tuple[Loc, ...]] = {}
         self.fwd_edges_to: Dict[Loc, List[Tuple[int, "CfgEdge"]]] = {}
-        self.join_points: Set[Loc] = set()
         self.bad_loop_exits: Dict["CfgEdge", Loc] = {}
         self.has_forward_cycle = False
         self._rpo: Optional[List[Loc]] = None
-        self._flat_back: Optional[List["CfgEdge"]] = None
-        self._flat_forward: Optional[List["CfgEdge"]] = None
         started = time.perf_counter()
         self._rebuild()
         cfg._structure_seconds += time.perf_counter() - started
@@ -154,28 +150,6 @@ class CfgStructure:
             return []
         return [e for e in self.cfg._in.get(loc, ())
                 if (e.src, e.dst) in self.back_pairs and e.src in self.reachable]
-
-    def back_edges(self) -> List["CfgEdge"]:
-        if self._flat_back is None:
-            self._partition_flat()
-        return self._flat_back
-
-    def forward_edges(self) -> List["CfgEdge"]:
-        if self._flat_forward is None:
-            self._partition_flat()
-        return self._flat_forward
-
-    def _partition_flat(self) -> None:
-        back: List["CfgEdge"] = []
-        forward: List["CfgEdge"] = []
-        for edge in self.cfg.edges:
-            if edge.src not in self.reachable:
-                continue
-            if (edge.src, edge.dst) in self.back_pairs:
-                back.append(edge)
-            else:
-                forward.append(edge)
-        self._flat_back, self._flat_forward = back, forward
 
     def reverse_postorder(self) -> List[Loc]:
         """Reverse postorder over forward edges (recomputed lazily).
@@ -212,7 +186,6 @@ class CfgStructure:
                         self.back_pairs.add((src, edge.dst))
                     else:
                         self.has_forward_cycle = True
-        self._flat_back = self._flat_forward = None
         heads = sorted({dst for (_src, dst) in self.back_pairs})
         self.natural_loops = {h: self._natural_loop(h) for h in heads}
         self.loop_heads = heads
@@ -226,9 +199,6 @@ class CfgStructure:
         self.fwd_edges_to = {}
         for loc in self.reachable:
             self._refresh_fwd_edges_to(loc)
-        self.join_points = {
-            loc for loc, edges in self.fwd_edges_to.items() if len(edges) >= 2
-        }
         self.bad_loop_exits = {}
         for loc in self.reachable:
             self._refresh_bad_exits(loc)
@@ -265,7 +235,6 @@ class CfgStructure:
         self.stats["structure_refreshes"] += 1
         self.stats["structure_locs_reanalyzed"] += len(fragment)
         self._rpo = None
-        self._flat_back = self._flat_forward = None
         sig_suspects = set(fragment) | moved
         if loc not in self.reachable:
             return sig_suspects, set()  # nothing reachable changed
@@ -327,8 +296,6 @@ class CfgStructure:
         # graph stays reducible and free of loop-exit violations.)
         for node in fragment:
             self._refresh_fwd_edges_to(node)
-            if len(self.fwd_edges_to.get(node, ())) >= 2:
-                self.join_points.add(node)
         for dst in moved:
             self._refresh_fwd_edges_to(dst)
         return sig_suspects, set(outer) | new_heads
@@ -341,7 +308,6 @@ class CfgStructure:
         Only the destination's forward-edge index (which sorts on statement
         text) and edge-keyed auxiliary entries are touched.
         """
-        self._flat_back = self._flat_forward = None
         if (new.src, new.dst) not in self.back_pairs and new.dst in self.reachable:
             self._refresh_fwd_edges_to(new.dst)
         if old in self.bad_loop_exits:

@@ -147,9 +147,7 @@ def memo_facts(daig: Any, cfg: Any) -> List[Fact]:
     edge_of = {id(edge.stmt): position
                for position, edge in enumerate(cfg.edges)}
     facts: List[Fact] = []
-    for dest, comp in daig.computations.items():
-        func = comp.func
-        srcs = comp.srcs
+    for dest, func, srcs in daig.computations.values():
         if func == FIX or not valued(dest) or not all(map(valued, srcs)):
             continue
         args = tuple(map(values.__getitem__, srcs))

@@ -193,17 +193,17 @@ def assert_daig_matches_fresh_build(engine, tag=""):
                 if name.kind == N.STMT}
 
     def base_cells(graph):
-        return {name for name in graph.refs
+        return {name for name in graph.cells()
                 if name.kind in (N.STATE, N.PREJOIN, N.FIX)
                 and name.is_base_copy()}
 
     assert statements(daig) == statements(expected), (tag, "statements")
     assert base_cells(daig) == base_cells(expected), (tag, "base cells")
-    for dest, comp in expected.computations.items():
+    for comp in expected.computations.values():
+        dest, func, _srcs = comp
         held = daig.computations.get(dest)
         assert held is not None, (tag, dest)
-        if comp.func == FIX:
-            assert held.func == FIX, (tag, dest)
+        if func == FIX:
+            assert held[1] == FIX, (tag, dest)
         else:
-            assert (held.func, held.srcs) == (comp.func, comp.srcs), (
-                tag, dest)
+            assert held == comp, (tag, dest)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.ai import BatchAnalyzer, FixpointDivergenceError, analyze_cfg
 from repro.domains import ConstantDomain, IntervalDomain, SignDomain
-from repro.domains.base import AbstractDomain
 from repro.lang import ast as A
 from repro.lang import build_cfg, build_program_cfgs, parse_program
 from repro.lang.programs import array_program

@@ -9,9 +9,8 @@ import pytest
 from repro.lang import ast as A
 from repro.lang import build_cfg, parse_program
 from repro.lang.cfg import Cfg, IrreducibleCfgError
-from repro.lang.programs import append_program
 
-from helpers import BRANCH_SOURCE, LOOP_SOURCE, NESTED_SOURCE, random_cfg
+from helpers import LOOP_SOURCE, random_cfg
 from test_structure_incremental import assert_analysis_matches_scratch
 
 

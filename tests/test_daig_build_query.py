@@ -12,18 +12,16 @@ import pytest
 
 from repro.ai import BatchAnalyzer, analyze_cfg
 from repro.daig import DaigBuilder, DaigEngine, MemoTable
-from repro.daig.graph import FIX, JOIN, TRANSFER, WIDEN
-from repro.daig.query import QueryEvaluator
+from repro.daig.graph import FIX, JOIN, WIDEN
 from repro.domains import (
     ConstantDomain,
     IntervalDomain,
     OctagonDomain,
-    ShapeDomain,
     SignDomain,
 )
 from repro.lang import ast as A
 from repro.lang import build_cfg, build_program_cfgs, parse_program
-from repro.lang.programs import append_program, array_program, list_program
+from repro.lang.programs import array_program, list_program
 
 from helpers import BRANCH_SOURCE, LOOP_SOURCE, NESTED_SOURCE, random_cfg
 
@@ -32,7 +30,7 @@ class TestInitialConstruction:
     def test_statement_cells_hold_every_forward_and_back_edge(self, loop_cfg,
                                                               interval_domain):
         daig = DaigBuilder(loop_cfg, interval_domain).build()
-        stmt_values = [daig.value(name) for name in daig.refs
+        stmt_values = [daig.value(name) for name in daig.sources
                        if name.kind == "stmt"]
         assert len(stmt_values) == loop_cfg.size()
         for edge in loop_cfg.edges:
@@ -51,20 +49,19 @@ class TestInitialConstruction:
         builder = DaigBuilder(branch_cfg, interval_domain)
         daig = builder.build()
         join_loc = next(iter(branch_cfg.join_points()))
-        comp = daig.defining(builder.state_name(join_loc, {}))
-        assert comp.func == JOIN
-        assert len(comp.srcs) == 2
+        _dest, func, srcs = daig.defining(builder.state_name(join_loc, {}))
+        assert func == JOIN
+        assert len(srcs) == 2
 
     def test_loops_get_fix_widen_and_prewiden(self, loop_cfg, interval_domain):
         builder = DaigBuilder(loop_cfg, interval_domain)
         daig = builder.build()
         head = loop_cfg.loop_heads()[0]
-        fix_comp = daig.defining(builder.fix_name(head, {}))
-        assert fix_comp.func == FIX
-        assert fix_comp.srcs[0].iteration_of(head) == 0
-        assert fix_comp.srcs[1].iteration_of(head) == 1
-        widen_comp = daig.defining(fix_comp.srcs[1])
-        assert widen_comp.func == WIDEN
+        _fix, func, (first, last) = daig.defining(builder.fix_name(head, {}))
+        assert func == FIX
+        assert first.iteration_of(head) == 0
+        assert last.iteration_of(head) == 1
+        assert daig.defining(last)[1] == WIDEN
 
     def test_nested_loops_have_their_own_fix_cells(self, nested_cfg, interval_domain):
         builder = DaigBuilder(nested_cfg, interval_domain)
@@ -112,7 +109,8 @@ class TestDemandedUnrolling:
         builder.roll(daig, head, {})
         assert builder.current_unrolling(daig, head, {}) == 1
         daig.check_well_formed()
-        assert not any(name.mentions_head_iteration(head, 2) for name in daig.refs)
+        assert not any(name.mentions_head_iteration(head, 2)
+                       for name in daig.cells())
 
     def test_queries_unroll_only_until_convergence(self, loop_cfg, interval_domain):
         engine = DaigEngine(loop_cfg, interval_domain)

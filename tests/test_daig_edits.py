@@ -8,14 +8,14 @@ edited program (the paper's Theorems 6.1/6.3 applied across versions).
 import pytest
 
 from repro.ai import analyze_cfg
-from repro.daig import DaigBuilder, DaigEngine, InvalidEditError, write_cell
+from repro.daig import DaigEngine, InvalidEditError, write_cell
 from repro.daig import names as N
 from repro.domains import IntervalDomain, OctagonDomain, SignDomain
 from repro.lang import ast as A
 from repro.lang import build_cfg, build_program_cfgs, parse_expression, parse_program
 from repro.lang.programs import array_program
 
-from helpers import LOOP_SOURCE, NESTED_SOURCE, random_workload
+from helpers import LOOP_SOURCE, random_workload
 
 
 class TestCellLevelEdits:

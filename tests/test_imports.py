@@ -1,4 +1,5 @@
-"""Every name a ``src/`` module imports is used in that module.
+"""Every name a module of ``src/``, ``tests/`` or ``benchmarks/`` imports
+is used in that module.
 
 The check parses each module with :mod:`ast`: an imported name counts as
 used when the module reads it (as a name, or as the root of an attribute
@@ -11,7 +12,10 @@ import ast
 from pathlib import Path
 from typing import Dict, List, Set
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+#: The trees checked.  ``editbench/`` is left alone: it is the frozen
+#: benchmark harness.
+CHECKED = ("src", "tests", "benchmarks")
 
 
 def _imported(tree: ast.Module) -> Dict[str, int]:
@@ -83,10 +87,11 @@ def test_the_check_sees_every_kind_of_use():
                                       "p (line 2)"]
 
 
-def test_src_modules_use_every_import():
+def test_modules_use_every_import():
     unused = {}
-    for path in sorted(SRC.rglob("*.py")):
-        names = unused_imports(path.read_text())
-        if names:
-            unused[str(path.relative_to(SRC))] = names
+    for tree in CHECKED:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            names = unused_imports(path.read_text())
+            if names:
+                unused[str(path.relative_to(ROOT))] = names
     assert unused == {}

@@ -16,7 +16,6 @@ from helpers import (SHARED_CALLEE_EDITED_SOURCE, SHARED_CALLEE_SOURCE,
 from repro.concrete.interp import ConcreteError, ProgramInterpreter
 from repro.domains import IntervalDomain
 from repro.interproc import (
-    ENTRY_CONTEXT,
     CallStringSensitive,
     InterproceduralEngine,
     policy_by_name,

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.ai import analyze_cfg
 from repro.concrete import ConcreteState, collecting_semantics, initial_state

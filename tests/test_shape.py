@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ai import analyze_cfg
-from repro.concrete import CfgInterpreter, ConcreteState, exec_stmt
+from repro.concrete import ConcreteState, exec_stmt
 from repro.daig import DaigEngine
 from repro.domains import ShapeDomain
 from repro.domains.shape import NIL, ListSeg, PointsTo, SymbolicHeap

@@ -9,7 +9,9 @@ edits and queries; the twin's table is cleared before each of its
 unrollings, so it derives every one from the CFG.  After every query the
 two DAIGs must agree write for write: the same cells, the same computations
 in the same insertion order, the same values (states by identity), and
-the same change stamps and shadows.  CI runs this module again under
+the same change stamps and shadows.  A DAIG also keeps one record per
+computation: the tuples the builder files and the unrolling table replays
+are the very objects the DAIG holds.  CI runs this module again under
 ``PYTHONHASHSEED=1`` and ``2``, so a replay order that followed set order
 would fail there.
 """
@@ -22,7 +24,7 @@ from contextlib import contextmanager
 import pytest
 
 from helpers import LOOP_SOURCE, NESTED_SOURCE
-from repro.daig import DaigEngine, MemoTable, stmt_name
+from repro.daig import FIX, DaigEngine, MemoTable, stmt_name
 from repro.daig.names import STMT
 from repro.daig import build
 from repro.daig.splice import stmt_cells_at
@@ -84,9 +86,8 @@ def _writes(engine):
         else:
             values[name] = id(value)
     return {
-        "computations": [(comp.dest, comp.func, comp.srcs)
-                         for comp in daig.computations.values()],
-        "refs": daig.refs,
+        "computations": list(daig.computations.values()),
+        "cells": set(daig.cells()),
         "values": values,
         "dependents": daig.dependents,
         "stamps": daig.stamps,
@@ -94,8 +95,23 @@ def _writes(engine):
     }
 
 
+def assert_files_held(engine, slid=True):
+    """Every computation the builder filed is the very tuple the DAIG
+    holds; with ``slid``, a ``fix`` computation, which unrolling and
+    roll-back replace, need only still be a ``fix``."""
+    computations = engine.daig.computations
+    builder = engine.builder
+    for files in (builder.encodings, builder.loop_encodings):
+        for writes in files.values():
+            for comp in writes:
+                held = computations[comp[0]]
+                assert held is comp or (slid and held[1] == comp[1] == FIX), (
+                    comp, held)
+
+
 def assert_same_daig(engine, twin):
     engine.daig.check_well_formed()
+    assert_files_held(engine)
     assert _writes(engine) == _writes(twin)
 
 
@@ -305,6 +321,39 @@ def test_a_new_edge_inside_a_loop_body_changes_its_shape(table):
     assert set(cfg.natural_loop(head)) == body
     assert engines[0].builder.loop_shape(head) is not shape
     _query_all(engines, [cfg.exit] + sorted(body))
+
+
+def test_the_daig_holds_the_builders_own_computations(monkeypatch):
+    """One record per computation: a build files the very tuples it
+    inserts, and a replayed unrolling inserts its record's own tuples."""
+    table = UnrollTable(UNROLL_TABLE_CAPACITY)
+    monkeypatch.setattr(build, "UNROLL_TABLE", table)
+    unroll = build.DaigBuilder.unroll
+    replays = []
+
+    def checked_unroll(builder, daig, head, overrides):
+        hits = table.hits
+        iterate = unroll(builder, daig, head, overrides)
+        if table.hits > hits:
+            # A hit moves the record it serves to the end.
+            record = next(reversed(table._records.values()))
+            for comp in record.writes:
+                assert daig.computations[comp[0]] is comp
+            replays.append(record)
+        return iterate
+
+    monkeypatch.setattr(build.DaigBuilder, "unroll", checked_unroll)
+    domain = IntervalDomain()
+    cfg, entry = _worker(domain)
+    first, second = _engines(cfg, domain, entry)[:2]
+    for engine in (first, second):
+        engine.materialize()
+        assert_files_held(engine, slid=False)
+    first.query_exit()
+    replayed = len(replays)
+    # The second engine replays every unrolling the first recorded.
+    second.query_exit()
+    assert len(replays) - replayed == second.stats.unrollings > 0
 
 
 def test_the_table_stays_within_its_capacity(monkeypatch):
