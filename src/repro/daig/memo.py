@@ -157,8 +157,9 @@ class MemoTable:
 
     def peek(self, func: str, args: Tuple[Any, ...]) -> Tuple[bool, Any]:
         """Like :meth:`lookup`, but without touching the hit/miss counters
-        or the LRU order — for bookkeeping passes (e.g. snapshotting entries
-        about to be invalidated) that are not real memoization queries."""
+        or the LRU order.  Its one user is the interprocedural engine's
+        ``probe_summary``, the parallel coordinator's dispatch probe, which
+        is not a real memoization query."""
         if not self.enabled:
             return False, None
         key = self.key(func, args)

@@ -16,7 +16,10 @@ across procedure boundaries:
   (:meth:`~repro.interproc.callgraph.CallGraph.call_cells`, derived per
   procedure on first demand): no per-edit scan over any engine's DAIG ref
   set.  A caller without a DAIG has no call cells to dirty, so the walk
-  passes through it to the callers its served summaries reached.
+  passes through it to the callers its served summaries reached.  Every
+  edit dirties its callers this way; early cutoff (``cutoff=True``) is
+  the DAIGs' own: a re-demanded cell whose value comes back unchanged
+  restores its dependents instead of recomputing them.
 * **Procedure summaries** keyed by ``(procedure, context, deep code
   digest, entry state)`` in the shared :class:`~repro.daig.memo.MemoTable`:
   repeated calls at a previously seen entry state reuse the memoized exit
@@ -54,7 +57,6 @@ with the callee's final entry/exit summary.
 
 from __future__ import annotations
 
-import sys
 import weakref
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Set, Tuple,
                     Union)
@@ -111,17 +113,17 @@ class InterproceduralEngine:
         policy: Optional[ContextPolicy] = None,
         entry: str = "main",
         store: Optional[Union[SummaryStore, str]] = None,
-        memo_capacity: Optional[int] = None,
         cutoff: bool = True,
     ) -> None:
         if entry not in cfgs:
             raise KeyError("no procedure named %r" % (entry,))
         self.cfgs = cfgs
         self.domain = domain
-        #: Early cutoff: stop edit propagation at the first unchanged value,
-        #: both inside each DAIG (cell shadows) and across procedures (an
-        #: edited procedure whose exit summaries are unchanged never dirties
-        #: its callers).  Disabled only for baseline measurements.
+        #: Early cutoff: every DAIG stops recomputing at the first cell whose
+        #: new value is its shadow (see :mod:`repro.daig.graph`).  An edit
+        #: dirties its callers' call cells (:meth:`edit_procedure`), and the
+        #: cutoff ends the wave wherever a recomputed value comes back
+        #: unchanged.  Disabled only for baseline measurements.
         self.cutoff = cutoff
         self.policy = policy if policy is not None else ContextInsensitive()
         self.entry = entry
@@ -132,7 +134,7 @@ class InterproceduralEngine:
             open_store(store) if isinstance(store, str) else store)
         #: One memo table shared by every engine: transfer results and exit
         #: summaries alike.
-        self.memo = MemoTable(capacity=memo_capacity)
+        self.memo = MemoTable()
         self.engines: Dict[ProcedureKey, DaigEngine] = {}
         #: The entry state each engine *should* hold: the join of its call
         #: sites' contributions (plus a root entry for explicitly queried
@@ -202,12 +204,9 @@ class InterproceduralEngine:
             "interproc_store_writes": 0,
             "interproc_store_expired": 0,
             "interproc_store_errors": 0,
-            # Early-cutoff counters: edits whose recomputed exit summaries
-            # were unchanged (so no caller was dirtied), and unchanged
-            # summaries re-keyed under the procedure's new deep digest so
-            # warm starts across value-preserving refactors still hit.
+            # Always 0, since every edit dirties its callers; kept because
+            # editbench's counts read it.
             "interproc_summary_cutoffs": 0,
-            "interproc_store_rekeys": 0,
         }
         #: Wall-clock seconds of the parallel coordinator's phases, written
         #: by :class:`repro.parallel.coordinator.ParallelCoordinator` and
@@ -893,9 +892,11 @@ class InterproceduralEngine:
         the contributions the edited and dirtied engines recorded, and drops
         the deep code digests of the procedure and its transitive callers,
         so their summaries are looked up under new content keys and the
-        stale memo entries are purged.  Every path retracts the edited
-        engines' contributions, so a call site the edit removed leaves
-        nothing behind.
+        stale memo entries are purged.  Every edit, value-preserving or not,
+        takes this one path, and retracting the edited engines'
+        contributions means a call site the edit removed leaves nothing
+        behind.  Recomputation is left to demand, where each DAIG's cell
+        shadows cut it off at the first unchanged value.
         """
         if procedure not in self.cfgs:
             raise KeyError("no procedure named %r" % (procedure,))
@@ -924,124 +925,14 @@ class InterproceduralEngine:
             # next fixpoint, for precision) and invalidate the content
             # digests of the procedure and its transitive callers.
             self._assumed.clear()
-            # Early cutoff: snapshot the summaries the invalidation is
-            # about to purge, then try to certify the edit as invisible to
-            # callers (exit summaries unchanged) before propagating.  Never
-            # attempted while an exception is unwinding — the edit did not
-            # complete, so the conservative full dirtying is the only safe
-            # course.
-            captured = (self._capture_summaries(procedure)
-                        if self.cutoff and sys.exc_info()[0] is None
-                        and self._cutoff_applicable(procedure)
-                        else None)
             self._invalidate_summaries(procedure)
             self._dirty_keys.update(keys)
-            if captured is not None and self._summary_cutoff(
-                    procedure, keys, captured):
-                pass  # exits unchanged: no caller is dirtied at all
-            else:
-                touched = self._dirty_callers_of(procedure)
-                # Retract the contributions of every edited or dirtied
-                # engine's call sites: the states they feed their callees
-                # may have changed (or the sites are gone), and re-demanding
-                # re-records exactly the live ones.
-                self._retract_contributions_from(set(keys) | touched)
-
-    def _cutoff_applicable(self, procedure: str) -> bool:
-        """Whether an edit to ``procedure`` may attempt summary cutoff.
-
-        Certification recomputes the edited procedure's exits *eagerly*,
-        demanding its transitive callees.  If any of those participates in
-        a call cycle, that recomputation runs summary fixpoints with the
-        recursion assumptions freshly cleared — a different widening
-        history than the normal demand path, which can land on a different
-        (equally sound, but not identical) post-fixpoint.  The cutoff's
-        contract is that enabling it changes *no* answer, so edits whose
-        certification would touch recursion skip it entirely and take the
-        conservative path, byte-identical to a cutoff-disabled engine.
-        """
-        return not any(self.callgraph.is_recursive(name)
-                       for name in self.callgraph.reachable_from(procedure))
-
-    def _capture_summaries(
-            self, procedure: str) -> Dict[Tuple[str, Context, Any], Any]:
-        """Snapshot the memoized exit summaries that editing ``procedure``
-        is about to purge (its own and its transitive callers'), keyed by
-        ``(procedure, context, entry state)`` — the digest-free identity a
-        certified cutoff can re-key them under (:meth:`_summary_cutoff`)."""
-        captured: Dict[Tuple[str, Context, Any], Any] = {}
-        stale = {procedure} | self.callgraph.transitive_callers(procedure)
-        for name in stale:
-            for memo_args in self._summary_keys.get(name, ()):
-                found, cached = self.memo.peek("summary", memo_args)
-                if found:
-                    nm, context, _digest, entry_state = memo_args
-                    captured[(nm, context, entry_state)] = cached
-        return captured
-
-    def _summary_cutoff(
-        self,
-        procedure: str,
-        keys: List[ProcedureKey],
-        captured: Dict[Tuple[str, Context, Any], Any],
-    ) -> bool:
-        """Recompute the edited procedure's exit summaries *before*
-        propagating; certify the edit invisible when every live context's
-        exit is unchanged.
-
-        On success the callers are never dirtied — a value-preserving edit
-        (rename, reorder, edit-then-revert) costs the edited procedure's
-        own re-analysis and nothing else — and the purged summaries of
-        untouched callers are re-installed under their new deep digests
-        (an alias write, so warm starts across value-preserving refactors
-        still hit the memo and the persistent store).  Returns False when
-        any exit moved, any live context was never evaluated, or the
-        recomputation itself dirtied callers; the caller then falls back
-        to the full dirtying path.
-        """
-        prior_exits: Dict[ProcedureKey, Any] = {}
-        for key in keys:
-            prior = self._last_exit.get(key)
-            if prior is None or key not in self._entry_target:
-                return False
-            prior_exits[key] = prior
-        dirty_before = set(self._dirty_keys)
-        # The edited engines' own call contributions may have changed;
-        # retract them first so the recomputed exits see the same callee
-        # entry states a from-scratch analysis would.
-        self._retract_contributions_from(set(keys))
-        changed = False
-        for key in keys:
-            # Pop the recorded exit so _note_exit does not dirty callers
-            # mid-certification: we hold the prior and compare here; on
-            # failure the fallback path runs the one real dirtying wave.
-            self._last_exit.pop(key, None)
-            new_exit = self._callee_exit(key)
-            prior = prior_exits[key]
-            if new_exit is not prior and not self.domain.equal(new_exit, prior):
-                changed = True
-        if changed:
-            return False
-        self.counters["interproc_summary_cutoffs"] += 1
-        # Re-key the callers' still-valid summaries under their new deep
-        # digests.  Only keys whose engine the certification left untouched
-        # qualify: a retraction cascade that moved some callee's entry
-        # target dirtied the dependent engines, and their old summaries
-        # cannot be trusted under the new code.
-        newly_dirty = self._dirty_keys - dirty_before
-        for key, target in self._entry_target.items():
-            name, context = key
-            if name == procedure or key in newly_dirty:
-                continue
-            hit = captured.get((name, context, target))
-            if hit is None:
-                continue
-            memo_args = (name, context, self.deep_digest(name), target)
-            if memo_args in self._summary_keys.get(name, set()):
-                continue
-            self._install_summary(key, memo_args, hit, write_store=True)
-            self.counters["interproc_store_rekeys"] += 1
-        return True
+            touched = self._dirty_callers_of(procedure)
+            # Retract the contributions of every edited or dirtied
+            # engine's call sites: the states they feed their callees may
+            # have changed (or the sites are gone), and re-demanding
+            # re-records exactly the live ones.
+            self._retract_contributions_from(set(keys) | touched)
 
     def _invalidate_summaries(self, procedure: str) -> None:
         """Invalidate summaries of ``procedure`` and its transitive callers

@@ -274,9 +274,9 @@ class ParallelCoordinator:
             # Keys answered straight from the persistent store (no worker
             # ran).
             "store_served": store_served,
-            # Keys answered from the engine's own summary memo (survived or
-            # re-keyed across edits by early cutoff): no worker, no store
-            # round trip.
+            # Keys answered from the engine's own summary memo (computed
+            # earlier at this code and entry): no worker, no store round
+            # trip.
             "cutoff_avoided": cutoff_avoided,
             "errors": {repr(key): result.error
                        for key, result in results.items()

@@ -52,8 +52,7 @@ _ZERO_INTERPROC_COUNTERS = (
     "interproc_entry_widenings", "interproc_fixpoint_rounds",
     "interproc_parallel_cutoff_avoided", "interproc_parallel_jobs",
     "interproc_store_errors", "interproc_store_expired",
-    "interproc_store_hits",
-    "interproc_store_misses", "interproc_store_rekeys",
+    "interproc_store_hits", "interproc_store_misses",
     "interproc_store_writes", "interproc_summary_cutoffs",
     "interproc_summary_hits", "interproc_summary_reentries",
 )
@@ -160,11 +159,11 @@ def _set_noise(value):
 
 def test_cold_open_edits_and_warm_restart_on_a_sqlite_store(tmp_path):
     # A session-restart cycle in small: a coordinator cold open, two
-    # value-preserving operand swaps (cutoff, re-keyed writes) and two
-    # semantic edits, then a restart on the same file that replays the
+    # value-preserving operand swaps and two semantic edits, each dirtying
+    # main's call cells, then a restart on the same file that replays the
     # first edit from the store.  Without the workers' memo facts the
-    # edits would count (162, 131, 0, 156), (166, 133, 5, 155),
-    # (162, 129, 2, 154) and (163, 132, 2, 155).
+    # edits would count (164, 133, 1, 156), (166, 133, 4, 155),
+    # (163, 130, 2, 154) and (163, 132, 1, 155).
     source = wide_call_graph_source(3, inner_loops=1)
     domain = IntervalDomain()
     policy = policy_by_name("insensitive")
@@ -209,17 +208,17 @@ def test_cold_open_edits_and_warm_restart_on_a_sqlite_store(tmp_path):
     # three workers are the dispatched leaves; the store holds what a
     # sequential session writes.
     assert report["memo_facts"] == 461
-    assert per_edit == [(162, 9, 146, 10), (166, 133, 5, 155),
-                        (162, 9, 146, 10), (163, 132, 2, 155)]
+    assert per_edit == [(164, 11, 147, 10), (166, 133, 4, 155),
+                        (163, 10, 146, 10), (163, 132, 1, 155)]
     assert cold_store == {"kind": "sqlite", "entries": 7, "gets": 7,
                           "hits": 0, "puts": 7, "deletes": 0, "errors": 0}
     assert warm_store == {"kind": "sqlite", "entries": 7, "gets": 4,
                           "hits": 4, "puts": 0, "deletes": 0, "errors": 0}
     assert {k: v for k, v in cold.counters.items() if v} == {
-        "interproc_callsite_dirties": 2, "interproc_engines_built": 4,
+        "interproc_callsite_dirties": 6, "interproc_engines_built": 4,
         "interproc_parallel_jobs": 3, "interproc_store_misses": 7,
-        "interproc_store_writes": 7, "interproc_summary_cutoffs": 2,
-        "interproc_summary_hits": 8, "interproc_summary_misses": 4}
+        "interproc_store_writes": 7, "interproc_summary_hits": 7,
+        "interproc_summary_misses": 4}
     assert {k: v for k, v in warm.counters.items() if v} == {
-        "interproc_engines_built": 4, "interproc_store_hits": 4,
-        "interproc_summary_cutoffs": 1}
+        "interproc_callsite_dirties": 1, "interproc_engines_built": 4,
+        "interproc_store_hits": 4, "interproc_summary_hits": 1}
