@@ -155,18 +155,6 @@ class MemoTable:
                 self.evictions += 1
         return added
 
-    def peek(self, func: str, args: Tuple[Any, ...]) -> Tuple[bool, Any]:
-        """Like :meth:`lookup`, but without touching the hit/miss counters
-        or the LRU order.  Its one user is the interprocedural engine's
-        ``probe_summary``, the parallel coordinator's dispatch probe, which
-        is not a real memoization query."""
-        if not self.enabled:
-            return False, None
-        key = self.key(func, args)
-        if key is None or key not in self._table:
-            return False, None
-        return True, self._table[key]
-
     def discard(self, func: str, args: Tuple[Any, ...]) -> bool:
         """Drop one entry if present (always sound, per Section 2.2).
 

@@ -31,14 +31,18 @@ across procedure boundaries:
   in O(dependent procedures) per edit — so memo keys are stable across
   processes and across engines analyzing identical code.
 * An optional persistent :class:`~repro.store.SummaryStore` as a
-  **write-through second tier** behind the memo table: every memoized (or
-  coordinator-seeded) summary is also written to the store under the
-  content-addressed key, and a memo miss consults the store before
-  touching the callee's DAIG — a restarted engine, or a second engine on
-  the same code, warm-starts from hits (``interproc_store_hits``) and
-  performs near-zero transfers.  Corrupt or incompatible blobs degrade to
-  a miss; :meth:`collect_garbage` expires the store entries of orphaned
-  contexts so the store does not grow without bound.
+  **write-through second tier** behind the memo table: every memoized
+  summary is also written to the store under the content-addressed key,
+  and a memo miss consults the store before touching the callee's DAIG —
+  a restarted engine, or a second engine on the same code, warm-starts
+  from hits (``interproc_store_hits``) and performs near-zero transfers.
+  Corrupt or incompatible blobs degrade to a miss;
+  :meth:`collect_garbage` expires the store entries of orphaned contexts
+  so the store does not grow without bound.
+* **Seeds** as a third tier behind the store: exits the parallel
+  coordinator's workers computed (:meth:`seed_summary`).  Only a miss in
+  both tiers above takes one, in place of evaluating the callee, so a
+  coordinated open reads, writes and counts what a sequential one does.
 * **Recursion** via a summary fixpoint over call-graph SCCs: a recursive
   call consumes the current exit-summary assumption (⊥ initially); the
   engine iterates, widening the assumption and re-dirtying exactly the
@@ -169,7 +173,9 @@ class InterproceduralEngine:
         #: the now-unreachable entries instead of leaking them in an
         #: unbounded memo table.
         self._summary_keys: Dict[str, Set[Tuple]] = {}
-        self._last_exit: Dict[ProcedureKey, Any] = {}
+        #: Exits computed off the demand path, under their summary keys
+        #: (see :meth:`seed_summary`).
+        self._seeds: Dict[Tuple, Any] = {}
         # SCC summary-fixpoint state.
         self._active: Set[ProcedureKey] = set()
         self._assumed: Dict[ProcedureKey, Any] = {}
@@ -187,13 +193,10 @@ class InterproceduralEngine:
             "interproc_entry_syncs": 0,
             "interproc_entry_updates": 0,
             "interproc_entry_widenings": 0,
-            # Parallel-evaluation counters: summary jobs dispatched to the
-            # worker pool, and speculated keys the summary memo served
-            # instead.  Both stay 0 in sequential mode (nothing here
-            # dispatches; the coordinator in :mod:`repro.parallel`
-            # increments them).
+            # Summary jobs dispatched to the worker pool: 0 in sequential
+            # mode (nothing here dispatches; the coordinator in
+            # :mod:`repro.parallel` increments it).
             "interproc_parallel_jobs": 0,
-            "interproc_parallel_cutoff_avoided": 0,
             # Persistent-store tier: hits/misses of the second-tier lookup
             # (only consulted on a memo miss, so hits correspond to
             # summaries served without touching any callee DAIG), blobs
@@ -208,11 +211,6 @@ class InterproceduralEngine:
             # editbench's counts read it.
             "interproc_summary_cutoffs": 0,
         }
-        #: Wall-clock seconds of the parallel coordinator's phases, written
-        #: by :class:`repro.parallel.coordinator.ParallelCoordinator` and
-        #: folded into :meth:`total_phase_seconds` (all 0.0 when sequential).
-        self.parallel_phase: Dict[str, float] = {
-            "speculate": 0.0, "dispatch": 0.0, "certify": 0.0}
         entry_key = (entry, ENTRY_CONTEXT)
         initial = domain.initial(cfgs[entry].params)
         self._root_entries[entry_key] = initial
@@ -498,7 +496,8 @@ class InterproceduralEngine:
         Memoized in the shared table under ``(procedure, context, deep
         code digest, entry state)``; a memo miss consults the persistent
         store (second tier) before touching the callee's engine, so only a
-        miss in *both* tiers evaluates the callee's DAIG.
+        miss in *both* tiers evaluates the callee's DAIG, or takes the
+        seed filed under the key instead (third tier).
         """
         name, context = key
         target = self._entry_target[key]
@@ -507,7 +506,6 @@ class InterproceduralEngine:
         found, cached = self.memo.lookup("summary", memo_args)
         if found:
             self.counters["interproc_summary_hits"] += 1
-            self._note_exit(key, cached)
             return cached
         store_key: Optional[str] = None
         if self.store is not None:
@@ -518,12 +516,17 @@ class InterproceduralEngine:
                 # blob back (it came from the store).
                 self._install_summary(key, memo_args, exit_state,
                                       write_store=False, store_key=store_key)
-                self._note_exit(key, exit_state)
                 return exit_state
         self.counters["interproc_summary_misses"] += 1
         engine = self.engines[key]
         self._sync_entry(key)
-        if self.callgraph.is_recursive(name):
+        seed = self._seeds.pop(memo_args, None)
+        if seed is not None:
+            # A worker evaluated this key's DAIG at this very entry: build
+            # the DAIG demand would have evaluated, and take its exit.
+            engine.materialize()
+            exit_state = seed
+        elif self.callgraph.is_recursive(name):
             exit_state = self._fixpoint_exit(key, engine)
         else:
             exit_state = engine.query_exit()
@@ -543,7 +546,6 @@ class InterproceduralEngine:
                 store_key = None
             self._install_summary(key, memo_args, exit_state,
                                   write_store=True, store_key=store_key)
-        self._note_exit(key, exit_state)
         return exit_state
 
     # -- the persistent summary tier ---------------------------------------------------
@@ -552,11 +554,11 @@ class InterproceduralEngine:
                          exit_state: Any, write_store: bool,
                          store_key: Optional[str] = None) -> None:
         """Install one exit summary: memo table, per-procedure key index,
-        and (write-through) the persistent store.  Every install — normal
-        memoization, a consumed coordinator seed, a store hit — goes
-        through here, so the tiers can never disagree about what a key
-        means.  A caller whose store lookup already computed the key of
-        ``memo_args`` passes it as ``store_key``."""
+        and (write-through) the persistent store.  Every install — a
+        computed or seeded exit, a store hit — goes through here, so the
+        tiers can never disagree about what a key means.  A caller whose
+        store lookup already computed the key of ``memo_args`` passes it
+        as ``store_key``."""
         self.memo.store("summary", memo_args, exit_state)
         self._summary_keys.setdefault(key[0], set()).add(memo_args)
         if self.store is None:
@@ -598,37 +600,6 @@ class InterproceduralEngine:
             return None, store_key
         self.counters["interproc_store_hits"] += 1
         return exit_state, store_key
-
-    def probe_summary(self, name: str, context: Context, entry_state: Any
-                      ) -> Tuple[Optional[str], Optional[str]]:
-        """Look up a summary at an *explicit* entry state, installing nothing.
-
-        Returns ``(tier, store_key)``: ``tier`` is ``"memo"`` or
-        ``"store"`` for the tier that holds the summary for this exact
-        (code, context, entry), or None for both.  ``store_key`` is the key
-        the store lookup computed (None when the store was not consulted),
-        for the write of a consumed seed to reuse.  The parallel
-        coordinator's dispatch hook: a hit means no worker needs to run.
-        Neither the memo's hit/miss counts nor the summary hit/miss
-        counters move, and nothing is installed (demand finds a served
-        summary itself).
-        """
-        memo_args = (name, context, self.deep_digest(name), entry_state)
-        found, _cached = self.memo.peek("summary", memo_args)
-        if found:
-            return "memo", None
-        if self.store is None:
-            return None, None
-        exit_state, store_key = self._store_lookup(memo_args)
-        return ("store" if exit_state is not None else None), store_key
-
-    def _note_exit(self, key: ProcedureKey, exit_state: Any) -> None:
-        """Record the summary consumers last saw; on change, dirty them."""
-        previous = self._last_exit.get(key)
-        self._last_exit[key] = exit_state
-        if (previous is not None and previous is not exit_state
-                and not self.domain.equal(previous, exit_state)):
-            self._dirty_callers_of(key[0])
 
     def _fixpoint_exit(self, key: ProcedureKey, engine: DaigEngine) -> Any:
         """Summary fixpoint for a procedure in a recursive SCC.
@@ -681,29 +652,23 @@ class InterproceduralEngine:
 
     def seed_summary(self, name: str, context: Context,
                      entry_state: Any, exit_state: Any) -> None:
-        """Install a precomputed exit summary for the *current* code.
+        """File an exit computed elsewhere for the *current* code.
 
-        Keyed — like every summary — by the entry state, so a seed is only
-        ever consumed when demanded evaluation derives exactly this entry
-        target for ``(name, context)``; a seed at an entry that is never
-        derived is dead weight, not a soundness hazard.  Installed in the
-        memo only, and registered in the per-procedure key index so digest
-        invalidation purges it like any other summary; the coordinator
-        writes a seed that demand consumed through
-        :meth:`_install_summary`, as demand would have written the summary
-        it computed there.
+        Keyed — like every summary — by ``(procedure, context, deep
+        digest, entry)``, so demand takes a seed only where it derives
+        exactly this entry and both the memo and the store miss; it then
+        builds the key's DAIG and installs the exit as if it had evaluated
+        it.  A seed at an entry that is never derived is dead weight, not a
+        soundness hazard; :meth:`drop_seeds` discards it.
         """
-        key = (name, context)
-        if key in self._entry_target:
-            target = self._entry_target[key]
-            if target is not entry_state and not self.domain.equal(
-                    target, entry_state):
-                # The engine has already derived a different target; a seed
-                # at this entry could not be consumed before going stale.
-                return
-        memo_args = (name, context, self.deep_digest(name), entry_state)
-        self.memo.store("summary", memo_args, exit_state)
-        self._summary_keys.setdefault(name, set()).add(memo_args)
+        self._seeds[(name, context, self.deep_digest(name), entry_state)] = (
+            exit_state)
+
+    def drop_seeds(self) -> int:
+        """Discard every seed demand has not taken; returns how many."""
+        dropped = len(self._seeds)
+        self._seeds.clear()
+        return dropped
 
     def summary_digest(self) -> str:
         """A digest of every live (procedure, context) exit summary.
@@ -857,7 +822,6 @@ class InterproceduralEngine:
             self._entry_target.pop(key, None)
             self._root_entries.pop(key, None)
             self._contribs.pop(key, None)
-            self._last_exit.pop(key, None)
             self._assumed.pop(key, None)
             self._assumption_reads.pop(key, None)
             self._dirty_keys.discard(key)
@@ -1070,6 +1034,4 @@ class InterproceduralEngine:
         for name in {key[0] for key in self.engines}:
             structure += self.cfgs[name].structure_seconds()
         totals["structure"] = totals.get("structure", 0.0) + structure
-        for key, value in self.parallel_phase.items():
-            totals[key] = totals.get(key, 0.0) + value
         return totals

@@ -14,13 +14,14 @@ exploits that:
   runs: one (procedure, context, entry state) DAIG evaluation of a leaf,
   returning the exit and the DAIG's memo facts;
 * :mod:`repro.parallel.coordinator` — speculates entry states down the
-  call graph, dispatches the leaf keys to the pool in one batch, seeds
-  their exits into the engine's summary memo at the entries they were
-  computed for, and lets the engine's own demand derive every entry.  A
-  seed is consumed only where demand derives exactly its entry, so
-  parallelism never changes results — only how much of the demand path
-  is already computed.  Every job's memo facts are kept, since a fact is
-  a pure domain computation.
+  call graph, dispatches the leaf keys to the pool in one batch, files
+  their exits as seeds at the entries they were computed for, and lets
+  the engine's own demand derive every entry.  Demand takes a seed only
+  where it derives exactly its entry and neither the memo nor the store
+  holds the summary, so parallelism never changes results, counters or
+  store traffic — only how much of the demand path is already computed.
+  Every job's memo facts are kept, since a fact is a pure domain
+  computation.
 """
 
 from .coordinator import ParallelCoordinator

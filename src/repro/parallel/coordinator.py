@@ -13,35 +13,31 @@ takes the leaves of the call graph off that path in three phases:
    call's arguments.
 
 2. **Dispatch** — ship every speculated *leaf* key (its procedure calls
-   nothing in the program) to the worker pool in one batch, each job one
-   DAIG evaluation at the speculated entry.  A leaf's exit depends on its
-   code and entry alone, both of which its summary key covers, so a
-   worker computes exactly what demand would compute at that entry.  Each
-   key is first probed at its speculated entry through the engine's one
-   summary lookup
-   (:meth:`~repro.interproc.engine.InterproceduralEngine.probe_summary`:
-   memo, then persistent store); a hit means no worker runs, and demand
-   finds the summary itself.  Each result is unpickled on the calling
-   thread, and its job's memo facts (every non-call transfer, join and
-   widen the worker's DAIG computed) go into the engine's memo table right
-   there, whether or not demand later uses the job's exit: a fact is a
-   pure domain computation, valid wherever its inputs recur (rule
-   Q-Match).  So the first edit of a worker-computed procedure replays
-   its unchanged transfers from these facts instead of recomputing them.
+   nothing in the program) that is not a root to the worker pool in one
+   batch, each job one DAIG evaluation at the speculated entry.  A leaf's
+   exit depends on its code and entry alone, both of which its summary
+   key covers, so a worker computes exactly what demand would compute at
+   that entry.  Each result is unpickled on the calling thread, and its
+   job's memo facts (every non-call transfer, join and widen the worker's
+   DAIG computed) go into the engine's memo table right there, whether or
+   not demand later uses the job's exit: a fact is a pure domain
+   computation, valid wherever its inputs recur (rule Q-Match).  So the
+   first edit of a worker-computed procedure replays its unchanged
+   transfers from these facts instead of recomputing them.
 
-3. **Certify** — seed each completed job's exit into the engine's summary
-   memo under its ``(procedure, context, deep code digest, entry)`` key,
-   then demand every root's exit through
-   :meth:`~repro.interproc.engine.InterproceduralEngine.query`.  The
-   engine's own demand derives every entry; a seed is consumed only where
-   demand derives exactly the entry it was computed at, and is dead weight
-   elsewhere.  So answers, engine keys and digests are a sequential
-   engine's by construction, and the coordinator writes nothing into the
-   entry ledger.  Each consumed seed is then written through to the
-   store, as demand would have written the summary it computed, so the
-   store holds what a sequential open writes.  The DAIGs of the keys whose
-   seeds demand consumed are built (structure only, no evaluation), so the
-   first edit after the open does not pay for the build.
+3. **Certify** — file each completed job's exit as a seed under its
+   ``(procedure, context, deep code digest, entry)`` key
+   (:meth:`~repro.interproc.engine.InterproceduralEngine.seed_summary`),
+   demand every root's exit through
+   :meth:`~repro.interproc.engine.InterproceduralEngine.query`, and drop
+   the seeds demand did not take.  Seeds are a summary tier behind the
+   memo and the store: demand takes one only where it derives exactly the
+   seed's entry and both tiers miss, which is where a sequential open
+   evaluates the callee; it then builds the key's DAIG and installs the
+   exit, store write included, as if it had evaluated it.  So answers,
+   engine keys, digests, summary counters and store traffic are a
+   sequential open's, and the coordinator writes nothing into the entry
+   ledger.
 
 Recursive SCCs and everything reachable through them are never
 speculated: their summaries are entry-dependent fixpoints whose
@@ -74,9 +70,6 @@ class ParallelCoordinator:
         self.engine = engine
         self.pool = pool
         self.report: Dict[str, Any] = {}
-        #: Store keys the dispatch probes computed, reused when consumed
-        #: seeds are written through to the store.
-        self._store_keys: Dict[SummaryKey, str] = {}
         #: Memo facts from the workers' DAIGs that the dispatch installed.
         self._facts_installed = 0
 
@@ -150,29 +143,16 @@ class ParallelCoordinator:
 
     # -- phase 2: leaf dispatch --------------------------------------------------
 
-    def _dispatch(self, spec: Dict[str, Any]) -> Tuple[
-            Dict[SummaryKey, JobResult], Dict[SummaryKey, str]]:
-        """Run every speculated leaf key the summary tiers cannot serve.
-
-        Returns the jobs' results and, for each served key, the tier
-        (``"memo"`` or ``"store"``) that holds its summary.  A root is not
-        dispatched: a query evaluates its DAIG directly and never consults
-        its summary.
-        """
+    def _dispatch(self, spec: Dict[str, Any]) -> Dict[SummaryKey, JobResult]:
+        """Run every speculated leaf key that is not a root, and return the
+        jobs' results.  A root is not dispatched: a query evaluates its DAIG
+        directly and never consults its summary."""
         engine = self.engine
         spec_entries: Dict[SummaryKey, Any] = spec["entries"]
-        served: Dict[SummaryKey, str] = {}
         futures = []
         for key in sorted(spec_entries, key=_key_order):
             name, context = key
             if engine.callgraph.edges.get(name) or key in spec["roots"]:
-                continue
-            tier, store_key = engine.probe_summary(
-                name, context, spec_entries[key])
-            if store_key is not None:
-                self._store_keys[key] = store_key
-            if tier is not None:
-                served[key] = tier
                 continue
             payload = JobPayload(
                 procedure=name,
@@ -197,42 +177,25 @@ class ParallelCoordinator:
                     edge_statements(result.facts, engine.cfgs[key[0]]))
             result.facts = []  # the memo keeps what it needs
             results[key] = result
-        return results, served
+        return results
 
-    # -- phase 3: seed, demand, build ----------------------------------------------
+    # -- phase 3: seed and demand --------------------------------------------------
 
     def _certify(self, spec: Dict[str, Any],
-                 results: Dict[SummaryKey, JobResult]) -> Set[SummaryKey]:
-        """Seed the jobs' exits, demand every root, then write the seeds
-        demand consumed through to the store and build their keys' DAIGs;
-        returns those keys."""
+                 results: Dict[SummaryKey, JobResult]) -> int:
+        """Seed the jobs' exits, demand every root, then drop the seeds
+        demand did not take; returns how many it took."""
         engine = self.engine
-        domain = engine.domain
-        spec_entries: Dict[SummaryKey, Any] = spec["entries"]
-        seeded = [key for key, result in results.items()
-                  if result.error is None]
-        for key in seeded:
-            engine.seed_summary(key[0], key[1], spec_entries[key],
-                                results[key].exit_state)
+        seeded = 0
+        for (name, context), result in results.items():
+            if result.error is None:
+                engine.seed_summary(name, context,
+                                    spec["entries"][(name, context)],
+                                    result.exit_state)
+                seeded += 1
         for name, context in sorted(spec["roots"], key=_key_order):
             engine.query(name, engine.cfgs[name].exit, context)
-        # Demand created the engine of every key it reached, and looked its
-        # summary up at its final target: a target equal to the seeded
-        # entry hit the seed.
-        consumed: Set[SummaryKey] = set()
-        for key in seeded:
-            target = engine._entry_target.get(key)
-            entry = spec_entries[key]
-            if target is not None and (target is entry
-                                       or domain.equal(target, entry)):
-                consumed.add(key)
-                name, context = key
-                engine._install_summary(
-                    key, (name, context, engine.deep_digest(name), entry),
-                    results[key].exit_state, write_store=True,
-                    store_key=self._store_keys.get(key))
-                engine.engines[key].materialize()
-        return consumed
+        return seeded - engine.drop_seeds()
 
     # -- driver -------------------------------------------------------------------
 
@@ -243,41 +206,32 @@ class ParallelCoordinator:
         started = time.perf_counter()
         spec = self._speculate()
         speculate_seconds = time.perf_counter() - started
-        engine.parallel_phase["speculate"] += speculate_seconds
 
         started = time.perf_counter()
-        results, served = self._dispatch(spec)
+        results = self._dispatch(spec)
         dispatch_seconds = time.perf_counter() - started
-        engine.parallel_phase["dispatch"] += dispatch_seconds
 
         started = time.perf_counter()
-        consumed = self._certify(spec, results)
+        taken = self._certify(spec, results)
         certify_seconds = time.perf_counter() - started
-        engine.parallel_phase["certify"] += certify_seconds
 
         jobs = len(results)
-        store_served = sum(tier == "store" for tier in served.values())
-        cutoff_avoided = sum(tier == "memo" for tier in served.values())
         engine.counters["interproc_parallel_jobs"] += jobs
-        engine.counters["interproc_parallel_cutoff_avoided"] += cutoff_avoided
 
         self.report = {
             "excluded_procedures": sorted(spec["excluded"]),
             "jobs": jobs,
-            # Seeds demand consumed, plus keys a summary tier served.
-            "certified": len(consumed) + len(served),
+            # Seeds demand took.
+            "certified": taken,
             # Memo facts the workers' DAIGs handed back that were new to
             # the engine's memo table.
             "memo_facts": self._facts_installed,
-            # Jobs whose exit demand did not use (failed ones included).
-            "knocked_out": jobs - len(consumed),
-            # Keys answered straight from the persistent store (no worker
-            # ran).
-            "store_served": store_served,
-            # Keys answered from the engine's own summary memo (computed
-            # earlier at this code and entry): no worker, no store round
-            # trip.
-            "cutoff_avoided": cutoff_avoided,
+            # Jobs whose exit demand did not take (failed ones included).
+            "knocked_out": jobs - taken,
+            # Always 0 (demand, not the coordinator, reads the memo and the
+            # store); editbench's coordinator counts read both.
+            "store_served": 0,
+            "cutoff_avoided": 0,
             "errors": {repr(key): result.error
                        for key, result in results.items()
                        if result.error is not None},

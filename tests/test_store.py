@@ -709,8 +709,8 @@ class TestWarmStart:
                                                      monkeypatch):
         """A store miss hands the key it computed on to the write that
         follows: a coordinated cold open of the wide program on a fresh
-        store probes and seeds its eight leaves' summaries with one key
-        each, and one semantic edit of a worker misses and writes with
+        store misses and writes its eight leaves' seeded summaries with one
+        key each, and one semantic edit of a worker misses and writes with
         one."""
         from repro.parallel import ParallelCoordinator, PersistentWorkerPool
 
@@ -972,42 +972,60 @@ class TestMemoStoreInterplay:
         assert engine.counters["interproc_summary_misses"] == misses_after_cold
         assert engine.counters["interproc_store_hits"] > hits_before
 
-    def test_probe_summary_reports_the_serving_tier_and_installs_nothing(self):
-        """``probe_summary`` peeks the memo, then the store, and returns the
-        tier that holds the summary, with the store key it computed; it
-        installs nothing and moves neither the memo's nor the engine's
-        summary hit/miss counts."""
+    def test_demand_takes_a_seed_only_where_the_memo_and_the_store_miss(self):
+        """A seed is a third summary tier that only demand reads: it is
+        taken where demand derives exactly its entry and both the memo and
+        the store miss.  Taking it builds the callee's DAIG without
+        evaluating it, and counts and writes what a sequential open does.
+        A seed at an entry demand never derives, or under a key the memo or
+        the store serves, is left for ``drop_seeds``."""
         domain = IntervalDomain()
         source = """
             function leaf(x) { return x + 1; }
             function main() { var a = leaf(1); return a; }
         """
-        store = InMemorySummaryStore()
-        cold = InterproceduralEngine(cfgs_of(source), domain, store=store)
-        cold.query_entry_exit()
-        entry = cold.engines[("leaf", ())].builder.entry_state
-
-        def untouched(engine):
-            return (engine.memo.stats(),
-                    engine.counters["interproc_summary_hits"],
-                    engine.counters["interproc_summary_misses"])
-
-        before = untouched(cold)
-        # The memo answered; no store key was computed.
-        assert cold.probe_summary("leaf", (), entry) == ("memo", None)
-        assert untouched(cold) == before
-
-        warm = InterproceduralEngine(cfgs_of(source), domain, store=store)
-        before = untouched(warm)
-        assert warm.probe_summary("leaf", (), entry) == (
-            "store", summary_store_key(
-                domain.name, "leaf", (), warm.deep_digest("leaf"), entry))
+        reference_store = InMemorySummaryStore()
+        reference = InterproceduralEngine(cfgs_of(source), domain,
+                                          store=reference_store)
+        answer = reference.query_entry_exit()
+        leaf = reference.engines[("leaf", ())]
+        entry, exit_state = leaf.builder.entry_state, leaf.query_exit()
         other = domain.initial(("x",))
-        assert warm.probe_summary("leaf", (), other) == (
-            None, summary_store_key(
-                domain.name, "leaf", (), warm.deep_digest("leaf"), other))
-        assert untouched(warm) == before
-        assert ("leaf", ()) not in warm.engines
+
+        store = InMemorySummaryStore()
+        seeded = InterproceduralEngine(cfgs_of(source), domain, store=store)
+        seeded.seed_summary("leaf", (), entry, exit_state)
+        seeded.seed_summary("leaf", (), other, exit_state)
+        assert domain.equal(seeded.query_entry_exit(), answer)
+        taken = seeded.engines[("leaf", ())]
+        assert taken.built and taken.stats.cells_computed == 0
+        assert seeded.counters == reference.counters
+        assert seeded.counters["interproc_summary_misses"] == 1
+        assert sorted(store.keys()) == sorted(reference_store.keys())
+        assert seeded.drop_seeds() == 1
+
+        # The memo serves the key: an edit of main re-demands leaf's
+        # summary, and the seed filed under it stays untaken.
+        seeded.seed_summary("leaf", (), entry, exit_state)
+        seeded.edit_procedure("main", _noise)
+        reference.edit_procedure("main", _noise)
+        hits = seeded.counters["interproc_summary_hits"]
+        assert domain.equal(seeded.query_entry_exit(),
+                            reference.query_entry_exit())
+        assert seeded.counters["interproc_summary_hits"] == hits + 1
+        assert seeded.drop_seeds() == 1
+
+        # The store serves the key: a fresh engine on the filled store
+        # never builds leaf's DAIG, writes nothing, and leaves the seed.
+        puts = store.stats()["puts"]
+        warm = InterproceduralEngine(cfgs_of(source), domain, store=store)
+        warm.seed_summary("leaf", (), entry, exit_state)
+        assert domain.equal(warm.query_entry_exit(), answer)
+        assert warm.counters["interproc_store_hits"] == 1
+        assert warm.counters["interproc_summary_misses"] == 0
+        assert not warm.engines[("leaf", ())].built
+        assert store.stats()["puts"] == puts
+        assert warm.drop_seeds() == 1
 
 
 # ---------------------------------------------------------------------------
