@@ -53,7 +53,7 @@ consult the table.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..domains.base import AbstractDomain
 from ..intern import InternTable
@@ -179,16 +179,20 @@ def reset_unroll_table_stats() -> None:
 class _Recorder:
     """Stands in for the DAIG while the builder encodes: records each
     computation the encoder adds, in order, and passes that very tuple on
-    to ``daig``.  A detached recorder (``daig`` None) only records."""
+    to ``daig``.  A detached recorder (``daig`` None) only records, the
+    statement cells it holds included, for a later insertion as it is."""
 
-    __slots__ = ("daig", "writes")
+    __slots__ = ("daig", "writes", "holds")
 
     def __init__(self, daig: Optional[Daig]) -> None:
         self.daig = daig
-        self.writes: List[Computation] = []
+        self.writes: Sequence[Computation] = []
+        self.holds: List[Tuple[N.Name, Any]] = []
 
     def hold(self, name: N.Name, value: Any) -> None:
-        if self.daig is not None:
+        if self.daig is None:
+            self.holds.append((name, value))
+        else:
             self.daig.hold(name, value)
 
     def add_computation(self, comp: Computation) -> None:
@@ -300,30 +304,38 @@ class DaigBuilder:
                 self.encode_loop(daig, head)
         return daig
 
-    def encode(self, daig: Optional[Daig],
-               loc: Loc) -> Tuple[Computation, ...]:
+    def encode(self, daig: Optional[Daig], loc: Loc,
+               derived: Optional[_Recorder] = None) -> _Recorder:
         """``encode_incoming(daig, loc, {})``, filed under
-        ``encodings[loc]``; with no DAIG, the writes it would make now,
-        filed nowhere."""
-        return self._filed(daig, self.encode_incoming, loc, self.encodings)
+        ``encodings[loc]``; with no DAIG, the derivation, filed nowhere.
+        ``derived``, such a derivation made since the CFG last changed, is
+        inserted as it is instead of deriving ``loc`` again."""
+        return self._filed(daig, self.encode_incoming, loc, self.encodings,
+                           derived)
 
-    def encode_loop(self, daig: Optional[Daig],
-                    head: Loc) -> Tuple[Computation, ...]:
+    def encode_loop(self, daig: Optional[Daig], head: Loc,
+                    derived: Optional[_Recorder] = None) -> _Recorder:
         """``build_loop_structures(daig, head, {})``, filed under
         ``loop_encodings[head]``; with no DAIG, filed nowhere."""
         return self._filed(daig, self.build_loop_structures, head,
-                           self.loop_encodings)
+                           self.loop_encodings, derived)
 
     @staticmethod
     def _filed(daig: Optional[Daig], encode: Any, loc: Loc,
-               files: Dict[Loc, Tuple[Computation, ...]]
-               ) -> Tuple[Computation, ...]:
-        recorder = _Recorder(daig)
-        encode(recorder, loc, {})
-        writes = tuple(recorder.writes)
+               files: Dict[Loc, Tuple[Computation, ...]],
+               derived: Optional[_Recorder]) -> _Recorder:
+        if derived is None:
+            derived = _Recorder(daig)
+            encode(derived, loc, {})
+            derived.writes = tuple(derived.writes)
+        else:
+            for name, value in derived.holds:
+                daig.hold(name, value)
+            for comp in derived.writes:
+                daig.add_computation(comp)
         if daig is not None:
-            files[loc] = writes
-        return writes
+            files[loc] = derived.writes
+        return derived
 
     def encode_incoming(self, daig: Daig, loc: Loc, overrides: Dict[Loc, int]) -> None:
         """Encode all incoming *forward* edges of ``loc`` (Fig. 7, cases 1-2)."""

@@ -8,14 +8,15 @@ iterate cells are invalidated, the loop is *rolled back* to its initial
 two-iterate form and its ``fix`` computation is reset, discarding the
 demanded unrollings that the edit made stale.
 
-Cells are dirtied eagerly but recomputed lazily: nothing here re-runs any
-analysis function; a later query (Fig. 8) recomputes exactly the dirty cells
-it needs.
+Nothing here re-runs an analysis function.  A later query (Fig. 8)
+recomputes the dirty cells it needs; a splice in an engine with no call
+hook settles its edit at once (:meth:`repro.daig.query.QueryEvaluator.propagate`)
+and dirties only the loops a change enters, and what it cannot settle.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Set
+from typing import Any, Iterable, Optional, Set
 
 from .build import DaigBuilder
 from .graph import Daig
@@ -27,19 +28,24 @@ class InvalidEditError(Exception):
     """Raised for edits that would violate DAIG well-formedness (E-Commit)."""
 
 
-def dirty_forward(daig: Daig, builder: DaigBuilder, seeds: Iterable[Name]) -> Set[Name]:
-    """Empty every cell transitively depending on the seeds.
+def dirty_forward(daig: Daig, builder: DaigBuilder, seeds: Iterable[Name],
+                  stop: Optional[Name] = None,
+                  new_epoch: bool = True) -> Set[Name]:
+    """Empty every cell transitively depending on the seeds, not looking
+    past ``stop``.
 
     Returns the set of dirtied names.  Loops whose iterate chain is touched
     are rolled back to their initial two-iterate encoding (E-Loop).
 
-    Opens a new dirtying epoch: each dirtied cell's prior value is retained
-    by :meth:`~repro.daig.graph.Daig.clear_value` as an early-cutoff shadow
+    Opens a new dirtying epoch (unless ``new_epoch`` is unset: one splice's
+    walks share its epoch): each dirtied cell's prior value is retained by
+    :meth:`~repro.daig.graph.Daig.clear_value` as an early-cutoff shadow
     stamped with this epoch, so that re-demand can stop propagating at the
     first unchanged value and restore the rest (:mod:`repro.daig.query`).
     """
-    daig.epoch += 1
-    dirtied = daig.forward_reachable(seeds)
+    if new_epoch:
+        daig.epoch += 1
+    dirtied = daig.forward_reachable(seeds, stop)
     for name in dirtied:
         daig.clear_value(name)
     # E-Loop: any dirtied fix cell (equivalently, any dirtied iterate) means

@@ -30,10 +30,11 @@ subscribed once the DAIG is built.  When the engine synchronizes (after
 each edit, or once per :meth:`batch_edits` block), only the reported
 locations are compared with the builder's filed encodings and spliced
 (:func:`repro.daig.splice.splice_delta`): stale cells are removed, changed
-locations re-encoded, and everything downstream dirtied (rules E-Commit /
-E-Propagate / E-Loop) for lazy recomputation.  Before the DAIG is built an
-edit only changes (and validates) the CFG.  End to end, edit latency is
-proportional to the edit's impacted region.  The CFG stays the record of
+locations re-encoded, and what lies downstream settled at once by change
+propagation with cutoff, or, in an engine with a call hook, dirtied for
+demand (rules E-Commit / E-Propagate / E-Loop).  Before the DAIG is built
+an edit only changes (and validates) the CFG.  End to end, edit latency
+follows the edit's impacted region.  The CFG stays the record of
 the program's statements: a client that needs them (the interprocedural
 call graph) reads the CFG, not the DAIG.
 """
@@ -466,8 +467,12 @@ class DaigEngine:
         if full:
             report = splice(self._daig, self.builder)
         else:
+            # Without a call hook, a splice settles the edit; a hooked
+            # engine's queries reach only some contexts, so it dirties.
+            settle = (self.evaluator if self.call_transfer is None
+                      and self.cutoff else None)
             report = splice_delta(self._daig, self.builder,
-                                  sig_suspects, head_suspects)
+                                  sig_suspects, head_suspects, settle)
         self.edit_stats.record(report)
         self._phase["snapshot"] += report.snapshot_seconds
         self._phase["splice"] += report.splice_seconds

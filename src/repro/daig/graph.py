@@ -22,18 +22,20 @@ two auxiliary indices that make incremental edits O(affected region)
 instead of O(graph):
 
 * ``dependents`` — the reverse-dependency index (src name → destinations of
-  computations reading it), used by forward dirtying;
+  computations reading it), used by forward dirtying and propagation;
 * ``iterated`` — cells grouped by the loop heads for which they carry a
   nonzero unrolling iteration (their name's ``heads``), used by loop
   roll-back (rule E-Loop) and by splicing to discard a loop's demanded
   unrollings in one sweep.
 
-A third group of side tables supports change propagation with early
-cutoff: when an edit dirties a cell, its prior value is retained as a
-*shadow*; during re-demand, a recomputed cell whose new value is pointer
-equal to its shadow proves that everything dirtied only through it is
-unchanged, so those consumers are restored from their own shadows instead
-of recomputed (:mod:`repro.daig.query`).  Shadows from different edits may
+A third group of side tables supports early cutoff for the cells an edit
+dirties (below the edit in an engine with a call hook; otherwise the loops
+a change enters and what edit-time propagation cannot settle,
+:meth:`repro.daig.query.QueryEvaluator.propagate`): a dirtied cell's prior
+value is retained as a *shadow*; during re-demand, a recomputed cell whose
+new value is pointer equal to its shadow proves that everything dirtied
+only through it is unchanged, so those consumers are restored from their
+own shadows instead of recomputed.  Shadows from different edits may
 coexist, so each is validated by *epochs*: ``epoch`` counts dirtying
 waves, ``shadow_caps[n]`` records the epoch at which ``n``'s shadow was
 captured (the cell and its inputs were mutually consistent then), and
@@ -241,12 +243,16 @@ class Daig:
 
     # -- structural queries ------------------------------------------------------------
 
-    def forward_reachable(self, seeds: Iterable[Name]) -> Set[Name]:
-        """All cells transitively depending on any seed (seeds excluded)."""
+    def forward_reachable(self, seeds: Iterable[Name],
+                          stop: Optional[Name] = None) -> Set[Name]:
+        """All cells transitively depending on any seed (seeds excluded),
+        not looking past ``stop``."""
         reached: Set[Name] = set()
         frontier: List[Name] = list(seeds)
         while frontier:
             name = frontier.pop()
+            if name is stop:
+                continue
             for dependent in self.dependents_of(name):
                 if dependent not in reached:
                     reached.add(dependent)

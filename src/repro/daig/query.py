@@ -26,15 +26,26 @@ instead of looping.
 Call statements are special-cased: their abstract effect may depend on a
 callee analysis (Section 7.1), so the evaluator accepts a ``call_transfer``
 hook and never memoizes call transfers in the location-independent table.
+
+An evaluator with no such hook also settles each structural edit as it is
+spliced (:meth:`QueryEvaluator.propagate`, change propagation with
+cutoff), so a later query finds valued every cell it had demanded before,
+except what the edit could not settle.  A hooked engine's splice dirties
+everything below the edit instead, and re-demand stops recomputing at the
+first unchanged value and restores the rest (:meth:`_commit_cell`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import (AbstractSet, Any, Callable, Dict, List, Optional, Set,
+                    Tuple)
 
 from ..domains.base import AbstractDomain
 from ..lang import ast as A
+from . import names as N
 from .build import DaigBuilder
+from .edit import dirty_forward
 from .graph import Computation, Daig, FIX, IllFormedDaigError, JOIN, TRANSFER, WIDEN
 from .memo import MemoTable
 from .names import Name
@@ -43,8 +54,17 @@ from .names import Name
 #: widening never comes close, so exceeding it signals a domain bug.
 MAX_UNROLLINGS = 2000
 
+#: Cells and loops one splice's propagation settles before it dirties the
+#: rest for demand (:meth:`QueryEvaluator.propagate`).
+PROPAGATION_BUDGET = 256
+
+#: A fixed order on names: identity hashing gives sets no stable order.
+_ORDER = attrgetter("loc", "kind", "aux", "index", "iters")
+_LOC = attrgetter("loc")
+
 #: Sentinel distinguishing "cell is empty" from any real value.
 _ABSENT = object()
+_NONE = (_ABSENT, 0)
 
 
 class StaleDemandError(Exception):
@@ -71,6 +91,9 @@ class QueryStats:
         #: restored from their shadows instead of recomputed.
         self.cells_cutoff = 0
         self.cells_restored = 0
+        #: Cells a splice's propagation recomputed from their inputs (its
+        #: demands count as queries do).
+        self.cells_propagated = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -82,6 +105,7 @@ class QueryStats:
             "cells_reused": self.cells_reused,
             "cells_cutoff": self.cells_cutoff,
             "cells_restored": self.cells_restored,
+            "cells_propagated": self.cells_propagated,
             # Always 0; kept because the edit-latency benchmark reads it.
             "parallel_batches": 0,
         }
@@ -284,6 +308,131 @@ class QueryEvaluator:
                     shadow_caps.pop(dep, None)
                     self.stats.cells_restored += 1
                     frontier.append(dep)
+
+    # -- edit-time change propagation ------------------------------------------------
+
+    def propagate(self, relabels: List[Tuple[Name, Any]], seeds: List[Name],
+                  prior: Dict[Name, Tuple[Any, int]]) -> int:
+        """Settle a splice now, by change propagation with cutoff; returns
+        the number of cells dirtied.
+
+        ``relabels`` are its statement cells and their new statements,
+        ``seeds`` the state and ``fix`` cells of the locations and loops it
+        re-encoded, ``prior`` the (value, stamp) those held.  A cell that
+        held a value and reads a changed one is recomputed once its inputs
+        settle (a join after every other change), and the walk stops where
+        a value comes back the same object.  A loop is one unit, named by
+        its outermost ``fix`` cell: a change entering it dirties it up to
+        that cell, demand re-converges it at once, and the walk goes on only
+        if the fixpoint moved.  Only cells that held a value, and new cells
+        whose inputs do, are computed.  What is left when
+        :data:`PROPAGATION_BUDGET` runs out is dirtied with shadows in the
+        splice's epoch, so a value changed here vetoes their restore.
+        """
+        daig, builder = self.daig, self.builder
+        values, computations = daig.values, daig.computations
+        cfg = builder.cfg
+        # The cells this edit emptied, which its demands may compute.
+        allowed = {dest for seed in seeds for dest, _func, _srcs in (
+            builder.loop_encodings if seed.kind == N.FIX
+            else builder.encodings)[seed.loc]}
+        origin: Dict[Name, Any] = {}  # what the edit's own cells held
+        entries: Dict[Name, List[Name]] = {}  # by loop: where it changed
+        stale: Set[Name] = set()
+        queued: Set[Name] = set()
+        ready: List[Name] = []
+        waiting: List[Name] = []
+        dirtied = 0
+
+        def schedule(cell: Name, pushed: bool) -> None:
+            heads = cfg.containing_loop_heads(cell.loc)
+            item = Name(N.FIX, heads[0]) if heads else cell
+            if heads:
+                entries.setdefault(item, []).append(cell)
+            elif pushed:
+                stale.add(cell)
+            if item not in queued:
+                queued.add(item)
+                join = (item.kind != N.PREJOIN
+                        and len(cfg.fwd_edges_to(item.loc)) > 1)
+                (waiting if join else ready).append(item)
+
+        def push(name: Name, skip: AbstractSet[Name] = frozenset()) -> None:
+            deps = daig.dependents.get(name, ())
+            for dep in sorted(deps, key=_ORDER) if len(deps) > 1 else deps:
+                if dep in values and dep not in skip:
+                    schedule(dep, True)
+
+        def dirty(names: List[Name], stop: Optional[Name] = None) -> int:
+            held = [name for name in names if name in values]
+            for name in held:
+                daig.clear_value(name)
+            cleared = dirty_forward(daig, builder, names, stop, new_epoch=False)
+            cleared.update(held)
+            if stop is not None:
+                allowed.update(cleared)
+            return len(cleared)
+
+        daig.epoch += 1
+        for name, stmt in relabels:
+            daig.set_value(name, stmt)
+            push(name)
+        for seed in seeds:
+            origin[seed] = prior.get(seed, _NONE)[0]
+            schedule(seed, False)
+        # Every loop the edit enters is dirtied before any demand reads it.
+        for fix in sorted(entries, key=_ORDER):
+            origin[fix] = values.get(fix, prior.get(fix, _NONE)[0])
+            dirtied += dirty(entries.pop(fix), fix)
+        def abandon(names: List[Name]) -> int:
+            names = names + ready + waiting
+            return dirty(names + [cell for fix in names
+                                  for cell in entries.get(fix, ())])
+
+        budget = PROPAGATION_BUDGET
+        name: Optional[Name] = None
+        try:
+            while ready or waiting:
+                # Of the waiting joins, the highest location first: a
+                # conditional nested in a branch is lowered, or inserted,
+                # after the join of that branch, so its join goes first.
+                name = (ready.pop() if ready else
+                        waiting.pop(waiting.index(max(waiting, key=_LOC))))
+                queued.discard(name)
+                if not budget:
+                    return dirtied + abandon([name])
+                budget -= 1
+                before = values.get(name, _ABSENT)
+                if name in entries:
+                    dirtied += dirty(entries.pop(name), name)
+                elif name in stale and before is not _ABSENT:
+                    stale.discard(name)
+                    comp = computations[name]
+                    if not all(map(values.__contains__, comp[2])):
+                        dirtied += dirty([name])
+                        continue
+                    self.stats.cells_propagated += 1
+                    value = self._evaluate(comp, tuple(map(values.__getitem__,
+                                                           comp[2])))
+                    if value is not before:
+                        daig.set_value(name, value)
+                held = origin.pop(name, before)
+                if name not in values:
+                    if held is _ABSENT:
+                        continue  # it held nothing, so nothing read it
+                    # Its inputs held values too, or are new and theirs do.
+                    self.query(name)
+                if values[name] is not before:
+                    push(name)
+                elif values[name] is not held:
+                    # An earlier demand of this edit computed it: the cells
+                    # that demand computed read this value already.
+                    push(name, allowed)
+        except BaseException:
+            # No cell may keep a value its inputs would not give.
+            abandon([] if name is None else [name])
+            raise
+        return dirtied
 
     def _step_fix(self, name: Name, srcs: Tuple[Name, ...],
                   unrollings: Dict[Name, int]) -> None:

@@ -27,17 +27,17 @@ replacement) does :func:`splice` run the same algorithm with every old and
 new location as a suspect.
 
 The splice actions remove exactly the stale cell regions, re-encode the
-changed locations and affected loops with the ordinary
-:class:`~repro.daig.build.DaigBuilder` encoding rules (which file the new
-writes), then dirty the cells downstream of every seed through the
-reverse-dependency index (:func:`repro.daig.edit.dirty_forward`).  The
-result is bit-identical to rebuilding the DAIG from scratch and copying
-over unchanged values, with *all* per-edit work — structure refresh,
-suspect comparison, cell removal, re-encoding, dirtying, and the abstract
-recomputation a later query performs — proportional to the edit's
-impacted region.  A splice reports only its work counts: a client that
-needs a procedure's statement cells (the interprocedural call graph's
-call cells) derives them from the CFG with the same keying rule,
+changed locations and affected loops (inserting the derivations the
+comparison made, which file the new writes), then settle what lies
+downstream.  An engine with no call hook settles at once
+(:meth:`~repro.daig.query.QueryEvaluator.propagate`): the cells that read
+a changed value are recomputed, and the walk stops where a value comes
+back unchanged.  A hooked engine dirties every cell downstream of the
+seeds (:func:`repro.daig.edit.dirty_forward`) for demand to recompute or
+restore.  Either way the result is a from-scratch rebuild with unchanged
+values copied over, and all per-edit work follows the edit's impacted
+region.  A client that needs a procedure's statement cells (the call
+graph's call cells) derives them from the CFG with the same keying rule,
 :func:`stmt_cells_at`.
 """
 
@@ -52,6 +52,7 @@ from . import names as N
 from .build import DaigBuilder
 from .edit import dirty_forward
 from .graph import Computation, Daig, TRANSFER
+from .query import QueryEvaluator
 
 #: Identifies a statement cell: (edge src, edge dst, pre-join index or 0).
 StmtKey = Tuple[int, int, int]
@@ -128,8 +129,10 @@ def splice(daig: Daig, builder: DaigBuilder) -> SpliceReport:
 
 def splice_delta(daig: Daig, builder: DaigBuilder,
                  sig_suspects: Iterable[int],
-                 head_suspects: Iterable[int]) -> SpliceReport:
-    """Splice ``daig`` after an edit, comparing only the suspect region.
+                 head_suspects: Iterable[int],
+                 settle: Optional[QueryEvaluator] = None) -> SpliceReport:
+    """Splice ``daig`` after an edit, comparing only the suspect region,
+    and settle the edit with ``settle``, an evaluator, if given.
 
     ``sig_suspects`` / ``head_suspects`` come from the CFG's structure
     layer and over-approximate the locations and loop heads whose encoding
@@ -148,7 +151,8 @@ def splice_delta(daig: Daig, builder: DaigBuilder,
     report = SpliceReport(locs_resigned=len(suspects))
 
     removed_locs: Set[int] = set()
-    changed_locs: Set[int] = set()
+    # Changed suspects, with the derivations the re-encode inserts as is.
+    changed: Dict[int, Any] = {}
     dirty_locs: Set[int] = set()
     # The loops, as filed, around every removed location.
     emptied_heads: Set[int] = set()
@@ -168,17 +172,23 @@ def splice_delta(daig: Daig, builder: DaigBuilder,
         elif filed is None:
             if loc != cfg.entry:
                 dirty_locs.add(loc)
-        elif builder.encode(None, loc) != filed:
-            changed_locs.add(loc)
-    dirty_locs |= changed_locs
+        else:
+            derived = builder.encode(None, loc)
+            if derived.writes != filed:
+                changed[loc] = derived
+    dirty_locs.update(changed)
 
     removed_heads: Set[int] = set()
     affected_heads: Set[int] = set()
+    loops_derived: Dict[int, Any] = {}
     for head in head_suspects:
         filed = loop_encodings.get(head)
         if head in reachable and cfg.is_loop_head(head):
-            if (filed is None or head in emptied_heads
-                    or builder.encode_loop(None, head) != filed):
+            if filed is None or head in emptied_heads:
+                affected_heads.add(head)
+                continue
+            derived = loops_derived[head] = builder.encode_loop(None, head)
+            if derived.writes != filed:
                 affected_heads.add(head)
         elif filed is not None:
             removed_heads.add(head)
@@ -214,12 +224,13 @@ def splice_delta(daig: Daig, builder: DaigBuilder,
                     relabels.append((name, stmt))
     report.snapshot_seconds = time.perf_counter() - started
     return _apply_splice(
-        daig, builder, report,
+        daig, builder, report, settle,
         removed_locs=removed_locs,
-        changed_locs=changed_locs,
+        changed=changed,
         dirty_locs=dirty_locs,
         removed_heads=removed_heads,
         affected_heads=affected_heads,
+        loops_derived=loops_derived,
         stale_stmts=stale_stmts,
         relabels=relabels,
     )
@@ -229,16 +240,19 @@ def _apply_splice(
     daig: Daig,
     builder: DaigBuilder,
     report: SpliceReport,
+    settle: Optional[QueryEvaluator],
     *,
     removed_locs: Set[int],
-    changed_locs: Set[int],
+    changed: Dict[int, Any],
     dirty_locs: Set[int],
     removed_heads: Set[int],
     affected_heads: Set[int],
+    loops_derived: Dict[int, Any],
     stale_stmts: Set[N.Name],
     relabels: List[Tuple[N.Name, Any]],
 ) -> SpliceReport:
-    """The splice actions: remove stale regions, re-encode, dirty."""
+    """The splice actions: remove stale regions, re-encode, then settle
+    (with ``settle``, an evaluator) or dirty what lies downstream."""
     started = time.perf_counter()
     if not (dirty_locs or removed_locs or affected_heads or removed_heads
             or stale_stmts or relabels):
@@ -250,7 +264,7 @@ def _apply_splice(
     encodings = builder.encodings
     loop_encodings = builder.loop_encodings
     to_remove: Set[N.Name] = set(stale_stmts)
-    for loc in removed_locs | changed_locs:
+    for loc in removed_locs | changed.keys():
         to_remove.update([dest for dest, _func, _srcs in encodings[loc]])
     for head in removed_heads | affected_heads:
         to_remove.update([dest for dest, _func, _srcs
@@ -259,11 +273,10 @@ def _apply_splice(
         # including the initial iterate-1 chain, which is rebuilt below.
         to_remove.update(daig.iterated_cells(head, 1))
     # Keep the prior values (and change stamps) of cells about to be
-    # removed: any re-encoded under the same name below becomes an
-    # early-cutoff shadow — if its recomputed value comes back
-    # pointer-equal, the cone dirtied through it is restored, not
-    # recomputed.  The stamps must survive the remove/re-add round trip,
-    # or a re-encoded cell would look "never changed" to the restore walk.
+    # removed: any re-encoded under the same name below is compared with
+    # its prior value, at edit time or as an early-cutoff shadow.  The
+    # stamps must survive the remove/re-add round trip, or a re-encoded
+    # cell would look "never changed" to the restore walk.
     prior_values = {name: (daig.values[name], daig.stamps.get(name, 0))
                     for name in to_remove if name in daig.values}
     report.cells_removed = daig.remove_region(to_remove)
@@ -275,28 +288,32 @@ def _apply_splice(
     # -- re-encode (and re-file) the dirty regions ---------------------------
     cells_before = daig.size()[0]
     for loc in sorted(dirty_locs):
-        builder.encode(daig, loc)
+        builder.encode(daig, loc, changed.get(loc))
     for head in sorted(affected_heads):
-        builder.encode_loop(daig, head)
+        builder.encode_loop(daig, head, loops_derived.get(head))
     report.cells_added = daig.size()[0] - cells_before
 
-    # -- update re-labelled statement cells and dirty downstream -------------
-    seeds = [name for name, _stmt in relabels]
-    seeds.extend(builder.state_name(loc, {}) for loc in sorted(dirty_locs))
+    # -- update re-labelled statement cells; settle or dirty downstream -----
+    seeds = [builder.state_name(loc, {}) for loc in sorted(dirty_locs)]
     seeds.extend(builder.fix_name(head, {}) for head in sorted(affected_heads))
-    report.cells_dirtied = len(dirty_forward(daig, builder, seeds))
-    # Write the re-labelled statements only *after* dirty_forward captured
-    # the downstream shadows: the shadows were computed from the old
-    # statement values, so a statement that really changes must be stamped
-    # at (not before) the capture epoch to veto restoring through it.
-    for name, stmt in relabels:
-        daig.set_value(name, stmt)
+    if settle is not None:
+        report.cells_dirtied = settle.propagate(relabels, seeds, prior_values)
+    else:
+        report.cells_dirtied = len(dirty_forward(
+            daig, builder, [name for name, _stmt in relabels] + seeds))
+        # Write the re-labelled statements only *after* dirty_forward
+        # captured the downstream shadows: the shadows were computed from
+        # the old statement values, so a statement that really changes must
+        # be stamped at (not before) the capture epoch to veto restoring
+        # through it.
+        for name, stmt in relabels:
+            daig.set_value(name, stmt)
     # Re-encoded cells that came back under their old names: re-holding
-    # source cells get their stamps fixed up (the rebuild reset them), and
-    # empty computed cells adopt their prior values as shadows.  A
-    # re-encoded computation changed, so such a shadow is usable only as a
-    # cutoff baseline at its own commit, never as a restore payload: it
-    # gets no capture epoch.
+    # source cells, and cells settled above, get their stamps fixed up
+    # (the rebuild reset them), and empty computed cells adopt their prior
+    # values as shadows.  A re-encoded computation changed, so such a
+    # shadow is usable only as a cutoff baseline at its own commit, never
+    # as a restore payload: it gets no capture epoch.
     epoch = daig.epoch
     for name, (value, stamp) in prior_values.items():
         if not daig.declares(name):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from repro.daig import FIX, DaigBuilder
+from repro.daig import FIX, JOIN, TRANSFER, DaigBuilder
 from repro.daig import names as N
 from repro.workload.generator import WorkloadGenerator
 
@@ -207,3 +207,29 @@ def assert_daig_matches_fresh_build(engine, tag=""):
             assert held[1] == FIX, (tag, dest)
         else:
             assert held == comp, (tag, dest)
+
+
+def assert_values_consistent(engine, tag=""):
+    """Every valued computed cell of ``engine``'s DAIG has valued inputs
+    and, ``fix`` cells aside, holds its function of them (by
+    ``domain.equal``): what an edit left in place, or settled, is what a
+    recomputation would give.  For engines without a call hook, whose call
+    transfers are the domain's own."""
+    domain = engine.domain
+    values = engine.daig.values
+    for dest, func, srcs in engine.daig.computations.values():
+        if dest not in values:
+            continue
+        assert all(src in values for src in srcs), (tag, "empty input", dest)
+        if func == FIX:
+            continue
+        args = [values[src] for src in srcs]
+        if func == TRANSFER:
+            expected = domain.transfer(args[0], args[1])
+        elif func == JOIN:
+            expected = args[0]
+            for other in args[1:]:
+                expected = domain.join(expected, other)
+        else:
+            expected = domain.widen(args[0], args[1])
+        assert domain.equal(values[dest], expected), (tag, dest)

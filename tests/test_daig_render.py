@@ -55,9 +55,15 @@ class TestSummaries:
         assert census["filled_cells"] > cfg.size() + 1
 
     def test_dirty_frontier_grows_after_an_edit(self, interval_domain):
+        # A cell-level write (Fig. 9) dirties for demand; a structural edit
+        # here would be settled as it is spliced, leaving nothing dirty.
+        # The new value flows through the loop, so its change does not die.
         cfg, engine = make_engine(interval_domain)
         engine.query_location(cfg.exit)
         clean = len(describe_dirty_frontier(engine.daig))
-        engine.insert_statement_after(cfg.entry, A.AssignStmt("k", A.IntLit(1)))
+        start = next(edge for edge in cfg.edges
+                     if isinstance(edge.stmt, A.AssignStmt)
+                     and edge.stmt.target == "i" and not cfg.in_any_loop(edge.src))
+        engine.write_statement(start, A.AssignStmt("i", A.IntLit(1)))
         dirty = len(describe_dirty_frontier(engine.daig))
         assert dirty > clean

@@ -280,8 +280,10 @@ def test_an_equal_statement_is_re_pointed_at_the_splice(table):
     for engine in engines:
         # Raw surgery swaps in the equal statement: every encoding is
         # unchanged and the statement equal, so the whole-program splice
-        # only re-points the cell.  Then a value edit before the loop rolls
-        # it back.
+        # only re-points the cell.  Then a cell-level write of a new value
+        # before the loop (Fig. 9's judgment, which dirties for demand)
+        # rolls the loop back, so the next query replays its unrollings; a
+        # structural edit would re-converge the loop as it splices.
         daig = engine.daig
         stamps, epoch = dict(daig.stamps), daig.epoch
         engine.cfg.remove_edge(_edge(engine.cfg, edge.src, edge.dst))
@@ -293,8 +295,8 @@ def test_an_equal_statement_is_re_pointed_at_the_splice(table):
                 report.cells_dirtied) == (0, 0, 0)
         assert daig.values[cell] is equal
         assert (daig.stamps, daig.epoch) == (stamps, epoch)
-        engine.replace_statement(_edge(engine.cfg, start.src, start.dst),
-                                 restart)
+        engine.write_statement(_edge(engine.cfg, start.src, start.dst),
+                               restart)
     hits = table.hits
     _query_all(engines, [cfg.exit])
     assert table.hits > hits
